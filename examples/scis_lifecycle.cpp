@@ -151,8 +151,8 @@ LoopRun RunLoop(int threads, const std::string& dir) {
     return run;
   }
   const std::string ckpt_path = dir + "/model.bin";
-  if (Status st = SaveCheckpointBinary(gain.generator_params(),
-                                       MakeMeta(raw_ds, norm), ckpt_path);
+  if (Status st = SaveCheckpoint(gain.generator_params(),
+                                 MakeMeta(raw_ds, norm), ckpt_path);
       !st.ok()) {
     std::printf("save: %s\n", st.ToString().c_str());
     return run;

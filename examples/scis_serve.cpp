@@ -1,15 +1,15 @@
 // scis_serve — online imputation server (event-driven, sharded).
 //
-//   scis_serve --params a.ckpt[,b.ckpt,...] [--shards 1] \
+//   scis_serve --params a.bin[,b.bin,...] [--shards 1] \
 //              [--host 127.0.0.1] [--port 0] [--port_file serve.port] \
 //              [--threads 0] [--max_batch_rows 64] [--max_wait_ms 2] \
 //              [--max_queue_rows 1024] [--request_timeout_ms 0] \
 //              [--index train.annidx] [--retrieval_k 10] \
 //              [--retrieval_blend 0.5] [--report-out report.json]
 //
-// Loads one or more self-contained checkpoints (text v2 from
-// scis_impute --save_params, or mmap-able binary v3 from --save_params_bin)
-// and serves them behind one epoll event loop: requests route to the model
+// Maps one or more self-contained checkpoints written by
+// scis_impute --save_params (zero-copy; files in the retired v1/v2 text
+// formats are refused with a hint to re-save them) and serves them behind one epoll event loop: requests route to the model
 // matching their column count, then to one of --shards micro-batching
 // queues by payload hash. Results are bit-identical to the offline Imputer
 // on the same rows, for any shard count.
@@ -100,8 +100,8 @@ int main(int argc, char** argv) {
   long long lifecycle_retrain_cap = 4096;
   FlagParser flags;
   flags.AddString("params", &params,
-                  "comma-separated checkpoints (v2 text or v3 binary); "
-                  "schema widths must be unique");
+                  "comma-separated checkpoints from scis_impute "
+                  "--save_params; schema widths must be unique");
   flags.AddString("host", &host, "bind address (dotted quad)");
   flags.AddInt("port", &port, "TCP port (0 = ephemeral)");
   flags.AddString("port_file", &port_file,

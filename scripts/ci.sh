@@ -18,8 +18,8 @@ case "$MODE" in
     cmake --build --preset default -j "$JOBS"
     ctest --preset tier1 -j "$JOBS"
 
-    # Serving loopback smoke test: train a tiny model, save both checkpoint
-    # formats, serve the mmap-able v3 binary across 2 shards over TCP,
+    # Serving loopback smoke test: train a tiny model, save its checkpoint,
+    # serve it (mmap-ed, zero-copy) across 2 shards over TCP,
     # impute through scis_client, and require the served CSV to be
     # byte-identical to the offline scis_impute output.
     SMOKE="$(mktemp -d)"
@@ -28,8 +28,7 @@ case "$MODE" in
       --output "$SMOKE/tiny.csv" >/dev/null
     ./build/examples/scis_impute --input "$SMOKE/tiny.csv" \
       --output "$SMOKE/offline.csv" --method SCIS-GAIN --epochs 2 --n0 32 \
-      --seed 3 --save_params "$SMOKE/model.ckpt" \
-      --save_params_bin "$SMOKE/model.bin" >/dev/null
+      --seed 3 --save_params "$SMOKE/model.bin" >/dev/null
     ./build/examples/scis_serve --params "$SMOKE/model.bin" --shards 2 \
       --port 0 --port_file "$SMOKE/serve.port" &
     SERVE_PID=$!

@@ -136,7 +136,7 @@ Status DimTrainer::Train(GenerativeImputer& model, const Dataset& data) {
             loss = SinkhornLossBoth(emb_fake, emb_real, sopts);
             div_value = loss.value()(0, 0);
           } else {
-            loss = MsLossFast(xbar, x, m, sopts);
+            loss = MsLoss(xbar, x, m, sopts);
             div_value = loss.value()(0, 0);
           }
           if (opts_.recon_weight > 0.0) {

@@ -65,8 +65,10 @@ class DimTrainer {
   const DimStats& stats() const { return stats_; }
   const DimOptions& options() const { return opts_; }
 
-  // Evaluates the MS-divergence loss of `model` on a batch (no training) —
-  // used by SSE's curvature probe and by tests.
+  // Evaluates the training loss MsLoss of `model` on a batch (no training).
+  // Like MsLoss, the value omits the constant OT_λ^m(X, X)/(2n), so only
+  // differences on a fixed batch are meaningful (tests and the testkit's
+  // numeric gradient use it that way).
   double EvalLoss(GenerativeImputer& model, const Matrix& x,
                   const Matrix& m);
 

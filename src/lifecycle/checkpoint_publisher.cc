@@ -57,7 +57,7 @@ Result<std::string> CheckpointPublisher::Publish(const ParamStore& params,
     return why;
   };
 
-  if (Status st = SaveCheckpointBinary(params, meta, path); !st.ok()) {
+  if (Status st = SaveCheckpoint(params, meta, path); !st.ok()) {
     return rollback(st);
   }
 

@@ -26,8 +26,8 @@ Result<std::unique_ptr<GenerativeImputer>> RebuildTrainableModel(
   const size_t d = ckpt.meta.columns.size();
   if (d == 0) {
     return Status::InvalidArgument(
-        "checkpoint has no column schema (v1 weights-only files cannot seed "
-        "a lifecycle)");
+        "checkpoint has no column schema, so it cannot seed a lifecycle; "
+        "re-save it with scis_impute --save_params");
   }
 
   std::unique_ptr<GenerativeImputer> model;

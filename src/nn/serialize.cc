@@ -5,58 +5,12 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <cmath>
+#include <atomic>
+#include <cerrno>
 #include <cstring>
-#include <fstream>
-#include <iomanip>
-#include <sstream>
 
 namespace scis {
 namespace {
-
-void WriteParamBlock(std::ofstream& out, const ParamStore& store) {
-  for (size_t id = 0; id < store.size(); ++id) {
-    const Matrix& m = store.value(id);
-    out << store.name(id) << " " << m.rows() << " " << m.cols() << "\n";
-    for (size_t k = 0; k < m.size(); ++k) {
-      if (k) out << ' ';
-      out << m[k];
-    }
-    out << "\n";
-  }
-}
-
-Status ReadParamBlock(std::ifstream& in, size_t count,
-                      const std::string& path,
-                      std::vector<NamedParam>* params) {
-  params->reserve(count);
-  for (size_t id = 0; id < count; ++id) {
-    std::string name;
-    size_t rows = 0, cols = 0;
-    in >> name >> rows >> cols;
-    if (!in) return Status::IoError("truncated header in " + path);
-    Matrix m(rows, cols);
-    for (size_t k = 0; k < m.size(); ++k) in >> m[k];
-    if (!in) return Status::IoError("truncated values in " + path);
-    params->push_back({std::move(name), std::move(m)});
-  }
-  return Status::OK();
-}
-
-// Expects the literal keyword next in the stream; any other token means a
-// malformed (or hand-edited) file.
-Status ExpectKeyword(std::ifstream& in, const char* keyword,
-                     const std::string& path) {
-  std::string tok;
-  in >> tok;
-  if (!in || tok != keyword) {
-    return Status::InvalidArgument("expected '" + std::string(keyword) +
-                                   "' section in " + path);
-  }
-  return Status::OK();
-}
-
-// ---- v3 binary format helpers ----
 
 constexpr char kBinMagic[8] = {'s', 'c', 'i', 's', 'c', 'k', 'p', '3'};
 constexpr uint32_t kEndianTag = 0x01020304;
@@ -104,10 +58,60 @@ class BinReader {
   size_t at_ = 0;
 };
 
+// Appended to every load error that means "not a v3 file", so an operator
+// holding a retired v1/v2 text checkpoint learns how to replace it.
+constexpr char kResaveHint[] =
+    " (v1/v2 text checkpoints are retired; re-save with scis_impute "
+    "--save_params)";
+
+// Writes all n bytes, retrying short writes and EINTR.
+bool WriteAll(int fd, const void* p, size_t n) {
+  const char* c = static_cast<const char*>(p);
+  while (n > 0) {
+    const ssize_t w = ::write(fd, c, n);
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    c += w;
+    n -= static_cast<size_t>(w);
+  }
+  return true;
+}
+
+// A sibling of `path` no other writer (thread or process) picks: same
+// directory, so the final rename stays within one filesystem.
+std::string TempPathFor(const std::string& path) {
+  static std::atomic<uint64_t> counter{0};
+  return path + ".tmp." + std::to_string(::getpid()) + "." +
+         std::to_string(counter.fetch_add(1));
+}
+
+// fsync of the directory holding `path`, making a rename into it durable.
+// EINVAL means the filesystem has nothing to sync for directories.
+Status SyncParentDir(const std::string& path) {
+  const size_t slash = path.rfind('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0               ? "/"
+                                                     : path.substr(0, slash);
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::IoError("cannot open directory " + dir + ": " +
+                           std::strerror(errno));
+  }
+  const int rc = ::fsync(fd);
+  const int err = errno;
+  ::close(fd);
+  if (rc != 0 && err != EINVAL) {
+    return Status::IoError("fsync " + dir + " failed: " + std::strerror(err));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
-Status SaveCheckpointBinary(const ParamStore& store, const CheckpointMeta& meta,
-                            const std::string& path) {
+Status SaveCheckpoint(const ParamStore& store, const CheckpointMeta& meta,
+                      const std::string& path) {
   if (meta.model.empty()) {
     return Status::InvalidArgument("checkpoint meta needs a model tag");
   }
@@ -145,31 +149,40 @@ Status SaveCheckpointBinary(const ParamStore& store, const CheckpointMeta& meta,
   // modulo alignment (mmap bases are page-aligned, so this suffices).
   head.append((kBlobAlign - head.size() % kBlobAlign) % kBlobAlign, '\0');
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
-  out.write(head.data(), static_cast<std::streamsize>(head.size()));
-  std::vector<double> pad(kAlignDoubles, 0.0);
-  for (size_t id = 0; id < store.size(); ++id) {
+  // Publish: temp file, fsync, close, rename over `path`, fsync the
+  // directory. Live MAP_PRIVATE mappings of the old file keep the old inode,
+  // so engines serving from it never see a truncated file (no SIGBUS).
+  const std::string tmp = TempPathFor(path);
+  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+  if (fd < 0) {
+    return Status::IoError("cannot create " + tmp + ": " +
+                           std::strerror(errno));
+  }
+  auto fail = [&](const std::string& what) {
+    const std::string err = std::strerror(errno);
+    if (fd >= 0) ::close(fd);
+    ::unlink(tmp.c_str());
+    return Status::IoError(what + " " + tmp + ": " + err);
+  };
+  static constexpr double kPad[kAlignDoubles] = {};
+  bool ok = WriteAll(fd, head.data(), head.size());
+  for (size_t id = 0; ok && id < store.size(); ++id) {
     const Matrix& m = store.value(id);
-    out.write(reinterpret_cast<const char*>(m.data()),
-              static_cast<std::streamsize>(m.size() * sizeof(double)));
+    ok = WriteAll(fd, m.data(), m.size() * sizeof(double));
     const size_t tail = m.size() % kAlignDoubles;
-    if (tail != 0) {
-      out.write(reinterpret_cast<const char*>(pad.data()),
-                static_cast<std::streamsize>((kAlignDoubles - tail) *
-                                             sizeof(double)));
+    if (ok && tail != 0) {
+      ok = WriteAll(fd, kPad, (kAlignDoubles - tail) * sizeof(double));
     }
   }
-  out.flush();
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::OK();
-}
-
-bool IsBinaryCheckpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  char magic[sizeof(kBinMagic)] = {};
-  in.read(magic, sizeof(magic));
-  return in && std::memcmp(magic, kBinMagic, sizeof(kBinMagic)) == 0;
+  if (!ok) return fail("write failed:");
+  if (::fsync(fd) != 0) return fail("fsync failed:");
+  const int close_rc = ::close(fd);
+  fd = -1;
+  if (close_rc != 0) return fail("close failed:");
+  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    return fail("rename to " + path + " failed:");
+  }
+  return SyncParentDir(path);
 }
 
 MappedCheckpoint::~MappedCheckpoint() {
@@ -188,7 +201,8 @@ Result<std::shared_ptr<const MappedCheckpoint>> MappedCheckpoint::Map(
   const size_t len = static_cast<size_t>(st.st_size);
   if (len < sizeof(kBinMagic) + sizeof(uint32_t)) {
     ::close(fd);
-    return Status::InvalidArgument(path + " is too short to be a checkpoint");
+    return Status::InvalidArgument(path + " is too short to be a checkpoint" +
+                                   kResaveHint);
   }
   void* base = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
   ::close(fd);  // the mapping keeps its own reference
@@ -204,7 +218,8 @@ Result<std::shared_ptr<const MappedCheckpoint>> MappedCheckpoint::Map(
   uint32_t endian = 0;
   if (!r.GetBytes(magic, sizeof(magic)) ||
       std::memcmp(magic, kBinMagic, sizeof(magic)) != 0) {
-    return Status::InvalidArgument("not a scis-params v3 binary file: " + path);
+    return Status::InvalidArgument("not a v3 checkpoint: " + path +
+                                   kResaveHint);
   }
   if (!r.GetU32(&endian) || endian != kEndianTag) {
     return Status::InvalidArgument("checkpoint endianness mismatch: " + path);
@@ -283,136 +298,10 @@ Checkpoint MappedCheckpoint::ToCheckpoint() const {
   return ckpt;
 }
 
-Status SaveParams(const ParamStore& store, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
-  out << "scis-params v1\n" << store.size() << "\n";
-  out << std::setprecision(17);
-  WriteParamBlock(out, store);
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::OK();
-}
-
-Status SaveCheckpoint(const ParamStore& store, const CheckpointMeta& meta,
-                      const std::string& path) {
-  if (meta.model.empty()) {
-    return Status::InvalidArgument("checkpoint meta needs a model tag");
-  }
-  if (meta.columns.empty() || meta.norm_lo.size() != meta.columns.size() ||
-      meta.norm_hi.size() != meta.columns.size()) {
-    return Status::InvalidArgument(
-        "checkpoint meta columns/normalizer sizes disagree");
-  }
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
-  out << "scis-params v2\n";
-  out << "model " << meta.model << "\n";
-  out << "columns " << meta.columns.size() << "\n";
-  for (const CheckpointColumn& c : meta.columns) {
-    out << c.kind << " " << c.num_categories << " " << c.name << "\n";
-  }
-  out << std::setprecision(17);
-  out << "normalizer " << meta.columns.size() << "\n";
-  for (size_t j = 0; j < meta.norm_lo.size(); ++j) {
-    if (j) out << ' ';
-    out << meta.norm_lo[j];
-  }
-  out << "\n";
-  for (size_t j = 0; j < meta.norm_hi.size(); ++j) {
-    if (j) out << ' ';
-    out << meta.norm_hi[j];
-  }
-  out << "\n";
-  out << "params " << store.size() << "\n";
-  WriteParamBlock(out, store);
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::OK();
-}
-
 Result<Checkpoint> LoadCheckpoint(const std::string& path) {
-  if (IsBinaryCheckpoint(path)) {
-    SCIS_ASSIGN_OR_RETURN(std::shared_ptr<const MappedCheckpoint> mapped,
-                          MappedCheckpoint::Map(path));
-    return mapped->ToCheckpoint();
-  }
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::string magic, version;
-  in >> magic >> version;
-  if (!in || magic != "scis-params" ||
-      (version != "v1" && version != "v2")) {
-    return Status::InvalidArgument("not a scis-params v1/v2 file: " + path);
-  }
-  Checkpoint ckpt;
-  if (version == "v1") {
-    ckpt.version = 1;
-    size_t count = 0;
-    in >> count;
-    if (!in) return Status::IoError("truncated header in " + path);
-    SCIS_RETURN_NOT_OK(ReadParamBlock(in, count, path, &ckpt.params));
-    return ckpt;
-  }
-  ckpt.version = 2;
-  SCIS_RETURN_NOT_OK(ExpectKeyword(in, "model", path));
-  in >> ckpt.meta.model;
-  if (!in) return Status::IoError("truncated model tag in " + path);
-  SCIS_RETURN_NOT_OK(ExpectKeyword(in, "columns", path));
-  size_t d = 0;
-  in >> d;
-  if (!in || d == 0) {
-    return Status::InvalidArgument("bad column count in " + path);
-  }
-  ckpt.meta.columns.resize(d);
-  for (size_t j = 0; j < d; ++j) {
-    CheckpointColumn& c = ckpt.meta.columns[j];
-    in >> c.kind >> c.num_categories;
-    if (!in) return Status::IoError("truncated column schema in " + path);
-    // The name is the rest of the line (CSV headers may contain spaces).
-    std::getline(in, c.name);
-    if (!c.name.empty() && c.name.front() == ' ') c.name.erase(0, 1);
-  }
-  SCIS_RETURN_NOT_OK(ExpectKeyword(in, "normalizer", path));
-  size_t nd = 0;
-  in >> nd;
-  if (!in || nd != d) {
-    return Status::InvalidArgument("normalizer size disagrees with columns in " +
-                                   path);
-  }
-  ckpt.meta.norm_lo.resize(d);
-  ckpt.meta.norm_hi.resize(d);
-  for (size_t j = 0; j < d; ++j) in >> ckpt.meta.norm_lo[j];
-  for (size_t j = 0; j < d; ++j) in >> ckpt.meta.norm_hi[j];
-  if (!in) return Status::IoError("truncated normalizer stats in " + path);
-  SCIS_RETURN_NOT_OK(ExpectKeyword(in, "params", path));
-  size_t count = 0;
-  in >> count;
-  if (!in) return Status::IoError("truncated params header in " + path);
-  SCIS_RETURN_NOT_OK(ReadParamBlock(in, count, path, &ckpt.params));
-  return ckpt;
-}
-
-Status LoadParams(ParamStore& store, const std::string& path) {
-  SCIS_ASSIGN_OR_RETURN(Checkpoint ckpt, LoadCheckpoint(path));
-  if (ckpt.params.size() != store.size()) {
-    return Status::InvalidArgument(
-        "parameter count mismatch: file has " +
-        std::to_string(ckpt.params.size()) + ", store has " +
-        std::to_string(store.size()));
-  }
-  for (size_t id = 0; id < ckpt.params.size(); ++id) {
-    const NamedParam& p = ckpt.params[id];
-    if (p.name != store.name(id)) {
-      return Status::InvalidArgument("parameter name mismatch at index " +
-                                     std::to_string(id) + ": file '" + p.name +
-                                     "' vs store '" + store.name(id) + "'");
-    }
-    Matrix& m = store.value(id);
-    if (p.value.rows() != m.rows() || p.value.cols() != m.cols()) {
-      return Status::InvalidArgument("shape mismatch for " + p.name);
-    }
-    m = p.value;
-  }
-  return Status::OK();
+  SCIS_ASSIGN_OR_RETURN(std::shared_ptr<const MappedCheckpoint> mapped,
+                        MappedCheckpoint::Map(path));
+  return mapped->ToCheckpoint();
 }
 
 }  // namespace scis

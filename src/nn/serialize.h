@@ -1,28 +1,10 @@
-// Parameter (de)serialization: a plain-text format so trained models can
-// be checkpointed and shipped (e.g. train SCIS once, impute many files
-// with scis_impute, or serve them online with scis_serve).
+// Checkpoint (de)serialization: one binary, mmap-able format so trained
+// models can be checkpointed and shipped (train SCIS once, impute many files
+// with scis_impute, serve them online with scis_serve, publish lifecycle
+// generations).
 //
-// v1 (weights only, legacy):
-//   scis-params v1
-//   <num_params>
-//   <name> <rows> <cols>
-//   <rows*cols doubles, space-separated, full precision>
-//   ...
-//
-// v2 (self-contained: weights + the metadata needed to impute new rows):
-//   scis-params v2
-//   model <architecture tag, e.g. GAIN>
-//   columns <d>
-//   <kind:int> <num_categories:int> <name, rest of line>   x d
-//   normalizer <d>
-//   <d lo values>
-//   <d hi values>
-//   params <num_params>
-//   <name> <rows> <cols>
-//   <values>
-//   ...
-//
-// v3 (binary, mmap-able — the serving fleet's cold-start format):
+// v3 layout (self-contained: weights + the metadata needed to impute raw
+// rows):
 //   [8 bytes]  magic "scisckp3"
 //   [u32]      endian tag 0x01020304 (little-endian files only)
 //   [u32]      model tag length, then the tag bytes
@@ -40,8 +22,8 @@
 // MappedCheckpoint — engines keep the mapping alive for as long as they
 // serve from it).
 //
-// LoadParams/LoadCheckpoint accept all three versions, so checkpoints
-// written before the serving subsystem keep loading.
+// The retired v1/v2 text formats ("scis-params v1/v2") are not read: their
+// files, like any other file without the v3 magic, load as InvalidArgument.
 #ifndef SCIS_NN_SERIALIZE_H_
 #define SCIS_NN_SERIALIZE_H_
 
@@ -77,27 +59,23 @@ struct NamedParam {
 };
 
 struct Checkpoint {
-  int version = 0;  // 1 = weights only, 2 = self-contained
+  // 3 when loaded from a file; in-memory checkpoints may carry 2 (also
+  // self-contained). Below 2 means weights only, which serving rejects.
+  int version = 0;
   CheckpointMeta meta;
   std::vector<NamedParam> params;
 };
 
-// Writes every parameter in `store` to `path` (v1, weights only).
-Status SaveParams(const ParamStore& store, const std::string& path);
-
-// Writes a self-contained v2 checkpoint: `meta` plus every parameter in
-// `store`. meta.columns / norm_lo / norm_hi must agree in size.
+// Writes a v3 checkpoint: `meta` plus every parameter in `store`.
+// meta.columns / norm_lo / norm_hi must agree in size. Publishes
+// atomically: the bytes go to a temp file in the same directory, which is
+// fsync-ed, closed and renamed over `path`, and the directory is fsync-ed.
+// A reader — including an engine still serving from an mmap of the old
+// file — sees either the old checkpoint or the new one, never a torn or
+// truncated file. On error the temp file is removed and `path` is
+// untouched.
 Status SaveCheckpoint(const ParamStore& store, const CheckpointMeta& meta,
                       const std::string& path);
-
-// Writes a self-contained v3 binary checkpoint (see format above). Same
-// content as SaveCheckpoint, but mmap-able: MappedCheckpoint::Map serves the
-// weights straight out of the page cache with zero copies.
-Status SaveCheckpointBinary(const ParamStore& store, const CheckpointMeta& meta,
-                            const std::string& path);
-
-// True when the file starts with the v3 binary magic.
-bool IsBinaryCheckpoint(const std::string& path);
 
 // A v3 checkpoint mapped read-only into memory. Parameter values are views
 // into the mapping (no copies); holders of a view must keep the
@@ -120,8 +98,7 @@ class MappedCheckpoint {
   const CheckpointMeta& meta() const { return meta_; }
   const std::vector<ParamView>& params() const { return params_; }
 
-  // Deep-copies into an owning Checkpoint (version 3) — the compatibility
-  // bridge for LoadCheckpoint/LoadParams callers.
+  // Deep-copies into an owning Checkpoint (version 3).
   Checkpoint ToCheckpoint() const;
 
  private:
@@ -133,16 +110,10 @@ class MappedCheckpoint {
   size_t map_len_ = 0;
 };
 
-// Reads a v1, v2, or v3 checkpoint without needing a pre-built store (the
-// serving path, which reconstructs the network from the file alone). v3
-// files are mapped, copied, and unmapped; use MappedCheckpoint::Map directly
-// to keep the zero-copy views.
+// Reads a checkpoint without needing a pre-built store: Map, then
+// ToCheckpoint (the mapping is released on return). Use
+// MappedCheckpoint::Map directly to keep the zero-copy views.
 Result<Checkpoint> LoadCheckpoint(const std::string& path);
-
-// Restores values into an already-built `store`; parameter names, count,
-// order, and shapes must match exactly (architecture is not rebuilt).
-// Accepts v1 and v2 files; v2 metadata is ignored.
-Status LoadParams(ParamStore& store, const std::string& path);
 
 }  // namespace scis
 

@@ -23,6 +23,29 @@ Matrix GradWrtB(const SinkhornSolution& sol, const Matrix& a, const Matrix& ma,
   return MaskedOtGradWrtB(sol.plan, a, ma, b, mb);
 }
 
+// The X̄-dependent part of the MS divergence, 2·OT_λ^m(A, B) − OT_λ^m(A, A),
+// from the cross solve `ab` and the A self solve `aa`, with its Prop.-1
+// gradient in A when requested. The B self term is constant in A, so
+// MsDivergenceMasked subtracts only its value.
+DivergenceResult CrossMinusSelf(const SinkhornSolution& ab,
+                                const SinkhornSolution& aa, const Matrix& a,
+                                const Matrix& ma, const Matrix& b,
+                                const Matrix& mb, bool with_grad) {
+  DivergenceResult out;
+  out.value = 2.0 * ab.reg_value - aa.reg_value;
+  if (with_grad) {
+    // Cross term: X̄ appears only as the source measure.
+    Matrix g = GradWrtA(ab, a, ma, b, mb);
+    MulScalarInPlace(g, 2.0);
+    // Self term: X̄ is both source and target; subtract both envelope parts.
+    Matrix gs = GradWrtA(aa, a, ma, a, ma);
+    AddInPlace(gs, GradWrtB(aa, a, ma, a, ma));
+    SubInPlace(g, gs);
+    out.grad_xbar = std::move(g);
+  }
+  return out;
+}
+
 }  // namespace
 
 DivergenceResult MsDivergenceMasked(const Matrix& a, const Matrix& ma,
@@ -39,20 +62,8 @@ DivergenceResult MsDivergenceMasked(const Matrix& a, const Matrix& ma,
   const SinkhornSolution ab = SolveSinkhornMasked(a, ma, b, mb, opts);
   const SinkhornSolution aa = SolveSinkhornMasked(a, ma, a, ma, opts);
   const SinkhornSolution bb = SolveSinkhornMasked(b, mb, b, mb, opts);
-
-  DivergenceResult out;
-  out.value = 2.0 * ab.reg_value - aa.reg_value - bb.reg_value;
-
-  if (with_grad) {
-    // Cross term: X̄ appears only as the source measure.
-    Matrix g = GradWrtA(ab, a, ma, b, mb);
-    MulScalarInPlace(g, 2.0);
-    // Self term: X̄ is both source and target; subtract both envelope parts.
-    Matrix gs = GradWrtA(aa, a, ma, a, ma);
-    AddInPlace(gs, GradWrtB(aa, a, ma, a, ma));
-    SubInPlace(g, gs);
-    out.grad_xbar = std::move(g);
-  }
+  DivergenceResult out = CrossMinusSelf(ab, aa, a, ma, b, mb, with_grad);
+  out.value -= bb.reg_value;
   return out;
 }
 
@@ -69,16 +80,7 @@ DivergenceResult MsDivergenceForTraining(const Matrix& xbar, const Matrix& x,
   SCIS_CHECK(xbar.SameShape(m));
   const SinkhornSolution ab = SolveSinkhornMasked(xbar, m, x, m, opts);
   const SinkhornSolution aa = SolveSinkhornMasked(xbar, m, xbar, m, opts);
-
-  DivergenceResult out;
-  out.value = 2.0 * ab.reg_value - aa.reg_value;
-  Matrix g = GradWrtA(ab, xbar, m, x, m);
-  MulScalarInPlace(g, 2.0);
-  Matrix gs = GradWrtA(aa, xbar, m, xbar, m);
-  AddInPlace(gs, GradWrtB(aa, xbar, m, xbar, m));
-  SubInPlace(g, gs);
-  out.grad_xbar = std::move(g);
-  return out;
+  return CrossMinusSelf(ab, aa, xbar, m, x, m, /*with_grad=*/true);
 }
 
 DivergenceResult SinkhornDivergence(const Matrix& a, const Matrix& b,

@@ -7,6 +7,10 @@
 // differentiable everywhere in X̄; the gradient combines the envelope
 // gradients of the cross term and the X̄ self term (the X–X term is a
 // constant). The paper's imputation loss is L_s = S_m / (2n).
+//
+// MsDivergence / MsDivergenceMasked return the exact value (tests, oracles,
+// benches); MsDivergenceForTraining skips the constant term and backs the
+// autodiff loss MsLoss (ot/ms_loss.h).
 #ifndef SCIS_OT_DIVERGENCE_H_
 #define SCIS_OT_DIVERGENCE_H_
 
@@ -40,10 +44,10 @@ DivergenceResult SinkhornDivergence(const Matrix& a, const Matrix& b,
                                     const SinkhornOptions& opts,
                                     bool with_grad);
 
-// Training fast path: 2·OT_λ^m(X̄, X) − OT_λ^m(X̄, X̄), i.e. the MS
-// divergence minus the OT_λ^m(X, X) self term — which is constant in X̄,
-// so the gradient equals MsDivergence's exactly while one of the three
-// Sinkhorn solves is skipped. The reported value is shifted by that
+// Training form (what MsLoss is built on): 2·OT_λ^m(X̄, X) − OT_λ^m(X̄, X̄),
+// i.e. the MS divergence minus the OT_λ^m(X, X) self term — which is
+// constant in X̄, so the gradient equals MsDivergence's exactly while one
+// of the three Sinkhorn solves is skipped. The reported value is shifted by that
 // (batch-dependent) constant; use MsDivergence when the exact divergence
 // value matters.
 DivergenceResult MsDivergenceForTraining(const Matrix& xbar, const Matrix& x,

@@ -6,19 +6,6 @@ Var MsLoss(Var xbar, const Matrix& x, const Matrix& m,
            const SinkhornOptions& opts) {
   const Matrix xbar_val = xbar.value();
   SCIS_CHECK(xbar_val.SameShape(x));
-  SCIS_CHECK(xbar_val.SameShape(m));
-  const double inv_2n = 1.0 / (2.0 * static_cast<double>(x.rows()));
-  DivergenceResult res = MsDivergence(xbar_val, x, m, opts, /*with_grad=*/true);
-  Matrix grad = std::move(res.grad_xbar);
-  MulScalarInPlace(grad, inv_2n);
-  return CustomScalarOp(xbar, res.value * inv_2n,
-                        [grad]() { return grad; });
-}
-
-Var MsLossFast(Var xbar, const Matrix& x, const Matrix& m,
-               const SinkhornOptions& opts) {
-  const Matrix xbar_val = xbar.value();
-  SCIS_CHECK(xbar_val.SameShape(x));
   const double inv_2n = 1.0 / (2.0 * static_cast<double>(x.rows()));
   DivergenceResult res = MsDivergenceForTraining(xbar_val, x, m, opts);
   Matrix grad = std::move(res.grad_xbar);

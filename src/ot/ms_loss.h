@@ -3,6 +3,12 @@
 // Builds a scalar Var on xbar's tape whose backward pass injects the
 // analytic Prop.-1 gradient, so the chain rule continues into the
 // generator parameters exactly as Eq. 3 prescribes.
+//
+// The value is computed without the OT_λ^m(X, X) self term, which does not
+// depend on X̄ (MsDivergenceForTraining): one Sinkhorn solve fewer per
+// step, the same gradient, and a value shifted by the constant
+// OT_λ^m(X, X)/(2n). Loss differences on a fixed batch are exact; use
+// MsDivergence when the divergence value itself matters.
 #ifndef SCIS_OT_MS_LOSS_H_
 #define SCIS_OT_MS_LOSS_H_
 
@@ -15,12 +21,6 @@ namespace scis {
 // x/m: constant data batch and mask. Gradient flows only into xbar.
 Var MsLoss(Var xbar, const Matrix& x, const Matrix& m,
            const SinkhornOptions& opts);
-
-// Fast training variant: same gradient, but the value omits the constant
-// OT_λ^m(X, X) self term (one fewer Sinkhorn solve per step). DIM uses
-// this in its inner loop.
-Var MsLossFast(Var xbar, const Matrix& x, const Matrix& m,
-               const SinkhornOptions& opts);
 
 // Plain Sinkhorn-divergence loss between two Var batches (gradient flows
 // into `a` only); used by the RRSI baseline: S_λ(a, b) / (2n).

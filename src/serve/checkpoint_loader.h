@@ -24,7 +24,7 @@
 
 namespace scis::serve {
 
-// Loads a v2/v3 checkpoint from `path` and validates it for hot-swap.
+// Loads a checkpoint from `path` and validates it for hot-swap.
 // `expect_cols` = 0 skips the width check (multi-model reload, where
 // HotSwap itself resolves the hosted model). InvalidArgument on a width
 // mismatch; Internal when the probe row imputes to non-finite values.

@@ -10,29 +10,26 @@ namespace scis::serve {
 
 Result<std::shared_ptr<const ImputationEngine>> ImputationEngine::Load(
     const std::string& path) {
-  if (IsBinaryCheckpoint(path)) {
-    SCIS_ASSIGN_OR_RETURN(std::shared_ptr<const MappedCheckpoint> mapped,
-                          MappedCheckpoint::Map(path));
-    return FromMapped(std::move(mapped));
-  }
-  SCIS_ASSIGN_OR_RETURN(Checkpoint ckpt, LoadCheckpoint(path));
-  return FromCheckpoint(ckpt);
+  SCIS_ASSIGN_OR_RETURN(std::shared_ptr<ImputationEngine> engine,
+                        BuildMapped(path));
+  return std::shared_ptr<const ImputationEngine>(std::move(engine));
 }
 
 Result<std::shared_ptr<const ImputationEngine>> ImputationEngine::Load(
     const std::string& path, const std::string& index_path,
     const RetrievalOptions& retrieval) {
-  SCIS_ASSIGN_OR_RETURN(Checkpoint ckpt, LoadCheckpoint(path));
+  SCIS_ASSIGN_OR_RETURN(std::shared_ptr<ImputationEngine> engine,
+                        BuildMapped(path));
   SCIS_ASSIGN_OR_RETURN(index::AnnIndex index,
                         index::AnnIndex::Load(index_path));
-  return FromCheckpoint(ckpt, std::move(index), retrieval);
+  SCIS_RETURN_NOT_OK(engine->AttachIndex(std::move(index), retrieval));
+  return std::shared_ptr<const ImputationEngine>(std::move(engine));
 }
 
-Result<std::shared_ptr<const ImputationEngine>> ImputationEngine::FromMapped(
-    std::shared_ptr<const MappedCheckpoint> mapped) {
-  if (mapped == nullptr) {
-    return Status::InvalidArgument("null mapped checkpoint");
-  }
+Result<std::shared_ptr<ImputationEngine>> ImputationEngine::BuildMapped(
+    const std::string& path) {
+  SCIS_ASSIGN_OR_RETURN(std::shared_ptr<const MappedCheckpoint> mapped,
+                        MappedCheckpoint::Map(path));
   std::vector<ParamRef> refs;
   refs.reserve(mapped->params().size());
   for (const MappedCheckpoint::ParamView& p : mapped->params()) {
@@ -41,7 +38,7 @@ Result<std::shared_ptr<const ImputationEngine>> ImputationEngine::FromMapped(
   SCIS_ASSIGN_OR_RETURN(std::shared_ptr<ImputationEngine> engine,
                         BuildFromParts(3, mapped->meta(), refs));
   engine->mapped_ = std::move(mapped);  // keep the mmap alive for the views
-  return std::shared_ptr<const ImputationEngine>(std::move(engine));
+  return engine;
 }
 
 Result<std::shared_ptr<const ImputationEngine>> ImputationEngine::FromCheckpoint(
@@ -49,21 +46,26 @@ Result<std::shared_ptr<const ImputationEngine>> ImputationEngine::FromCheckpoint
     const RetrievalOptions& retrieval) {
   SCIS_ASSIGN_OR_RETURN(std::shared_ptr<ImputationEngine> engine,
                         BuildFromCheckpoint(ckpt));
+  SCIS_RETURN_NOT_OK(engine->AttachIndex(std::move(index), retrieval));
+  return std::shared_ptr<const ImputationEngine>(std::move(engine));
+}
+
+Status ImputationEngine::AttachIndex(index::AnnIndex index,
+                                     const RetrievalOptions& retrieval) {
   if (index.empty()) {
     return Status::InvalidArgument("retrieval index has no rows");
   }
-  if (index.num_cols() != engine->num_cols()) {
+  if (index.num_cols() != num_cols()) {
     return Status::InvalidArgument(
         "retrieval index is " + std::to_string(index.num_cols()) +
-        "-column, checkpoint schema is " +
-        std::to_string(engine->num_cols()));
+        "-column, checkpoint schema is " + std::to_string(num_cols()));
   }
   if (retrieval.k == 0 || retrieval.blend < 0.0 || retrieval.blend > 1.0) {
     return Status::InvalidArgument("retrieval needs k >= 1, blend in [0,1]");
   }
-  engine->index_ = std::move(index);
-  engine->retrieval_ = retrieval;
-  return std::shared_ptr<const ImputationEngine>(std::move(engine));
+  index_ = std::move(index);
+  retrieval_ = retrieval;
+  return Status::OK();
 }
 
 Result<std::shared_ptr<const ImputationEngine>> ImputationEngine::FromCheckpoint(
@@ -102,7 +104,7 @@ Result<std::shared_ptr<ImputationEngine>> ImputationEngine::BuildFromParts(
     const std::vector<ParamRef>& params) {
   if (version < 2) {
     return Status::InvalidArgument(
-        "checkpoint is not self-contained (v1: weights only); re-save with "
+        "checkpoint is not self-contained (weights only); re-save with "
         "scis_impute --save_params to get normalizer stats and schema");
   }
   if (meta.model != "GAIN") {

@@ -1,5 +1,5 @@
 // ImputationEngine: the inference half of the stack. Loads a self-contained
-// v2 checkpoint (generator weights + normalizer stats + column schema) once
+// checkpoint (generator weights + normalizer stats + column schema) once
 // and answers imputation requests on raw rows — the serving shape GAN-based
 // imputers assume when deployed on live incomplete records.
 //
@@ -44,16 +44,16 @@ struct RetrievalOptions {
 
 class ImputationEngine {
  public:
-  // Loads a v2 (text) or v3 (binary) checkpoint from disk. v1 checkpoints
-  // are rejected: they lack the normalizer stats and schema needed to handle
-  // raw rows. v3 files are mmap-ed and served zero-copy: the engine's weight
-  // views point into the page-cache-backed mapping, so a fleet hosting many
-  // models cold-starts without materializing any weight buffers.
+  // Maps a checkpoint from disk (MappedCheckpoint::Map) and serves it
+  // zero-copy: the engine's weight views point into the page-cache-backed
+  // mapping, so a fleet hosting many models cold-starts without
+  // materializing any weight buffers. Files without the v3 magic (including
+  // the retired v1/v2 text formats) are InvalidArgument.
   static Result<std::shared_ptr<const ImputationEngine>> Load(
       const std::string& path);
 
-  // Loads a checkpoint plus a saved AnnIndex (scis_impute --save_index)
-  // for retrieval-augmented imputation.
+  // Maps a checkpoint (zero-copy, as above) and attaches a saved AnnIndex
+  // (scis_impute --save_index) for retrieval-augmented imputation.
   static Result<std::shared_ptr<const ImputationEngine>> Load(
       const std::string& path, const std::string& index_path,
       const RetrievalOptions& retrieval);
@@ -61,12 +61,6 @@ class ImputationEngine {
   // Builds an engine from an in-memory checkpoint (tests, benches).
   static Result<std::shared_ptr<const ImputationEngine>> FromCheckpoint(
       const Checkpoint& ckpt);
-
-  // Builds an engine over a mapped v3 checkpoint. Weights are served
-  // directly out of the mapping (zero-copy); the engine shares ownership of
-  // the mapping for its lifetime.
-  static Result<std::shared_ptr<const ImputationEngine>> FromMapped(
-      std::shared_ptr<const MappedCheckpoint> mapped);
 
   // In-memory checkpoint + index over normalized training rows.
   static Result<std::shared_ptr<const ImputationEngine>> FromCheckpoint(
@@ -112,9 +106,15 @@ class ImputationEngine {
   // optionally, the retrieval index) on top.
   static Result<std::shared_ptr<ImputationEngine>> BuildFromCheckpoint(
       const Checkpoint& ckpt);
+  // Maps `path`; the engine's weight views point into the mapping, which
+  // the engine keeps alive for its lifetime.
+  static Result<std::shared_ptr<ImputationEngine>> BuildMapped(
+      const std::string& path);
   static Result<std::shared_ptr<ImputationEngine>> BuildFromParts(
       int version, const CheckpointMeta& meta,
       const std::vector<ParamRef>& params);
+  // Validates `index` against the schema and `retrieval`, then attaches it.
+  Status AttachIndex(index::AnnIndex index, const RetrievalOptions& retrieval);
 
   std::string model_;
   std::vector<ColumnMeta> columns_;

@@ -69,9 +69,11 @@ double OracleMsDivergence(const Matrix& xbar, const Matrix& x, const Matrix& m,
 // that beats c = 0 / c = min D / c = max D. O(n·m).
 double EntropicOtGapBound(const Matrix& exact_cost, const Matrix& approx_cost);
 
-// Central-difference gradient of the full DIM evaluation loss
-// (DimTrainer::EvalLoss: MS divergence through the generator) with respect
-// to the flattened generator parameters. O(P) loss evaluations — tiny
+// Central-difference gradient of the DIM evaluation loss
+// (DimTrainer::EvalLoss: MsLoss through the generator) with respect to the
+// flattened generator parameters. EvalLoss omits the constant
+// OT_λ^m(X, X)/(2n); central differences cancel it, so this is also the
+// gradient of the full MS divergence / (2n). O(P) loss evaluations — tiny
 // models only.
 std::vector<double> NumericDimLossGrad(GenerativeImputer& model,
                                        const DimOptions& opts, const Matrix& x,

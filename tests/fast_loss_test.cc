@@ -1,10 +1,9 @@
-// The training fast path (MsDivergenceForTraining / MsLossFast) must match
-// the exact MS divergence in gradient while skipping the constant data
+// The training form (MsDivergenceForTraining, behind MsLoss) must match the
+// exact MS divergence in gradient while skipping the constant data
 // self-term in value.
 #include <gtest/gtest.h>
 
 #include "ot/divergence.h"
-#include "ot/ms_loss.h"
 #include "tensor/matrix_ops.h"
 #include "tensor/rng.h"
 
@@ -52,28 +51,6 @@ TEST_P(FastLossTest, ValueDiffersByDataSelfTerm) {
 
 INSTANTIATE_TEST_SUITE_P(Lambdas, FastLossTest,
                          ::testing::Values(0.3, 2.0, 130.0));
-
-TEST(FastLossTest, MsLossFastBackwardMatchesMsLoss) {
-  Rng rng(3);
-  Matrix x = rng.UniformMatrix(6, 2, 0, 1);
-  Matrix xbar0 = rng.UniformMatrix(6, 2, 0, 1);
-  Matrix m = rng.BernoulliMatrix(6, 2, 0.8);
-  SinkhornOptions opts = Opts(1.0);
-  Matrix grad_exact, grad_fast;
-  {
-    Tape tape;
-    Var xbar = tape.Leaf(xbar0);
-    tape.Backward(MsLoss(xbar, x, m, opts));
-    grad_exact = xbar.grad();
-  }
-  {
-    Tape tape;
-    Var xbar = tape.Leaf(xbar0);
-    tape.Backward(MsLossFast(xbar, x, m, opts));
-    grad_fast = xbar.grad();
-  }
-  EXPECT_TRUE(grad_fast.AllClose(grad_exact, 1e-10));
-}
 
 TEST(SinkhornConvergenceTest, PotentialStoppingImpliesSmallViolation) {
   // The cheap Δf/λ stopping rule must still deliver tight marginals.

@@ -116,9 +116,9 @@ void RunLoop(int threads, const std::string& dir, LoopDigest* digest_out) {
   DimTrainer offline(dopts);
   EXPECT_TRUE(offline.Train(gain, train).ok());
   const std::string ckpt_path = dir + "/model.bin";
-  EXPECT_TRUE(SaveCheckpointBinary(gain.generator_params(),
-                                   MakeMeta(raw_ds, norm), ckpt_path)
-                  .ok());
+  EXPECT_TRUE(
+      SaveCheckpoint(gain.generator_params(), MakeMeta(raw_ds, norm), ckpt_path)
+          .ok());
 
   Result<std::shared_ptr<const serve::ImputationEngine>> engine =
       serve::ImputationEngine::Load(ckpt_path);

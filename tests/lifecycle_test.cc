@@ -242,7 +242,7 @@ Checkpoint MakeCheckpoint(size_t d, uint64_t seed) {
   return ckpt;
 }
 
-// Publish/SaveCheckpointBinary take live params; bridge from a loaded
+// Publish/SaveCheckpoint take live params; bridge from a loaded
 // checkpoint's NamedParam list.
 ParamStore ToParamStore(const Checkpoint& ckpt) {
   ParamStore store;
@@ -305,7 +305,7 @@ TEST(SseOptionsValidationTest, DriftControllerRefusesBadOptions) {
 TEST(CheckpointLoaderTest, LoadsValidatesAndRefusesWidthMismatch) {
   const std::string path = ::testing::TempDir() + "scis_lc_loader.bin";
   const Checkpoint ckpt = MakeCheckpoint(6, 11);
-  ASSERT_TRUE(SaveCheckpointBinary(ToParamStore(ckpt), ckpt.meta, path).ok());
+  ASSERT_TRUE(SaveCheckpoint(ToParamStore(ckpt), ckpt.meta, path).ok());
 
   Result<std::shared_ptr<const serve::ImputationEngine>> engine =
       serve::LoadAndValidateCheckpoint(path);

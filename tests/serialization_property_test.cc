@@ -1,6 +1,6 @@
-// Round-trip properties for the two text formats: CSV datasets (missing
-// cells as empty fields) and scis-params checkpoints. Both promise bit-exact
-// double round trips (max_digits10), so the properties compare with
+// Round-trip properties for the persisted formats: CSV datasets (missing
+// cells as empty fields, max_digits10 text) and v3 checkpoints (raw f64).
+// Both promise bit-exact double round trips, so the properties compare with
 // operator== — not AllClose.
 #include <gtest/gtest.h>
 
@@ -104,26 +104,34 @@ TEST(SerializationPropertyTest, ParamStoreRoundTripsBitExact) {
 
     ParamStore saved_store;
     auto mlp = testkit::BuildMlp(&saved_store, "rt.G", config);
+    CheckpointMeta meta;
+    meta.model = "MLP";
+    for (size_t j = 0; j < out_dim; ++j) {
+      meta.columns.push_back({"c" + std::to_string(j), 0, 0});
+      meta.norm_lo.push_back(rng.Uniform(-1.0, 0.0));
+      meta.norm_hi.push_back(rng.Uniform(1.0, 2.0));
+    }
     const std::string path = TmpPath("params", seed);
-    const Status ws = SaveParams(saved_store, path);
+    const Status ws = SaveCheckpoint(saved_store, meta, path);
     PROP_CHECK_MSG(ws.ok(), ws.message());
-
-    // Same architecture, different init — loading must overwrite exactly.
-    MlpConfig other = config;
-    other.init_seed = config.init_seed + 1;
-    ParamStore loaded_store;
-    auto mlp2 = testkit::BuildMlp(&loaded_store, "rt.G", other);
-    const Status ls = LoadParams(loaded_store, path);
+    Result<Checkpoint> loaded = LoadCheckpoint(path);
     std::remove(path.c_str());
-    PROP_CHECK_MSG(ls.ok(), ls.message());
+    PROP_CHECK_MSG(loaded.ok(), loaded.status().message());
 
-    const std::vector<double> a = saved_store.ToFlat();
-    const std::vector<double> b = loaded_store.ToFlat();
-    PROP_CHECK(a.size() == b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      PROP_CHECK_MSG(a[i] == b[i],
-                     "parameter " + std::to_string(i) +
-                         " changed across the checkpoint round trip");
+    PROP_CHECK(loaded->meta.norm_lo == meta.norm_lo);
+    PROP_CHECK(loaded->meta.norm_hi == meta.norm_hi);
+    PROP_CHECK(loaded->params.size() == saved_store.size());
+    for (size_t id = 0; id < saved_store.size(); ++id) {
+      const Matrix& a = saved_store.value(id);
+      const Matrix& b = loaded->params[id].value;
+      PROP_CHECK(loaded->params[id].name == saved_store.name(id));
+      PROP_CHECK(a.rows() == b.rows() && a.cols() == b.cols());
+      for (size_t k = 0; k < a.size(); ++k) {
+        PROP_CHECK_MSG(a[k] == b[k],
+                       "parameter " + saved_store.name(id) + "[" +
+                           std::to_string(k) +
+                           "] changed across the checkpoint round trip");
+      }
     }
     return PropertyStatus::Pass();
   });

@@ -1,115 +1,130 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <vector>
 
+#include "lifecycle/model_rebuild.h"
 #include "models/gain_imputer.h"
 #include "nn/serialize.h"
+#include "serve/checkpoint_loader.h"
 #include "tensor/rng.h"
 
 namespace scis {
 namespace {
 
-TEST(SerializeTest, RoundTripPreservesValues) {
-  ParamStore store;
-  Rng rng(1);
-  store.Add("a.W", rng.NormalMatrix(3, 4));
-  store.Add("a.b", rng.NormalMatrix(1, 4));
-  const std::string path = "/tmp/scis_params_test.txt";
-  ASSERT_TRUE(SaveParams(store, path).ok());
+namespace fs = std::filesystem;
 
-  ParamStore restored;
-  restored.Add("a.W", Matrix::Zeros(3, 4));
-  restored.Add("a.b", Matrix::Zeros(1, 4));
-  ASSERT_TRUE(LoadParams(restored, path).ok());
-  EXPECT_TRUE(restored.value(0).AllClose(store.value(0), 1e-15));
-  EXPECT_TRUE(restored.value(1).AllClose(store.value(1), 1e-15));
-  std::remove(path.c_str());
-}
-
-TEST(SerializeTest, RejectsNameMismatch) {
-  ParamStore store;
-  store.Add("x", Matrix{{1.0}});
-  const std::string path = "/tmp/scis_params_name.txt";
-  ASSERT_TRUE(SaveParams(store, path).ok());
-  ParamStore other;
-  other.Add("y", Matrix{{0.0}});
-  EXPECT_EQ(LoadParams(other, path).code(), StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
-}
-
-TEST(SerializeTest, RejectsShapeMismatch) {
-  ParamStore store;
-  store.Add("x", Matrix{{1.0, 2.0}});
-  const std::string path = "/tmp/scis_params_shape.txt";
-  ASSERT_TRUE(SaveParams(store, path).ok());
-  ParamStore other;
-  other.Add("x", Matrix{{0.0}});
-  EXPECT_FALSE(LoadParams(other, path).ok());
-  std::remove(path.c_str());
-}
-
-TEST(SerializeTest, RejectsCountMismatchAndMissingFile) {
-  ParamStore store;
-  store.Add("x", Matrix{{1.0}});
-  const std::string path = "/tmp/scis_params_count.txt";
-  ASSERT_TRUE(SaveParams(store, path).ok());
-  ParamStore other;  // empty
-  EXPECT_FALSE(LoadParams(other, path).ok());
-  EXPECT_EQ(LoadParams(store, "/nonexistent/params.txt").code(),
-            StatusCode::kIoError);
-  std::remove(path.c_str());
-}
-
-TEST(SerializeTest, V2CheckpointRoundTripsMetaAndParams) {
-  ParamStore store;
-  Rng rng(3);
-  store.Add("g.l0.W", rng.NormalMatrix(6, 3));
-  store.Add("g.l0.b", rng.NormalMatrix(1, 3));
-
+CheckpointMeta ThreeColumnMeta() {
   CheckpointMeta meta;
   meta.model = "GAIN";
   meta.columns = {{"age", 0, 0}, {"blood type", 2, 4}, {"smoker", 1, 0}};
   meta.norm_lo = {0.0, -1.5, 0.0};
   meta.norm_hi = {120.0, 2.5, 1.0};
-  const std::string path = "/tmp/scis_params_v2.txt";
-  ASSERT_TRUE(SaveCheckpoint(store, meta, path).ok());
+  return meta;
+}
+
+// A GAIN-shaped generator store (2d -> d -> d) for an d-column schema.
+ParamStore GainShapedStore(size_t d, uint64_t seed) {
+  Rng rng(seed);
+  ParamStore store;
+  store.Add("g.l0.W", rng.NormalMatrix(2 * d, d, 0.0, 0.5));
+  store.Add("g.l0.b", rng.NormalMatrix(1, d, 0.0, 0.1));
+  store.Add("g.l1.W", rng.NormalMatrix(d, d, 0.0, 0.5));
+  store.Add("g.l1.b", rng.NormalMatrix(1, d, 0.0, 0.1));
+  return store;
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(bytes.data(), 1, bytes.size(), f);
+  std::fclose(f);
+}
+
+// Leftover "<name>.tmp.*" siblings would mean a failed publish leaked its
+// temp file.
+size_t TempSiblings(const std::string& dir) {
+  size_t n = 0;
+  for (const fs::directory_entry& e : fs::directory_iterator(dir)) {
+    if (e.path().filename().string().find(".tmp.") != std::string::npos) ++n;
+  }
+  return n;
+}
+
+TEST(SerializeTest, RoundTripPreservesValues) {
+  const ParamStore store = GainShapedStore(3, 1);
+  const std::string path = "/tmp/scis_params_test.bin";
+  ASSERT_TRUE(SaveCheckpoint(store, ThreeColumnMeta(), path).ok());
 
   Result<Checkpoint> loaded = LoadCheckpoint(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->version, 2);
-  EXPECT_EQ(loaded->meta.model, "GAIN");
-  ASSERT_EQ(loaded->meta.columns.size(), 3u);
-  EXPECT_EQ(loaded->meta.columns[1].name, "blood type");  // space survives
-  EXPECT_EQ(loaded->meta.columns[1].kind, 2);
-  EXPECT_EQ(loaded->meta.columns[1].num_categories, 4);
-  EXPECT_EQ(loaded->meta.norm_lo, meta.norm_lo);
-  EXPECT_EQ(loaded->meta.norm_hi, meta.norm_hi);
-  ASSERT_EQ(loaded->params.size(), 2u);
-  EXPECT_EQ(loaded->params[0].name, "g.l0.W");
-  EXPECT_TRUE(loaded->params[0].value.AllClose(store.value(0), 0.0));
-  EXPECT_TRUE(loaded->params[1].value.AllClose(store.value(1), 0.0));
-
-  // LoadParams accepts v2 files too (metadata ignored).
-  ParamStore restored;
-  restored.Add("g.l0.W", Matrix::Zeros(6, 3));
-  restored.Add("g.l0.b", Matrix::Zeros(1, 3));
-  ASSERT_TRUE(LoadParams(restored, path).ok());
-  EXPECT_TRUE(restored.value(0).AllClose(store.value(0), 0.0));
+  ASSERT_EQ(loaded->params.size(), store.size());
+  for (size_t id = 0; id < store.size(); ++id) {
+    EXPECT_EQ(loaded->params[id].name, store.name(id));
+    EXPECT_TRUE(loaded->params[id].value == store.value(id));  // bit-exact
+  }
   std::remove(path.c_str());
 }
 
-TEST(SerializeTest, LoadCheckpointReadsLegacyV1) {
-  ParamStore store;
-  store.Add("w", Matrix{{1.5, -2.25}});
-  const std::string path = "/tmp/scis_params_v1_compat.txt";
-  ASSERT_TRUE(SaveParams(store, path).ok());
+// Restoring into a model is positional and shape-checked
+// (lifecycle/model_rebuild): a checkpoint whose layer shapes disagree with
+// the schema's generator is refused, by the rebuild and by the engine.
+TEST(SerializeTest, RejectsShapeMismatch) {
+  ParamStore store = GainShapedStore(3, 2);
+  store.value(2) = Matrix::Zeros(2, 3);  // breaks the hidden d -> d layer
+  const std::string path = "/tmp/scis_params_shape.bin";
+  ASSERT_TRUE(SaveCheckpoint(store, ThreeColumnMeta(), path).ok());
   Result<Checkpoint> loaded = LoadCheckpoint(path);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->version, 1);
-  EXPECT_TRUE(loaded->meta.columns.empty());
-  ASSERT_EQ(loaded->params.size(), 1u);
-  EXPECT_TRUE(loaded->params[0].value.AllClose(store.value(0), 0.0));
+  EXPECT_EQ(lifecycle::RebuildTrainableModel(*loaded, 7).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(serve::ImputationEngine::Load(path).status().code(),
+            StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+TEST(SerializeTest, RejectsCountMismatchAndMissingFile) {
+  ParamStore store = GainShapedStore(3, 3);
+  ParamStore short_store;
+  short_store.Add(store.name(0), store.value(0));
+  short_store.Add(store.name(1), store.value(1));
+  const std::string path = "/tmp/scis_params_count.bin";
+  ASSERT_TRUE(SaveCheckpoint(short_store, ThreeColumnMeta(), path).ok());
+  Result<Checkpoint> loaded = LoadCheckpoint(path);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(lifecycle::RebuildTrainableModel(*loaded, 7).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(LoadCheckpoint("/nonexistent/params.bin").status().code(),
+            StatusCode::kIoError);
+  std::remove(path.c_str());
+}
+
+// The retired text formats and empty files are typed errors on every load
+// path — the plain loader, the engine, and the hot-swap loader — never a
+// crash, and the message tells the operator how to replace the file.
+TEST(SerializeTest, LoadCheckpointRejectsRetiredFormats) {
+  const std::string path = "/tmp/scis_params_retired.txt";
+  const std::vector<std::pair<std::string, std::string>> inputs = {
+      {"v1", "scis-params v1\n1\nw 1 2\n1.5 -2.25\n"},
+      {"v2",
+       "scis-params v2\nmodel GAIN\ncolumns 1\n0 0 c0\nnormalizer 1\n0\n1\n"
+       "params 2\ng.l0.W 2 1\n0.5 -0.5\ng.l0.b 1 1\n0.1\n"},
+      {"empty", ""}};
+  for (const auto& [what, bytes] : inputs) {
+    WriteFile(path, bytes);
+    const Status plain = LoadCheckpoint(path).status();
+    EXPECT_EQ(plain.code(), StatusCode::kInvalidArgument) << what;
+    EXPECT_NE(plain.message().find("scis_impute --save_params"),
+              std::string::npos)
+        << plain.ToString();
+    EXPECT_EQ(serve::ImputationEngine::Load(path).status().code(),
+              StatusCode::kInvalidArgument)
+        << what;
+    EXPECT_EQ(serve::LoadAndValidateCheckpoint(path).status().code(),
+              StatusCode::kInvalidArgument)
+        << what;
+  }
   std::remove(path.c_str());
 }
 
@@ -121,13 +136,16 @@ TEST(SerializeTest, SaveCheckpointValidatesMeta) {
   meta.columns = {{"c0", 0, 0}};
   meta.norm_lo = {0.0, 1.0};  // size disagrees with columns
   meta.norm_hi = {1.0, 2.0};
-  EXPECT_EQ(SaveCheckpoint(store, meta, "/tmp/scis_params_bad.txt").code(),
+  const std::string path = "/tmp/scis_params_bad.bin";
+  std::remove(path.c_str());
+  EXPECT_EQ(SaveCheckpoint(store, meta, path).code(),
             StatusCode::kInvalidArgument);
   meta.model.clear();
   meta.norm_lo = {0.0};
   meta.norm_hi = {1.0};
-  EXPECT_EQ(SaveCheckpoint(store, meta, "/tmp/scis_params_bad.txt").code(),
+  EXPECT_EQ(SaveCheckpoint(store, meta, path).code(),
             StatusCode::kInvalidArgument);
+  EXPECT_FALSE(fs::exists(path));
 }
 
 TEST(SerializeTest, V3BinaryCheckpointMapsBackBitExact) {
@@ -138,14 +156,9 @@ TEST(SerializeTest, V3BinaryCheckpointMapsBackBitExact) {
   store.Add("g.l1.W", rng.NormalMatrix(3, 3));
   store.Add("g.l1.b", rng.NormalMatrix(1, 3));
 
-  CheckpointMeta meta;
-  meta.model = "GAIN";
-  meta.columns = {{"age", 0, 0}, {"blood type", 2, 4}, {"smoker", 1, 0}};
-  meta.norm_lo = {0.0, -1.5, 0.0};
-  meta.norm_hi = {120.0, 2.5, 1.0};
+  const CheckpointMeta meta = ThreeColumnMeta();
   const std::string path = "/tmp/scis_params_v3.bin";
-  ASSERT_TRUE(SaveCheckpointBinary(store, meta, path).ok());
-  EXPECT_TRUE(IsBinaryCheckpoint(path));
+  ASSERT_TRUE(SaveCheckpoint(store, meta, path).ok());
 
   Result<std::shared_ptr<const MappedCheckpoint>> mapped =
       MappedCheckpoint::Map(path);
@@ -171,7 +184,7 @@ TEST(SerializeTest, V3BinaryCheckpointMapsBackBitExact) {
     }
   }
 
-  // LoadCheckpoint dispatches on the magic and deep-copies.
+  // LoadCheckpoint maps and deep-copies.
   Result<Checkpoint> loaded = LoadCheckpoint(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->version, 3);
@@ -190,7 +203,7 @@ TEST(SerializeTest, V3MapRejectsCorruptFiles) {
   meta.norm_lo = {0.0};
   meta.norm_hi = {1.0};
   const std::string path = "/tmp/scis_params_v3_corrupt.bin";
-  ASSERT_TRUE(SaveCheckpointBinary(store, meta, path).ok());
+  ASSERT_TRUE(SaveCheckpoint(store, meta, path).ok());
 
   // Read the valid bytes back so we can write corrupted variants.
   std::vector<char> bytes;
@@ -208,24 +221,68 @@ TEST(SerializeTest, V3MapRejectsCorruptFiles) {
   // Truncated mid-header and truncated mid-blob must both fail cleanly
   // (the last cut leaves fewer blob doubles than the 2x2 param declares).
   for (size_t cut : {size_t{6}, bytes.size() / 2, bytes.size() - 40}) {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fwrite(bytes.data(), 1, cut, f);
-    std::fclose(f);
+    WriteFile(path, std::string(bytes.data(), cut));
     EXPECT_FALSE(MappedCheckpoint::Map(path).ok()) << "cut=" << cut;
   }
 
-  // A corrupted magic is not a binary checkpoint at all.
+  // A corrupted magic is not a checkpoint at all.
   bytes[0] ^= 0xff;
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fwrite(bytes.data(), 1, bytes.size(), f);
-    std::fclose(f);
-  }
-  EXPECT_FALSE(IsBinaryCheckpoint(path));
-  EXPECT_FALSE(MappedCheckpoint::Map(path).ok());
+  WriteFile(path, std::string(bytes.data(), bytes.size()));
+  EXPECT_EQ(MappedCheckpoint::Map(path).status().code(),
+            StatusCode::kInvalidArgument);
   std::remove(path.c_str());
+}
+
+// Re-saving over a checkpoint that an engine still has mapped must not touch
+// the mapped bytes: the writer publishes a new file by rename instead of
+// truncating the old one in place (which, for a shorter file, is a SIGBUS
+// in the server).
+TEST(SerializeTest, ResaveLeavesLiveMappingIntact) {
+  const std::string dir = ::testing::TempDir() + "scis_atomic_publish";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = dir + "/model.bin";
+  const ParamStore old_store = GainShapedStore(3, 21);
+  const ParamStore new_store = GainShapedStore(3, 22);
+  ASSERT_TRUE(SaveCheckpoint(old_store, ThreeColumnMeta(), path).ok());
+
+  Result<std::shared_ptr<const MappedCheckpoint>> live =
+      MappedCheckpoint::Map(path);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  ASSERT_TRUE(SaveCheckpoint(new_store, ThreeColumnMeta(), path).ok());
+
+  Result<std::shared_ptr<const MappedCheckpoint>> fresh =
+      MappedCheckpoint::Map(path);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  for (size_t id = 0; id < old_store.size(); ++id) {
+    const Matrix& was = old_store.value(id);
+    const Matrix& now = new_store.value(id);
+    for (size_t k = 0; k < was.size(); ++k) {
+      EXPECT_EQ((*live)->params()[id].data[k], was.data()[k]);
+      EXPECT_EQ((*fresh)->params()[id].data[k], now.data()[k]);
+    }
+  }
+  EXPECT_EQ(TempSiblings(dir), 0u);
+  fs::remove_all(dir);
+}
+
+// A publish that fails after the temp file exists (here: the rename, whose
+// target is a directory) removes the temp file and leaves the target alone.
+TEST(SerializeTest, FailedPublishRemovesTempFile) {
+  const std::string dir = ::testing::TempDir() + "scis_failed_publish";
+  fs::remove_all(dir);
+  fs::create_directories(dir + "/model.bin");
+  EXPECT_EQ(SaveCheckpoint(GainShapedStore(3, 5), ThreeColumnMeta(),
+                           dir + "/model.bin")
+                .code(),
+            StatusCode::kIoError);
+  EXPECT_TRUE(fs::is_directory(dir + "/model.bin"));
+  EXPECT_EQ(TempSiblings(dir), 0u);
+  EXPECT_EQ(SaveCheckpoint(GainShapedStore(3, 5), ThreeColumnMeta(),
+                           dir + "/missing/model.bin")
+                .code(),
+            StatusCode::kIoError);
+  fs::remove_all(dir);
 }
 
 TEST(SerializeTest, TrainedGainCheckpointRestoresImputations) {
@@ -240,17 +297,17 @@ TEST(SerializeTest, TrainedGainCheckpointRestoresImputations) {
   GainImputer gain(o);
   ASSERT_TRUE(gain.Fit(data).ok());
   Matrix before = gain.Reconstruct(data);
-  const std::string path = "/tmp/scis_gain_ckpt.txt";
-  ASSERT_TRUE(SaveParams(gain.generator_params(), path).ok());
+  const std::string path = "/tmp/scis_gain_ckpt.bin";
+  ASSERT_TRUE(SaveCheckpoint(gain.generator_params(), ThreeColumnMeta(), path)
+                  .ok());
 
-  // Fresh model with the same architecture (built lazily by a dry run).
-  GainImputerOptions o2 = o;
-  o2.deep.seed = 999;
-  o2.deep.epochs = 1;
-  GainImputer fresh(o2);
-  ASSERT_TRUE(fresh.Fit(data).ok());  // builds + perturbs params
-  ASSERT_TRUE(LoadParams(fresh.generator_params(), path).ok());
-  Matrix after = fresh.Reconstruct(data);
+  // A fresh model with a different seed, rebuilt from the file alone.
+  Result<Checkpoint> loaded = LoadCheckpoint(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  Result<std::unique_ptr<GenerativeImputer>> fresh =
+      lifecycle::RebuildTrainableModel(*loaded, /*seed=*/999);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  Matrix after = (*fresh)->Reconstruct(data);
   EXPECT_TRUE(after.AllClose(before, 1e-12));
   std::remove(path.c_str());
 }

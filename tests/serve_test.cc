@@ -50,7 +50,8 @@ bool BitIdentical(const Matrix& a, const Matrix& b) {
   return true;
 }
 
-// A valid random GAIN-shaped v2 checkpoint: 2d -> d -> d, sigmoid output.
+// A valid random GAIN-shaped in-memory checkpoint: 2d -> d -> d, sigmoid
+// output.
 Checkpoint MakeCheckpoint(size_t d, uint64_t seed) {
   Rng rng(seed);
   Checkpoint ckpt;
@@ -367,7 +368,7 @@ TEST(ServeEngineTest, MatchesOfflineImputerBitExact) {
   }
   meta.norm_lo = norm.lo();
   meta.norm_hi = norm.hi();
-  const std::string path = "/tmp/scis_serve_engine_ckpt.txt";
+  const std::string path = "/tmp/scis_serve_engine_ckpt.bin";
   ASSERT_TRUE(SaveCheckpoint(gain.generator_params(), meta, path).ok());
   Result<std::shared_ptr<const ImputationEngine>> engine =
       ImputationEngine::Load(path);
@@ -385,17 +386,15 @@ TEST(ServeEngineTest, MatchesOfflineImputerBitExact) {
   EXPECT_TRUE(BitIdentical(offline, served.value()));
 }
 
-// A v3 binary checkpoint served zero-copy out of the mmap produces the
-// same bits as the same weights loaded through the owning text path.
+// A checkpoint served zero-copy out of the mmap produces the same bits as
+// the same weights held in an owning in-memory checkpoint.
 TEST(ServeEngineTest, MappedV3CheckpointServesBitIdentical) {
   const Checkpoint ckpt = MakeCheckpoint(4, 91);
   ParamStore store;
   for (const NamedParam& p : ckpt.params) store.Add(p.name, p.value);
   const std::string path = "/tmp/scis_serve_v3_engine.bin";
-  ASSERT_TRUE(SaveCheckpointBinary(store, ckpt.meta, path).ok());
-  ASSERT_TRUE(IsBinaryCheckpoint(path));
+  ASSERT_TRUE(SaveCheckpoint(store, ckpt.meta, path).ok());
 
-  // Load() detects the binary magic and takes the mmap path.
   Result<std::shared_ptr<const ImputationEngine>> mapped =
       ImputationEngine::Load(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
@@ -411,6 +410,49 @@ TEST(ServeEngineTest, MappedV3CheckpointServesBitIdentical) {
     EXPECT_TRUE(BitIdentical(a.value(), b.value()));
   }
   std::remove(path.c_str());
+}
+
+// The retrieval load path maps the checkpoint too; it must serve the same
+// bits as the owning in-memory engine with the same index, at any thread
+// count.
+TEST(ServeEngineTest, MappedRetrievalLoadMatchesInMemory) {
+  const size_t d = 4;
+  const Checkpoint ckpt = MakeCheckpoint(d, 95);
+  ParamStore store;
+  for (const NamedParam& p : ckpt.params) store.Add(p.name, p.value);
+  const std::string path = "/tmp/scis_serve_retrieval_engine.bin";
+  const std::string index_path = "/tmp/scis_serve_retrieval_engine.annidx";
+  ASSERT_TRUE(SaveCheckpoint(store, ckpt.meta, path).ok());
+  Rng rng(17);
+  Matrix train_mask = rng.BernoulliMatrix(300, d, 0.8);
+  Matrix train_values = rng.UniformMatrix(300, d, 0.0, 1.0);
+  MulInPlace(train_values, train_mask);
+  ASSERT_TRUE(
+      index::AnnIndex::Build(train_values, train_mask).Save(index_path).ok());
+
+  const RetrievalOptions retrieval{5, 4, 0.5};
+  Result<std::shared_ptr<const ImputationEngine>> mapped =
+      ImputationEngine::Load(path, index_path, retrieval);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  ASSERT_TRUE((*mapped)->has_index());
+  Result<Checkpoint> loaded = LoadCheckpoint(path);
+  Result<index::AnnIndex> index = index::AnnIndex::Load(index_path);
+  ASSERT_TRUE(loaded.ok() && index.ok());
+  Result<std::shared_ptr<const ImputationEngine>> owned =
+      ImputationEngine::FromCheckpoint(*loaded, std::move(*index), retrieval);
+  ASSERT_TRUE(owned.ok()) << owned.status().ToString();
+  std::remove(path.c_str());
+  std::remove(index_path.c_str());
+
+  const Matrix rows = RandomRows(rng, 40, d, 0.4);
+  for (int threads : {1, 2, 4}) {
+    runtime::SetNumThreads(threads);
+    Result<Matrix> a = (*mapped)->ImputeBatch(rows);
+    Result<Matrix> b = (*owned)->ImputeBatch(rows);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_TRUE(BitIdentical(a.value(), b.value())) << threads << " threads";
+  }
+  runtime::SetNumThreads(0);  // restore the env/hardware default
 }
 
 // ---------------------------------------------------------------------------
