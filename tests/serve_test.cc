@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <limits>
 #include <mutex>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -453,6 +454,82 @@ TEST(ServeEngineTest, MappedRetrievalLoadMatchesInMemory) {
     EXPECT_TRUE(BitIdentical(a.value(), b.value())) << threads << " threads";
   }
   runtime::SetNumThreads(0);  // restore the env/hardware default
+}
+
+// FNV-1a 64 over the bit patterns of `m`, chained from `h`.
+uint64_t FnvMatrix(uint64_t h, const Matrix& m) {
+  for (size_t i = 0; i < m.size(); ++i) {
+    const uint64_t bits = std::bit_cast<uint64_t>(m.data()[i]);
+    for (int b = 0; b < 64; b += 8) {
+      h = (h ^ ((bits >> b) & 0xFF)) * 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+// Served retrieval bytes are pinned by a golden digest: a Search-shaped
+// pool (d = 64, 81% missing, 1,000 indexed rows, default RetrievalOptions)
+// whose sparse queries take the full scan, plus a mixed-density pool whose
+// dense rows go through the tree's budgeted leaf scans and the side list.
+TEST(ServeEngineTest, RetrievalServingMatchesGolden) {
+  const size_t d = 64, index_rows = 1000, query_rows = 256;
+  const std::shared_ptr<const ImputationEngine> plain = MakeEngine(d, 131);
+  std::ostringstream out;
+  out << "retrieval serving golden: d=" << d << " index_rows=" << index_rows
+      << " query_rows=" << query_rows << "\n";
+  struct Pool {
+    const char* name;
+    std::vector<double> missing_rates;  // cycled per row
+  };
+  for (const Pool& pool : {Pool{"search", {0.81}},
+                           Pool{"mixed", {0.1, 0.3, 0.81, 0.95}}}) {
+    Rng rng(137);
+    Matrix train_values = rng.UniformMatrix(index_rows, d, 0.0, 1.0);
+    Matrix train_mask(index_rows, d);
+    for (size_t i = 0; i < index_rows; ++i) {
+      const double rate = pool.missing_rates[i % pool.missing_rates.size()];
+      for (size_t j = 0; j < d; ++j) {
+        train_mask(i, j) = rng.Bernoulli(rate) ? 0.0 : 1.0;
+      }
+    }
+    MulInPlace(train_values, train_mask);
+    index::AnnIndex index = index::AnnIndex::Build(train_values, train_mask);
+    out << pool.name << ": side_rows=" << index.num_side_rows()
+        << " leaves=" << index.num_leaves() << "\n";
+    Result<std::shared_ptr<const ImputationEngine>> engine =
+        ImputationEngine::FromCheckpoint(MakeCheckpoint(d, 131),
+                                         std::move(index), RetrievalOptions{});
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+    Matrix rows(query_rows, d);
+    for (size_t i = 0; i < query_rows; ++i) {
+      const double rate = pool.missing_rates[i % pool.missing_rates.size()];
+      const Matrix one = RandomRows(rng, 1, d, rate);
+      std::copy(one.data(), one.data() + d, rows.row_data(i));
+    }
+    Result<Matrix> served = (*engine)->ImputeBatch(rows);
+    Result<Matrix> generator_only = plain->ImputeBatch(rows);
+    ASSERT_TRUE(served.ok() && generator_only.ok());
+    size_t blended = 0;
+    for (size_t k = 0; k < rows.size(); ++k) {
+      blended += std::bit_cast<uint64_t>(served->data()[k]) !=
+                         std::bit_cast<uint64_t>(generator_only->data()[k])
+                     ? 1
+                     : 0;
+    }
+    out << pool.name << ": blended_cells=" << blended << " output_fnv1a="
+        << std::hex << FnvMatrix(14695981039346656037ull, *served) << std::dec
+        << "\n";
+    out.precision(std::numeric_limits<double>::max_digits10);
+    for (size_t i = 0; i < 2; ++i) {
+      out << pool.name << ": row" << i << ":";
+      for (size_t j = 0; j < d; ++j) {
+        if (std::isnan(rows(i, j))) out << " " << j << "=" << (*served)(i, j);
+      }
+      out << "\n";
+    }
+  }
+  EXPECT_MATCHES_GOLDEN("serve_retrieval.txt", out.str());
 }
 
 // ---------------------------------------------------------------------------
