@@ -5,13 +5,17 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "index/ann_index.h"
 #include "index/knn_graph.h"
 #include "runtime/runtime.h"
 #include "tensor/rng.h"
 #include "testkit/generators.h"
+#include "testkit/golden.h"
 #include "testkit/gtest_glue.h"
 #include "testkit/oracles.h"
 
@@ -179,6 +183,43 @@ TEST(IndexTest, SerializeRoundTripBitExact) {
                        sopts)));
   }
   std::remove(path.c_str());
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+// The scis-annindex v1 bytes are pinned by a golden: Save must keep writing
+// them, and the golden file itself — an index written by an earlier build —
+// must load to the same index and answer searches identically.
+TEST(IndexTest, SavedFileMatchesGoldenAndLoads) {
+  TestData data = MakeData(23, 48, 5, 0.45);
+  IndexOptions iopts;
+  iopts.max_leaf_rows = 8;
+  const AnnIndex idx = AnnIndex::Build(data.values, data.mask, iopts);
+  ASSERT_GT(idx.num_side_rows(), 0u);
+  ASSERT_GT(idx.num_leaves(), 1u);
+  const std::string path = ::testing::TempDir() + "scis_annindex_golden.txt";
+  ASSERT_TRUE(idx.Save(path).ok());
+  EXPECT_MATCHES_GOLDEN("annindex_v1.txt", ReadFileBytes(path));
+  std::remove(path.c_str());
+
+  Result<AnnIndex> golden =
+      AnnIndex::Load(testkit::GoldenDir() + "/annindex_v1.txt");
+  ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+  EXPECT_TRUE(idx == *golden);
+  SearchOptions sopts;
+  sopts.k = 6;
+  sopts.max_leaf_visits = 2;
+  for (size_t i = 0; i < data.values.rows(); ++i) {
+    EXPECT_TRUE(SameNeighbors(
+        idx.Search(data.values.row_data(i), data.mask.row_data(i), sopts),
+        golden->Search(data.values.row_data(i), data.mask.row_data(i),
+                       sopts)));
+  }
 }
 
 TEST(IndexTest, LoadRejectsGarbage) {
