@@ -18,32 +18,46 @@ case "$MODE" in
     cmake --build --preset default -j "$JOBS"
     ctest --preset tier1 -j "$JOBS"
 
-    # Serving loopback smoke test: train a tiny model, save its checkpoint,
-    # serve it (mmap-ed, zero-copy) across 2 shards over TCP,
-    # impute through scis_client, and require the served CSV to be
-    # byte-identical to the offline scis_impute output.
+    # Serving loopback smoke test: train a tiny model, save its checkpoint
+    # and an ANN index over its training rows, serve it (mmap-ed,
+    # zero-copy) over TCP, impute through scis_client, and require the
+    # served CSV to be byte-identical to the offline scis_impute output.
+    # Served twice: across 2 shards, and with the index attached at
+    # retrieval blend 0, where every row still goes through
+    # AnnIndex::Search but the blend (1·h + 0·mean) leaves the generator
+    # output exactly.
     SMOKE="$(mktemp -d)"
     trap 'rm -rf "$SMOKE"' EXIT
     ./build/examples/scis_datagen --dataset Trial --scale 0.005 \
       --output "$SMOKE/tiny.csv" >/dev/null
     ./build/examples/scis_impute --input "$SMOKE/tiny.csv" \
       --output "$SMOKE/offline.csv" --method SCIS-GAIN --epochs 2 --n0 32 \
-      --seed 3 --save_params "$SMOKE/model.bin" >/dev/null
-    ./build/examples/scis_serve --params "$SMOKE/model.bin" --shards 2 \
-      --port 0 --port_file "$SMOKE/serve.port" &
-    SERVE_PID=$!
-    for _ in $(seq 50); do
-      [ -s "$SMOKE/serve.port" ] && break
-      sleep 0.1
-    done
-    ./build/examples/scis_client --port_file "$SMOKE/serve.port" --ping \
-      --input "$SMOKE/tiny.csv" --output "$SMOKE/served.csv" \
-      --rows_per_request 3 >/dev/null
-    ./build/examples/scis_client --port_file "$SMOKE/serve.port" \
-      --shutdown >/dev/null
-    wait "$SERVE_PID"
-    cmp "$SMOKE/offline.csv" "$SMOKE/served.csv"
-    echo "serve loopback smoke: OK (2 shards, v3 mmap ckpt, served == offline)"
+      --seed 3 --save_params "$SMOKE/model.bin" \
+      --save_index "$SMOKE/train.annidx" >/dev/null
+    serve_and_cmp() {  # serve_and_cmp <name> <scis_serve flags...>
+      local name="$1"
+      shift
+      rm -f "$SMOKE/serve.port"
+      ./build/examples/scis_serve --params "$SMOKE/model.bin" "$@" \
+        --port 0 --port_file "$SMOKE/serve.port" &
+      local serve_pid=$!
+      for _ in $(seq 50); do
+        [ -s "$SMOKE/serve.port" ] && break
+        sleep 0.1
+      done
+      ./build/examples/scis_client --port_file "$SMOKE/serve.port" --ping \
+        --input "$SMOKE/tiny.csv" --output "$SMOKE/$name.csv" \
+        --rows_per_request 3 >/dev/null
+      ./build/examples/scis_client --port_file "$SMOKE/serve.port" \
+        --shutdown >/dev/null
+      wait "$serve_pid"
+      cmp "$SMOKE/offline.csv" "$SMOKE/$name.csv"
+    }
+    serve_and_cmp served --shards 2
+    serve_and_cmp served_retrieval --index "$SMOKE/train.annidx" \
+      --retrieval_blend 0
+    echo "serve loopback smoke: OK (2 shards, and retrieval at blend 0;" \
+      "v3 mmap ckpt, served == offline)"
 
     # Perf smoke: the kernel bench sweep must run to completion and emit a
     # parseable json (quick mode — small sizes, short timing windows; the

@@ -1,12 +1,15 @@
 #include "index/ann_index.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <limits>
 #include <queue>
+#include <sstream>
 
+#include "common/file_publish.h"
 #include "common/stopwatch.h"
 #include "index/kmeanspp.h"
 #include "kernels/masked_distance.h"
@@ -285,29 +288,24 @@ AnnIndex AnnIndex::Build(const Matrix& values, const Matrix& mask,
   return idx;
 }
 
-// Copies rows into leaf order and side-list order. A leaf scan then streams
-// a contiguous block instead of gathering scattered rows — at large n the
-// scattered gather is the difference between beating the (perfectly
-// sequential) brute-force loop and losing to it.
+// Copies rows into one packed block — the tree rows in leaf order, then the
+// side rows — with their observed-coordinate bitsets. A leaf scan then
+// streams a contiguous block instead of gathering scattered rows (at large
+// n the scattered gather is the difference between beating the perfectly
+// sequential brute-force loop and losing to it), and the bitset kernel
+// visits only the coordinates a row and the query both observe.
 void AnnIndex::PackRows() {
-  const size_t d = values_.cols();
-  packed_values_ = Matrix(row_ids_.size(), d);
-  packed_mask_ = Matrix(row_ids_.size(), d);
-  for (size_t p = 0; p < row_ids_.size(); ++p) {
-    const size_t r = row_ids_[p];
-    std::copy(values_.row_data(r), values_.row_data(r) + d,
-              packed_values_.row_data(p));
-    std::copy(mask_.row_data(r), mask_.row_data(r) + d,
-              packed_mask_.row_data(p));
-  }
-  side_values_ = Matrix(side_rows_.size(), d);
-  side_mask_ = Matrix(side_rows_.size(), d);
-  for (size_t i = 0; i < side_rows_.size(); ++i) {
-    const size_t r = side_rows_[i];
-    std::copy(values_.row_data(r), values_.row_data(r) + d,
-              side_values_.row_data(i));
-    std::copy(mask_.row_data(r), mask_.row_data(r) + d,
-              side_mask_.row_data(i));
+  const size_t d = values_.cols(), words = kernels::MaskWords(d);
+  packed_values_ = Matrix(values_.rows(), d);
+  packed_bits_.assign(values_.rows() * words, 0);
+  size_t p = 0;
+  for (const std::vector<size_t>* ids : {&row_ids_, &side_rows_}) {
+    for (const size_t r : *ids) {
+      std::copy(values_.row_data(r), values_.row_data(r) + d,
+                packed_values_.row_data(p));
+      kernels::MaskBits(mask_.row_data(r), d, packed_bits_.data() + p * words);
+      ++p;
+    }
   }
 }
 
@@ -346,9 +344,11 @@ void AnnIndex::SearchInto(const double* query, const double* query_mask,
   out->clear();
   queries->Add(1);
   if (num_rows() == 0 || opts.k == 0) return;
-  const size_t d = values_.cols();
+  const size_t d = values_.cols(), words = kernels::MaskWords(d);
+  std::vector<uint64_t> query_bits(words);
+  kernels::MaskBits(query_mask, d, query_bits.data());
   size_t query_obs = 0;
-  for (size_t j = 0; j < d; ++j) query_obs += query_mask[j] == 1.0 ? 1 : 0;
+  for (const uint64_t w : query_bits) query_obs += std::popcount(w);
   if (query_obs == 0) return;  // at +inf from every row
 
   auto worse = [](const Neighbor& a, const Neighbor& b) {
@@ -357,28 +357,38 @@ void AnnIndex::SearchInto(const double* query, const double* query_mask,
   std::priority_queue<Neighbor, std::vector<Neighbor>, decltype(worse)> top(
       worse);
   size_t visited = 0, scanned = 0;
-  auto scan_row = [&](size_t r, const double* rv, const double* rm) {
-    if (r == exclude) return;
-    const double dist = kernels::MaskedRowDistance(query, query_mask, rv, rm, d);
-    ++scanned;
-    if (std::isinf(dist)) return;
-    const Neighbor cand{r, dist};
-    if (top.size() < opts.k) {
-      top.push(cand);
-    } else if (NeighborLess(cand, top.top())) {
-      top.pop();
-      top.push(cand);
+  // Scans `count` packed rows from packed position `first`; ids[i] is the
+  // row id of packed row first + i. The one scan routine behind leaf,
+  // side-list and full scans.
+  auto scan = [&](const size_t* ids, size_t first, size_t count) {
+    for (size_t i = 0; i < count; ++i) {
+      const size_t r = ids[i];
+      if (r == exclude) continue;
+      const size_t p = first + i;
+      const double dist = kernels::MaskedRowDistance(
+          query, query_bits.data(), packed_values_.row_data(p),
+          packed_bits_.data() + p * words, d);
+      ++scanned;
+      if (std::isinf(dist)) continue;
+      const Neighbor cand{r, dist};
+      if (top.size() < opts.k) {
+        top.push(cand);
+      } else if (NeighborLess(cand, top.top())) {
+        top.pop();
+        top.push(cand);
+      }
     }
   };
+  const size_t tree_rows = row_ids_.size();
 
   if (query_obs <= sparse_obs_threshold_) {
     // A sparse query's neighbors are ranked by one or two coordinates — they
     // scatter across the tree, so descend-and-scan cannot find them. Answer
-    // exactly instead; such queries are as rare as the side-list rows.
+    // exactly instead by scanning every packed row; (distance, row) is a
+    // strict total order, so the top k do not depend on the scan order.
     sparse_queries->Add(1);
-    for (size_t r = 0; r < values_.rows(); ++r) {
-      scan_row(r, values_.row_data(r), mask_.row_data(r));
-    }
+    scan(row_ids_.data(), 0, tree_rows);
+    scan(side_rows_.data(), tree_rows, side_rows_.size());
   } else {
     // Best-bin-first: a min-heap over (centroid distance, node id) decides
     // which subtree to open next; ties open the lower node id. Candidates
@@ -395,10 +405,7 @@ void AnnIndex::SearchInto(const double* query, const double* query_mask,
       const Node& node = nodes_[ni];
       if (node.children.empty()) {
         ++visited;
-        for (size_t p = node.begin; p < node.end; ++p) {
-          scan_row(row_ids_[p], packed_values_.row_data(p),
-                   packed_mask_.row_data(p));
-        }
+        scan(row_ids_.data() + node.begin, node.begin, node.end - node.begin);
       } else {
         for (const size_t child : node.children) {
           frontier.push({kernels::MaskedRowToDenseDistance(
@@ -407,10 +414,7 @@ void AnnIndex::SearchInto(const double* query, const double* query_mask,
         }
       }
     }
-    for (size_t i = 0; i < side_rows_.size(); ++i) {
-      scan_row(side_rows_[i], side_values_.row_data(i),
-               side_mask_.row_data(i));
-    }
+    scan(side_rows_.data(), tree_rows, side_rows_.size());
   }
   leaf_visits->Add(visited);
   rows_scanned->Add(scanned);
@@ -475,7 +479,7 @@ bool AnnIndex::operator==(const AnnIndex& other) const {
 
 namespace {
 
-void WriteMatrixRows(std::ofstream& out, const Matrix& m, bool as_int) {
+void WriteMatrixRows(std::ostream& out, const Matrix& m, bool as_int) {
   for (size_t i = 0; i < m.rows(); ++i) {
     for (size_t j = 0; j < m.cols(); ++j) {
       if (j) out << ' ';
@@ -498,8 +502,7 @@ Status ReadMatrixRows(std::ifstream& in, Matrix* m, const std::string& path) {
 }  // namespace
 
 Status AnnIndex::Save(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
+  std::ostringstream out;
   const size_t n = values_.rows(), d = values_.cols();
   out << "scis-annindex v1\n";
   out << "dims " << n << " " << d << "\n";
@@ -536,8 +539,8 @@ Status AnnIndex::Save(const std::string& path) const {
   WriteMatrixRows(out, values_, false);
   out << "mask\n";
   WriteMatrixRows(out, mask_, true);
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::OK();
+  const std::string bytes = out.str();
+  return PublishFile(path, {bytes});
 }
 
 Result<AnnIndex> AnnIndex::Load(const std::string& path) {
@@ -579,9 +582,22 @@ Result<AnnIndex> AnnIndex::Load(const std::string& path) {
   if (!in || tree_rows > n) {
     return Status::InvalidArgument("bad rowids count in " + path);
   }
+  // rowids and siderows must together be a permutation of 0..n-1: the
+  // packed block and every Neighbor::row index the n stored rows by them.
+  std::vector<bool> seen(n, false);
+  auto take_id = [&](size_t* id) {
+    in >> *id;
+    if (!in || *id >= n || seen[*id]) return false;
+    seen[*id] = true;
+    return true;
+  };
   idx.row_ids_.resize(tree_rows);
-  for (size_t i = 0; i < tree_rows; ++i) in >> idx.row_ids_[i];
-  if (!in) return Status::IoError("truncated rowids in " + path);
+  for (size_t& id : idx.row_ids_) {
+    if (!take_id(&id)) {
+      return Status::InvalidArgument("bad, repeated or missing row id in " +
+                                     path);
+    }
+  }
   if (!expect("siderows")) {
     return Status::InvalidArgument("missing siderows: " + path);
   }
@@ -591,10 +607,10 @@ Result<AnnIndex> AnnIndex::Load(const std::string& path) {
     return Status::InvalidArgument("rowids + siderows != rows in " + path);
   }
   idx.side_rows_.resize(side_count);
-  for (size_t i = 0; i < side_count; ++i) {
-    in >> idx.side_rows_[i];
-    if (!in || idx.side_rows_[i] >= n) {
-      return Status::InvalidArgument("bad side row id in " + path);
+  for (size_t& id : idx.side_rows_) {
+    if (!take_id(&id)) {
+      return Status::InvalidArgument(
+          "bad, repeated or missing side row id in " + path);
     }
   }
   if (!expect("nodes")) {
@@ -606,7 +622,8 @@ Result<AnnIndex> AnnIndex::Load(const std::string& path) {
     return Status::InvalidArgument("bad node count in " + path);
   }
   idx.nodes_.resize(node_count);
-  for (Node& node : idx.nodes_) {
+  for (size_t ni = 0; ni < node_count; ++ni) {
+    Node& node = idx.nodes_[ni];
     size_t nc = 0;
     in >> node.begin >> node.end >> nc;
     if (!in || node.begin > node.end || node.end > tree_rows ||
@@ -616,7 +633,9 @@ Result<AnnIndex> AnnIndex::Load(const std::string& path) {
     node.children.resize(nc);
     for (size_t c = 0; c < nc; ++c) {
       in >> node.children[c];
-      if (!in || node.children[c] >= node_count) {
+      // Nodes are stored in pre-order, so a child always follows its
+      // parent; anything else would make the tree cyclic.
+      if (!in || node.children[c] <= ni || node.children[c] >= node_count) {
         return Status::InvalidArgument("bad child id in " + path);
       }
     }

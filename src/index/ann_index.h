@@ -29,7 +29,19 @@
 // side list that every search scans exhaustively, and answers queries that
 // sparse by a full scan — both deterministic, both exact for the rows they
 // cover. This is what lifts recall on high-missingness data from ~0.65 to
-// >0.95 at a ~10% scan overhead.
+// >0.95. On data as sparse as the Search shape (81% missing) nearly every
+// row is a side row and nearly every query is sparse, so each search is an
+// exact scan of the whole index.
+//
+// Scans: the tree rows (in leaf order) and the side rows are copied into
+// one packed block together with each row's observed-coordinate bitset.
+// Leaf scans, the side-list scan and the sparse-query full scan are one
+// routine over that block, and each row distance is the bitset form of the
+// metric (kernels/masked_distance.h): on rows wider than 16 coordinates it
+// visits only the coordinates the row and the query both observe — about
+// 2 of 64 on the Search shape — and it returns the same double as the
+// array form, so results do not depend on which form or scan order
+// computed them.
 //
 // Exactness: with SearchOptions::max_leaf_visits == 0 every leaf is scanned
 // and the result equals the brute-force oracle exactly (the mask-aware
@@ -126,7 +138,11 @@ class AnnIndex {
   std::vector<std::vector<Neighbor>> SelfNeighbors(
       const SearchOptions& opts) const;
 
-  // On-disk format (text, full precision): round-trips bit-exactly.
+  // On-disk format (text "scis-annindex v1", full precision): round-trips
+  // bit-exactly. Save publishes atomically (common/file_publish.h): on
+  // error an existing file at `path` is untouched. Load rejects a file
+  // whose row ids are not a permutation of the stored rows, or whose nodes
+  // are not in pre-order, with InvalidArgument.
   Status Save(const std::string& path) const;
   static Result<AnnIndex> Load(const std::string& path);
 
@@ -155,13 +171,15 @@ class AnnIndex {
   // side_rows_ this partitions 0..n-1.
   std::vector<size_t> row_ids_;
   std::vector<size_t> side_rows_;  // sparse rows, scanned on every search
-  // Rows copied into leaf order (tree) and side-list order, so leaf and
-  // side scans stream contiguous memory like the brute-force loop does.
-  // Derived from the members above — rebuilt on Load, not serialized.
-  Matrix packed_values_, packed_mask_;  // row p holds row row_ids_[p]
-  Matrix side_values_, side_mask_;      // row i holds row side_rows_[i]
+  // The packed block every scan streams: row p < row_ids_.size() holds row
+  // row_ids_[p] (leaf order), and the side rows follow in side_rows_ order.
+  // packed_bits_ holds each packed row's observed-coordinate bitset
+  // (kernels::MaskBits, MaskWords(cols) words per row). Derived from the
+  // members above — rebuilt on Load, not serialized.
+  Matrix packed_values_;
+  std::vector<uint64_t> packed_bits_;
 
-  void PackRows();  // fills the four matrices above
+  void PackRows();  // fills the two members above
 };
 
 // Brute-force exact kNN over the same metric and tie-break order as

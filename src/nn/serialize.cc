@@ -5,9 +5,10 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <atomic>
-#include <cerrno>
 #include <cstring>
+#include <string_view>
+
+#include "common/file_publish.h"
 
 namespace scis {
 namespace {
@@ -64,50 +65,6 @@ constexpr char kResaveHint[] =
     " (v1/v2 text checkpoints are retired; re-save with scis_impute "
     "--save_params)";
 
-// Writes all n bytes, retrying short writes and EINTR.
-bool WriteAll(int fd, const void* p, size_t n) {
-  const char* c = static_cast<const char*>(p);
-  while (n > 0) {
-    const ssize_t w = ::write(fd, c, n);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    c += w;
-    n -= static_cast<size_t>(w);
-  }
-  return true;
-}
-
-// A sibling of `path` no other writer (thread or process) picks: same
-// directory, so the final rename stays within one filesystem.
-std::string TempPathFor(const std::string& path) {
-  static std::atomic<uint64_t> counter{0};
-  return path + ".tmp." + std::to_string(::getpid()) + "." +
-         std::to_string(counter.fetch_add(1));
-}
-
-// fsync of the directory holding `path`, making a rename into it durable.
-// EINVAL means the filesystem has nothing to sync for directories.
-Status SyncParentDir(const std::string& path) {
-  const size_t slash = path.rfind('/');
-  const std::string dir = slash == std::string::npos ? "."
-                          : slash == 0               ? "/"
-                                                     : path.substr(0, slash);
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd < 0) {
-    return Status::IoError("cannot open directory " + dir + ": " +
-                           std::strerror(errno));
-  }
-  const int rc = ::fsync(fd);
-  const int err = errno;
-  ::close(fd);
-  if (rc != 0 && err != EINVAL) {
-    return Status::IoError("fsync " + dir + " failed: " + std::strerror(err));
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Status SaveCheckpoint(const ParamStore& store, const CheckpointMeta& meta,
@@ -149,40 +106,22 @@ Status SaveCheckpoint(const ParamStore& store, const CheckpointMeta& meta,
   // modulo alignment (mmap bases are page-aligned, so this suffices).
   head.append((kBlobAlign - head.size() % kBlobAlign) % kBlobAlign, '\0');
 
-  // Publish: temp file, fsync, close, rename over `path`, fsync the
-  // directory. Live MAP_PRIVATE mappings of the old file keep the old inode,
-  // so engines serving from it never see a truncated file (no SIGBUS).
-  const std::string tmp = TempPathFor(path);
-  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
-  if (fd < 0) {
-    return Status::IoError("cannot create " + tmp + ": " +
-                           std::strerror(errno));
-  }
-  auto fail = [&](const std::string& what) {
-    const std::string err = std::strerror(errno);
-    if (fd >= 0) ::close(fd);
-    ::unlink(tmp.c_str());
-    return Status::IoError(what + " " + tmp + ": " + err);
-  };
+  // Atomic publish (temp file, fsync, rename, directory fsync): live
+  // MAP_PRIVATE mappings of the old file keep the old inode, so engines
+  // serving from it never see a truncated file (no SIGBUS).
   static constexpr double kPad[kAlignDoubles] = {};
-  bool ok = WriteAll(fd, head.data(), head.size());
-  for (size_t id = 0; ok && id < store.size(); ++id) {
+  std::vector<std::string_view> pieces = {head};
+  for (size_t id = 0; id < store.size(); ++id) {
     const Matrix& m = store.value(id);
-    ok = WriteAll(fd, m.data(), m.size() * sizeof(double));
+    pieces.emplace_back(reinterpret_cast<const char*>(m.data()),
+                        m.size() * sizeof(double));
     const size_t tail = m.size() % kAlignDoubles;
-    if (ok && tail != 0) {
-      ok = WriteAll(fd, kPad, (kAlignDoubles - tail) * sizeof(double));
+    if (tail != 0) {
+      pieces.emplace_back(reinterpret_cast<const char*>(kPad),
+                          (kAlignDoubles - tail) * sizeof(double));
     }
   }
-  if (!ok) return fail("write failed:");
-  if (::fsync(fd) != 0) return fail("fsync failed:");
-  const int close_rc = ::close(fd);
-  fd = -1;
-  if (close_rc != 0) return fail("close failed:");
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    return fail("rename to " + path + " failed:");
-  }
-  return SyncParentDir(path);
+  return PublishFile(path, pieces);
 }
 
 MappedCheckpoint::~MappedCheckpoint() {

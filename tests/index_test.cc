@@ -2,9 +2,12 @@
 // independent testkit oracle, recall under a bounded leaf budget, on-disk
 // round-trip, thread-count bit-identity, and the BuildKnnGraphAuto switch.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <csignal>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -139,6 +142,53 @@ double RecallAtK(const AnnIndex& idx, const Matrix& values, const Matrix& mask,
   return want > 0.0 ? hit / want : 1.0;
 }
 
+// The bitset scans across word widths (1 to 3 words per row, partial last
+// words) and missing rates: with every leaf visited — max_leaf_visits = 0,
+// or the default budget on a tree with no more leaves than the budget —
+// Search equals BruteForceSearch and the independent oracle exactly, and
+// SearchBatch is bit-identical at 1/2/4 threads.
+TEST(IndexTest, SearchMatchesBruteForceAcrossWordWidths) {
+  ThreadsGuard guard;
+  const SearchOptions defaults;
+  for (const size_t d : {1, 9, 16, 17, 63, 64, 65, 130}) {
+    for (const double missing : {0.0, 0.5, 0.81, 0.95}) {
+      TestData data = MakeData(31 + d, 400, d, missing);
+      TestData queries = MakeData(37 + d, 24, d, missing);
+      IndexOptions iopts;
+      iopts.max_leaf_rows = 128;  // at most ~8 leaves over 400 rows
+      const AnnIndex idx = AnnIndex::Build(data.values, data.mask, iopts);
+      ASSERT_LE(idx.num_leaves(), defaults.max_leaf_visits);
+      for (const size_t budget : {size_t{0}, defaults.max_leaf_visits}) {
+        SearchOptions sopts;
+        sopts.max_leaf_visits = budget;
+        for (size_t q = 0; q < queries.values.rows(); ++q) {
+          const double* qv = queries.values.row_data(q);
+          const double* qm = queries.mask.row_data(q);
+          const std::vector<Neighbor> ann = idx.Search(qv, qm, sopts);
+          EXPECT_EQ(ann, index::BruteForceSearch(data.values, data.mask, qv,
+                                                 qm, sopts.k))
+              << "d=" << d << " missing=" << missing << " query " << q;
+          const auto oracle = testkit::NaiveMaskedKnn(data.values, data.mask,
+                                                      qv, qm, sopts.k);
+          ASSERT_EQ(ann.size(), oracle.size());
+          for (size_t t = 0; t < ann.size(); ++t) {
+            EXPECT_EQ(ann[t].row, oracle[t].first);
+            EXPECT_EQ(ann[t].distance, oracle[t].second);
+          }
+        }
+        runtime::SetNumThreads(1);
+        const auto base = idx.SearchBatch(queries.values, queries.mask, sopts);
+        for (int threads : {2, 4}) {
+          runtime::SetNumThreads(threads);
+          EXPECT_EQ(idx.SearchBatch(queries.values, queries.mask, sopts), base)
+              << "d=" << d << " missing=" << missing << " at " << threads
+              << " threads";
+        }
+      }
+    }
+  }
+}
+
 // At n=8192 the tree has ~500 leaves, so a 64-leaf budget already opens
 // >10% of it; uniform MCAR data is the metric's worst case (see the
 // sparse-row discussion in ann_index.h) and mid-size recall saturates near
@@ -230,6 +280,46 @@ TEST(IndexTest, LoadRejectsGarbage) {
   EXPECT_FALSE(AnnIndex::Load(path).ok());
   EXPECT_FALSE(AnnIndex::Load("/tmp/scis_annindex_missing.txt").ok());
   std::remove(path.c_str());
+}
+
+size_t TempSiblings(const std::string& dir) {
+  size_t n = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    if (e.path().filename().string().find(".tmp.") != std::string::npos) ++n;
+  }
+  return n;
+}
+
+// Save publishes atomically: a save that fails mid-write (here: the file
+// size limit) or at the rename (the target is a directory) leaves no temp
+// file behind and does not replace the existing index.
+TEST(IndexTest, FailedSaveKeepsExistingIndexAndLeavesNoTemp) {
+  const std::string dir = ::testing::TempDir() + "scis_index_publish";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir + "/dir.annidx");
+  const std::string path = dir + "/train.annidx";
+  TestData small = MakeData(41, 30, 3, 0.2);
+  ASSERT_TRUE(AnnIndex::Build(small.values, small.mask, {}).Save(path).ok());
+  const std::string before = ReadFileBytes(path);
+
+  TestData large = MakeData(43, 2000, 8, 0.2);
+  const AnnIndex big = AnnIndex::Build(large.values, large.mask, {});
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit capped = saved;
+  capped.rlim_cur = 4096;  // far below the large index's text size
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+  const Status too_big = big.Save(path);
+  ::setrlimit(RLIMIT_FSIZE, &saved);
+  std::signal(SIGXFSZ, old_handler);
+  EXPECT_EQ(too_big.code(), StatusCode::kIoError) << too_big.ToString();
+  EXPECT_EQ(ReadFileBytes(path), before);
+
+  EXPECT_EQ(big.Save(dir + "/dir.annidx").code(), StatusCode::kIoError);
+  EXPECT_TRUE(std::filesystem::is_directory(dir + "/dir.annidx"));
+  EXPECT_EQ(TempSiblings(dir), 0u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(IndexTest, BuildAndSearchBitIdenticalAcrossThreadCounts) {

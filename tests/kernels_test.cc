@@ -10,6 +10,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "kernels/elementwise.h"
 #include "kernels/exp.h"
 #include "kernels/lse.h"
+#include "kernels/masked_distance.h"
 #include "ot/sinkhorn.h"
 #include "runtime/runtime.h"
 #include "tensor/matrix_ops.h"
@@ -207,6 +209,63 @@ TEST(KernelsVsOracle, BlockedMatMulsMatchNaiveOracle) {
 // at any positions gives bit-identical output to one full-range call. This
 // is the property that makes thread-count invariance automatic for every
 // ParallelFor caller.
+// The bitset form of the masked row distance returns the array form's
+// double bit for bit — zero overlap (+inf), full overlap and random overlap,
+// at widths on both sides of the narrow-row cutoff (16) and around and
+// across the 64-coordinate word boundary.
+TEST(KernelsVsOracle, MaskedDistanceBitsetMatchesArrayKernel) {
+  CHECK_PROPERTY("kernels.masked_distance_bitset", [](uint64_t seed) {
+    Rng rng(seed);
+    for (const size_t d : {1, 9, 16, 17, 63, 64, 65, 130}) {
+      const size_t words = kernels::MaskWords(d);
+      std::vector<double> xa(d), xb(d), ma(d), mb(d);
+      for (size_t j = 0; j < d; ++j) {
+        xa[j] = rng.Uniform(-3.0, 3.0);
+        xb[j] = rng.Bernoulli(0.1) ? xa[j] : rng.Uniform(-3.0, 3.0);
+      }
+      // {complementary masks, all observed, random at several rates}
+      for (int variant = 0; variant < 6; ++variant) {
+        const double rates[] = {0.0, 0.5, 0.81, 0.95};
+        for (size_t j = 0; j < d; ++j) {
+          if (variant == 0) {
+            ma[j] = static_cast<double>(j % 2);
+            mb[j] = 1.0 - ma[j];
+          } else if (variant == 1) {
+            ma[j] = mb[j] = 1.0;
+          } else {
+            ma[j] = rng.Bernoulli(rates[variant - 2]) ? 0.0 : 1.0;
+            mb[j] = rng.Bernoulli(rates[variant - 2]) ? 0.0 : 1.0;
+          }
+        }
+        std::vector<uint64_t> ba(words + 1, ~uint64_t{0});
+        std::vector<uint64_t> bb(words + 1, ~uint64_t{0});
+        kernels::MaskBits(ma.data(), d, ba.data());
+        kernels::MaskBits(mb.data(), d, bb.data());
+        PROP_CHECK_MSG(ba[words] == ~uint64_t{0},
+                       "MaskBits wrote past its words");
+        size_t set = 0;
+        for (size_t w = 0; w < words; ++w) set += std::popcount(ba[w]);
+        size_t observed = 0;
+        for (size_t j = 0; j < d; ++j) observed += ma[j] == 1.0 ? 1 : 0;
+        PROP_CHECK_MSG(set == observed, "MaskBits set " << set << " bits for "
+                                                        << observed
+                                                        << " observed");
+        const double array = kernels::MaskedRowDistance(
+            xa.data(), ma.data(), xb.data(), mb.data(), d);
+        const double bitset = kernels::MaskedRowDistance(
+            xa.data(), ba.data(), xb.data(), bb.data(), d);
+        PROP_CHECK_MSG(std::memcmp(&array, &bitset, sizeof(double)) == 0,
+                       "d=" << d << " variant " << variant << ": array "
+                            << array << " vs bitset " << bitset);
+        if (variant == 0) {
+          PROP_CHECK_MSG(bitset == kInf, "zero overlap is not +inf");
+        }
+      }
+    }
+    return PropertyStatus::Pass();
+  });
+}
+
 TEST(KernelsDeterminismTest, DualUpdateIsChunkSplitInvariant) {
   Rng rng(7);
   const size_t rows = 23, cols = 57;

@@ -9,9 +9,12 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
+#include <fstream>
+#include <functional>
 #include <limits>
 #include <mutex>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -454,6 +457,107 @@ TEST(ServeEngineTest, MappedRetrievalLoadMatchesInMemory) {
     EXPECT_TRUE(BitIdentical(a.value(), b.value())) << threads << " threads";
   }
   runtime::SetNumThreads(0);  // restore the env/hardware default
+}
+
+// A saved index file, as lines of whitespace-separated tokens.
+using IndexFileLines = std::vector<std::vector<std::string>>;
+
+IndexFileLines ReadIndexLines(const std::string& path) {
+  IndexFileLines lines;
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) {
+    std::istringstream tokens(line);
+    lines.emplace_back();
+    for (std::string t; tokens >> t;) lines.back().push_back(t);
+  }
+  return lines;
+}
+
+void WriteIndexLines(const std::string& path, const IndexFileLines& lines) {
+  std::ofstream out(path, std::ios::trunc);
+  for (const std::vector<std::string>& line : lines) {
+    for (size_t i = 0; i < line.size(); ++i) out << (i ? " " : "") << line[i];
+    out << "\n";
+  }
+}
+
+// Index of the line following the keyword line starting with `keyword`.
+size_t LineAfter(const IndexFileLines& lines, const std::string& keyword) {
+  for (size_t i = 0; i < lines.size(); ++i) {
+    if (!lines[i].empty() && lines[i][0] == keyword) return i + 1;
+  }
+  ADD_FAILURE() << "no '" << keyword << "' line";
+  return 0;
+}
+
+// Row ids that are not a permutation of the stored rows (out of range,
+// repeated, in both lists) or nodes out of pre-order would make the packed
+// scans and the engine's neighbour reads index past the stored rows: the
+// index load, and the engine load that attaches it, reject each file.
+TEST(ServeEngineTest, LoadRejectsCorruptIndexFiles) {
+  const size_t d = 4, n = 200;
+  const Checkpoint ckpt = MakeCheckpoint(d, 97);
+  ParamStore store;
+  for (const NamedParam& p : ckpt.params) store.Add(p.name, p.value);
+  const std::string dir = ::testing::TempDir();
+  const std::string path = dir + "scis_corrupt_index_engine.bin";
+  const std::string good = dir + "scis_corrupt_index_good.annidx";
+  const std::string bad = dir + "scis_corrupt_index_bad.annidx";
+  ASSERT_TRUE(SaveCheckpoint(store, ckpt.meta, path).ok());
+  Rng rng(19);
+  Matrix train_mask(n, d);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < d; ++j) {
+      // Every fourth row observes one coordinate: a side row.
+      train_mask(i, j) = i % 4 == 0 ? (j == 0 ? 1.0 : 0.0)
+                                    : (rng.Bernoulli(0.9) ? 1.0 : 0.0);
+    }
+  }
+  Matrix train_values = rng.UniformMatrix(n, d, 0.0, 1.0);
+  MulInPlace(train_values, train_mask);
+  index::IndexOptions iopts;
+  iopts.max_leaf_rows = 16;
+  ASSERT_TRUE(index::AnnIndex::Build(train_values, train_mask, iopts)
+                  .Save(good)
+                  .ok());
+  const IndexFileLines lines = ReadIndexLines(good);
+  const size_t rowids = LineAfter(lines, "rowids");
+  const size_t siderows = LineAfter(lines, "siderows");
+  const size_t nodes = LineAfter(lines, "nodes");
+  ASSERT_GE(lines[rowids].size(), 2u);
+  ASSERT_GE(lines[siderows].size(), 1u);
+  ASSERT_GT(lines[nodes].size(), 3u);  // the root has children
+
+  struct Corruption {
+    const char* what;
+    std::function<void(IndexFileLines*)> apply;
+  };
+  const std::vector<Corruption> corruptions = {
+      {"tree row id == n",
+       [&](IndexFileLines* f) { (*f)[rowids][0] = std::to_string(n); }},
+      {"side row id == n",
+       [&](IndexFileLines* f) { (*f)[siderows][0] = std::to_string(n); }},
+      {"repeated tree row id",
+       [&](IndexFileLines* f) { (*f)[rowids][1] = (*f)[rowids][0]; }},
+      {"row id in both lists",
+       [&](IndexFileLines* f) { (*f)[siderows][0] = (*f)[rowids][0]; }},
+      {"root lists itself as a child",
+       [&](IndexFileLines* f) { (*f)[nodes][3] = "0"; }},
+  };
+  const RetrievalOptions retrieval{5, 4, 0.5};
+  for (const Corruption& c : corruptions) {
+    IndexFileLines edited = lines;
+    c.apply(&edited);
+    WriteIndexLines(bad, edited);
+    Result<index::AnnIndex> index = index::AnnIndex::Load(bad);
+    ASSERT_FALSE(index.ok()) << c.what;
+    EXPECT_EQ(index.status().code(), StatusCode::kInvalidArgument) << c.what;
+    EXPECT_FALSE(ImputationEngine::Load(path, bad, retrieval).ok()) << c.what;
+  }
+  EXPECT_TRUE(ImputationEngine::Load(path, good, retrieval).ok());
+  std::remove(path.c_str());
+  std::remove(good.c_str());
+  std::remove(bad.c_str());
 }
 
 // FNV-1a 64 over the bit patterns of `m`, chained from `h`.
