@@ -8,6 +8,7 @@
 #include <limits>
 #include <queue>
 #include <sstream>
+#include <utility>
 
 #include "common/file_publish.h"
 #include "common/stopwatch.h"
@@ -539,7 +540,7 @@ Status AnnIndex::Save(const std::string& path) const {
   WriteMatrixRows(out, values_, false);
   out << "mask\n";
   WriteMatrixRows(out, mask_, true);
-  const std::string bytes = out.str();
+  const std::string bytes = std::move(out).str();
   return PublishFile(path, {bytes});
 }
 
@@ -622,6 +623,7 @@ Result<AnnIndex> AnnIndex::Load(const std::string& path) {
     return Status::InvalidArgument("bad node count in " + path);
   }
   idx.nodes_.resize(node_count);
+  std::vector<bool> has_parent(node_count, false);
   for (size_t ni = 0; ni < node_count; ++ni) {
     Node& node = idx.nodes_[ni];
     size_t nc = 0;
@@ -632,12 +634,15 @@ Result<AnnIndex> AnnIndex::Load(const std::string& path) {
     }
     node.children.resize(nc);
     for (size_t c = 0; c < nc; ++c) {
-      in >> node.children[c];
+      size_t& child = node.children[c];
+      in >> child;
       // Nodes are stored in pre-order, so a child always follows its
-      // parent; anything else would make the tree cyclic.
-      if (!in || node.children[c] <= ni || node.children[c] >= node_count) {
+      // parent (no cycles), and a node has at most one parent (no shared
+      // subtrees, which a search would expand once per path): a tree.
+      if (!in || child <= ni || child >= node_count || has_parent[child]) {
         return Status::InvalidArgument("bad child id in " + path);
       }
+      has_parent[child] = true;
     }
   }
   if (!expect("centroids")) {

@@ -142,7 +142,7 @@ class AnnIndex {
   // bit-exactly. Save publishes atomically (common/file_publish.h): on
   // error an existing file at `path` is untouched. Load rejects a file
   // whose row ids are not a permutation of the stored rows, or whose nodes
-  // are not in pre-order, with InvalidArgument.
+  // are not a tree in pre-order, with InvalidArgument.
   Status Save(const std::string& path) const;
   static Result<AnnIndex> Load(const std::string& path);
 

@@ -205,10 +205,6 @@ TEST(KernelsVsOracle, BlockedMatMulsMatchNaiveOracle) {
   });
 }
 
-// The kernel-level determinism contract: splitting a row range into chunks
-// at any positions gives bit-identical output to one full-range call. This
-// is the property that makes thread-count invariance automatic for every
-// ParallelFor caller.
 // The bitset form of the masked row distance returns the array form's
 // double bit for bit — zero overlap (+inf), full overlap and random overlap,
 // at widths on both sides of the narrow-row cutoff (16) and around and
@@ -266,6 +262,10 @@ TEST(KernelsVsOracle, MaskedDistanceBitsetMatchesArrayKernel) {
   });
 }
 
+// The kernel-level determinism contract: splitting a row range into chunks
+// at any positions gives bit-identical output to one full-range call. This
+// is the property that makes thread-count invariance automatic for every
+// ParallelFor caller.
 TEST(KernelsDeterminismTest, DualUpdateIsChunkSplitInvariant) {
   Rng rng(7);
   const size_t rows = 23, cols = 57;

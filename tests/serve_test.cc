@@ -526,7 +526,19 @@ TEST(ServeEngineTest, LoadRejectsCorruptIndexFiles) {
   const size_t nodes = LineAfter(lines, "nodes");
   ASSERT_GE(lines[rowids].size(), 2u);
   ASSERT_GE(lines[siderows].size(), 1u);
-  ASSERT_GT(lines[nodes].size(), 3u);  // the root has children
+  ASSERT_GT(lines[nodes].size(), 4u);  // the root has two or more children
+  // A diamond: an internal child of the root also claims a later child of
+  // the root, so that node gets two parents (pre-order alone allows it).
+  size_t inner = 0, later = 0;
+  for (size_t c = 3; c < lines[nodes].size() && later == 0; ++c) {
+    const size_t id = std::stoul(lines[nodes][c]);
+    if (inner == 0 && lines[nodes + id][2] != "0") {
+      inner = id;
+    } else if (inner != 0) {
+      later = id;
+    }
+  }
+  ASSERT_NE(later, 0u) << "no internal root child with a later sibling";
 
   struct Corruption {
     const char* what;
@@ -543,6 +555,12 @@ TEST(ServeEngineTest, LoadRejectsCorruptIndexFiles) {
        [&](IndexFileLines* f) { (*f)[siderows][0] = (*f)[rowids][0]; }},
       {"root lists itself as a child",
        [&](IndexFileLines* f) { (*f)[nodes][3] = "0"; }},
+      {"root lists a child twice",
+       [&](IndexFileLines* f) { (*f)[nodes][4] = (*f)[nodes][3]; }},
+      {"node with two parents",
+       [&](IndexFileLines* f) {
+         (*f)[nodes + inner][3] = std::to_string(later);
+       }},
   };
   const RetrievalOptions retrieval{5, 4, 0.5};
   for (const Corruption& c : corruptions) {
