@@ -82,7 +82,8 @@ struct SweepPoint {
 
 // One sweep cell: `connections` client threads (one TCP connection each)
 // pull single-row requests from a shared counter against a `shards`-shard
-// server, timing each round trip and bit-checking each response.
+// server, timing each round trip and bit-checking each response. Thread
+// start, connect and one warm-up request per connection are not timed.
 SweepPoint RunServePoint(
     const std::shared_ptr<const serve::ImputationEngine>& engine,
     const std::vector<Matrix>& requests, const std::vector<Matrix>& expected,
@@ -102,13 +103,21 @@ SweepPoint RunServePoint(
   std::vector<double> latency_ms(requests.size(), 0.0);
   std::atomic<size_t> next{0};
   std::atomic<bool> identical{true};
-  Stopwatch watch;
+  // The first round on fresh connections takes tens of milliseconds at 64
+  // connections (most in the process's first such cell); timed, it would
+  // be charged to whichever cell runs first.
+  std::atomic<size_t> warmed{0};
+  std::atomic<bool> go{false};
   std::vector<std::thread> pool;
   for (size_t c = 0; c < connections; ++c) {
     pool.emplace_back([&] {
       Result<std::unique_ptr<serve::ImputationClient>> client =
           serve::ImputationClient::Connect("127.0.0.1", server.port());
       SCIS_CHECK_MSG(client.ok(), "client connect failed");
+      SCIS_CHECK_MSG((*client)->Impute(requests[0]).ok(),
+                     "warm-up request failed");
+      warmed.fetch_add(1);
+      while (!go.load()) std::this_thread::yield();
       for (;;) {
         const size_t i = next.fetch_add(1);
         if (i >= requests.size()) return;
@@ -120,6 +129,9 @@ SweepPoint RunServePoint(
       }
     });
   }
+  while (warmed.load() < connections) std::this_thread::yield();
+  Stopwatch watch;
+  go.store(true);
   for (std::thread& t : pool) t.join();
   const double seconds = watch.ElapsedSeconds();
   server.Shutdown();

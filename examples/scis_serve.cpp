@@ -19,7 +19,8 @@
 // --shutdown stop the server gracefully.
 //
 // --port 0 binds an ephemeral port; --port_file publishes the assigned port
-// for scripts (the CI loopback smoke test uses this).
+// for scripts (the CI loopback smoke test uses this), atomically, so a
+// polling reader never sees an empty or partial file.
 //
 // --index attaches an ANN index over the training rows (write one with
 // scis_impute --save_index) to the single served model: each missing cell
@@ -38,8 +39,10 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/file_publish.h"
 #include "common/flags.h"
 #include "common/stopwatch.h"
 #include "lifecycle/lifecycle.h"
@@ -53,12 +56,13 @@ using namespace scis;
 
 namespace {
 
-serve::ImputationServer* g_server = nullptr;
+// Signal handlers only store to lock-free flags (async-signal-safe); the
+// main thread's WaitFor poll loop acts on them.
+static_assert(std::atomic<bool>::is_always_lock_free);
+std::atomic<bool> g_stop{false};
 std::atomic<bool> g_reload{false};
 
-void HandleSignal(int) {
-  if (g_server != nullptr) g_server->Shutdown();
-}
+void HandleSignal(int) { g_stop.store(true); }
 
 void HandleReload(int) { g_reload.store(true); }
 
@@ -156,9 +160,21 @@ int main(int argc, char** argv) {
     std::printf("--params is required (see --help)\n");
     return 1;
   }
-  if (shards < 1) {
-    std::printf("--shards must be >= 1\n");
-    return 1;
+  const std::pair<bool, const char*> invalid[] = {
+      {shards < 1, "--shards must be >= 1"},
+      {max_batch_rows < 1, "--max_batch_rows must be >= 1"},
+      {max_queue_rows < 1, "--max_queue_rows must be >= 1"},
+      {retrieval_k < 1, "--retrieval_k must be >= 1"},
+      {threads < 0, "--threads must be >= 0"},
+      {port < 0 || port > 65535, "--port must be in 0..65535"},
+      {!(retrieval_blend >= 0.0 && retrieval_blend <= 1.0),
+       "--retrieval_blend must be in [0, 1]"},
+  };
+  for (const auto& [bad, message] : invalid) {
+    if (bad) {
+      std::printf("%s\n", message);
+      return 1;
+    }
   }
   if (!index_path.empty() && param_paths.size() > 1) {
     std::printf("--index requires a single --params checkpoint\n");
@@ -256,26 +272,26 @@ int main(int argc, char** argv) {
   std::printf("serving %zu model%s x %lld shard%s on %s:%d\n",
               param_paths.size(), param_paths.size() == 1 ? "" : "s", shards,
               shards == 1 ? "" : "s", host.c_str(), server.port());
-  if (!port_file.empty()) {
-    FILE* f = std::fopen(port_file.c_str(), "w");
-    if (f == nullptr) {
-      std::printf("cannot write %s\n", port_file.c_str());
-      return 1;
-    }
-    std::fprintf(f, "%d\n", server.port());
-    std::fclose(f);
-  }
-
-  g_server = &server;
+  // Handlers go in before the port is published, so a script that reacts
+  // to the port file can always stop the server with a signal.
   std::signal(SIGINT, HandleSignal);
   std::signal(SIGTERM, HandleSignal);
   std::signal(SIGHUP, HandleReload);
+  if (!port_file.empty()) {
+    const std::string line = std::to_string(server.port()) + "\n";
+    if (Status st = PublishFile(port_file, {line}); !st.ok()) {
+      std::printf("port_file %s: %s\n", port_file.c_str(),
+                  st.ToString().c_str());
+      return 1;
+    }
+  }
+
   if (manager) manager->Start();
 
   Stopwatch watch;
   // Poll between waits so a SIGHUP can hot-swap re-loaded checkpoints
-  // without stopping the event loop.
-  while (!server.WaitFor(200.0)) {
+  // without stopping the event loop, and SIGINT/SIGTERM can stop it.
+  while (!server.WaitFor(200.0) && !g_stop.load()) {
     if (!g_reload.exchange(false)) continue;
     for (const std::string& path : param_paths) {
       // Same load-and-validate rules as the lifecycle publisher
@@ -290,7 +306,6 @@ int main(int argc, char** argv) {
   }
   if (manager) manager->Stop();
   server.Shutdown();
-  g_server = nullptr;
   *server_holder = nullptr;
 
   if (!report_out.empty()) {

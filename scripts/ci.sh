@@ -22,10 +22,11 @@ case "$MODE" in
     # and an ANN index over its training rows, serve it (mmap-ed,
     # zero-copy) over TCP, impute through scis_client, and require the
     # served CSV to be byte-identical to the offline scis_impute output.
-    # Served twice: across 2 shards, and with the index attached at
-    # retrieval blend 0, where every row still goes through
-    # AnnIndex::Search but the blend (1·h + 0·mean) leaves the generator
-    # output exactly.
+    # Served twice: across 2 shards, stopped by a client --shutdown; and
+    # with the index attached at retrieval blend 0, where every row still
+    # goes through AnnIndex::Search but the blend (1·h + 0·mean) leaves the
+    # generator output exactly, stopped by SIGTERM. Either way the server
+    # must exit 0 and write its --report-out.
     SMOKE="$(mktemp -d)"
     trap 'rm -rf "$SMOKE"' EXIT
     ./build/examples/scis_datagen --dataset Trial --scale 0.005 \
@@ -34,12 +35,13 @@ case "$MODE" in
       --output "$SMOKE/offline.csv" --method SCIS-GAIN --epochs 2 --n0 32 \
       --seed 3 --save_params "$SMOKE/model.bin" \
       --save_index "$SMOKE/train.annidx" >/dev/null
-    serve_and_cmp() {  # serve_and_cmp <name> <scis_serve flags...>
-      local name="$1"
-      shift
+    serve_and_cmp() {  # serve_and_cmp <name> <shutdown|sigterm> <flags...>
+      local name="$1" stop="$2"
+      shift 2
       rm -f "$SMOKE/serve.port"
       ./build/examples/scis_serve --params "$SMOKE/model.bin" "$@" \
-        --port 0 --port_file "$SMOKE/serve.port" &
+        --port 0 --port_file "$SMOKE/serve.port" \
+        --report-out "$SMOKE/$name.report.json" &
       local serve_pid=$!
       for _ in $(seq 50); do
         [ -s "$SMOKE/serve.port" ] && break
@@ -48,16 +50,41 @@ case "$MODE" in
       ./build/examples/scis_client --port_file "$SMOKE/serve.port" --ping \
         --input "$SMOKE/tiny.csv" --output "$SMOKE/$name.csv" \
         --rows_per_request 3 >/dev/null
-      ./build/examples/scis_client --port_file "$SMOKE/serve.port" \
-        --shutdown >/dev/null
-      wait "$serve_pid"
+      if [ "$stop" = sigterm ]; then
+        kill -TERM "$serve_pid"
+      else
+        ./build/examples/scis_client --port_file "$SMOKE/serve.port" \
+          --shutdown >/dev/null
+      fi
+      for _ in $(seq 100); do
+        kill -0 "$serve_pid" 2>/dev/null || break
+        sleep 0.1
+      done
+      if kill -0 "$serve_pid" 2>/dev/null; then
+        echo "scis_serve ($name) still running 10 s after $stop" >&2
+        kill -KILL "$serve_pid"
+        exit 1
+      fi
+      wait "$serve_pid"  # a non-zero exit status fails the script
+      python3 -m json.tool "$SMOKE/$name.report.json" >/dev/null
       cmp "$SMOKE/offline.csv" "$SMOKE/$name.csv"
     }
-    serve_and_cmp served --shards 2
-    serve_and_cmp served_retrieval --index "$SMOKE/train.annidx" \
+    serve_and_cmp served shutdown --shards 2
+    serve_and_cmp served_retrieval sigterm --index "$SMOKE/train.annidx" \
       --retrieval_blend 0
-    echo "serve loopback smoke: OK (2 shards, and retrieval at blend 0;" \
-      "v3 mmap ckpt, served == offline)"
+    echo "serve loopback smoke: OK (2 shards, and retrieval at blend 0" \
+      "stopped by SIGTERM; v3 mmap ckpt, served == offline)"
+
+    # A numeric flag out of range is a usage error: scis_serve prints a
+    # message and exits 1, instead of aborting (134) inside BatchQueue.
+    rc=0
+    ./build/examples/scis_serve --params "$SMOKE/model.bin" \
+      --max_batch_rows 0 >/dev/null || rc=$?
+    if [ "$rc" -ne 1 ]; then
+      echo "scis_serve --max_batch_rows 0 exited $rc, want 1" >&2
+      exit 1
+    fi
+    echo "serve flag validation: OK (--max_batch_rows 0 exits 1)"
 
     # Perf smoke: the kernel bench sweep must run to completion and emit a
     # parseable json (quick mode — small sizes, short timing windows; the
