@@ -10,8 +10,8 @@
 // latency-vs-throughput trade-off the micro-batching knob controls.
 //
 // Part 2 measures the whole event-driven path — TCP loopback clients
-// against the epoll server — sweeping connections {1, 8, 64} x shards
-// {1, 2, 4} and reporting p50/p99 request latency and rows/s per cell.
+// against the epoll server — sweeping connections {1, 8, 64} and reporting
+// p50/p99 request latency and rows/s per cell.
 // Every response is bit-checked against the offline engine, so the sweep
 // doubles as a serving-correctness run. --bench-json writes the
 // machine-readable sweep; the committed baseline is bench/BENCH_serve.json
@@ -71,7 +71,6 @@ bool BitIdentical(const Matrix& a, const Matrix& b) {
 }
 
 struct SweepPoint {
-  size_t shards = 0;
   size_t connections = 0;
   size_t requests = 0;
   double p50_ms = 0.0;
@@ -81,20 +80,18 @@ struct SweepPoint {
 };
 
 // One sweep cell: `connections` client threads (one TCP connection each)
-// pull single-row requests from a shared counter against a `shards`-shard
-// server, timing each round trip and bit-checking each response. Thread
+// pull single-row requests from a shared counter against the server,
+// timing each round trip and bit-checking each response. Thread
 // start, connect and one warm-up request per connection are not timed.
 SweepPoint RunServePoint(
     const std::shared_ptr<const serve::ImputationEngine>& engine,
     const std::vector<Matrix>& requests, const std::vector<Matrix>& expected,
-    size_t shards, size_t connections, double max_wait_ms) {
+    size_t connections, double max_wait_ms) {
   SweepPoint pt;
-  pt.shards = shards;
   pt.connections = connections;
   pt.requests = requests.size();
 
   serve::ServerOptions opts;
-  opts.shards = shards;
   opts.queue.max_wait_ms = max_wait_ms;
   opts.queue.max_queue_rows = 1u << 16;
   serve::ImputationServer server(engine, opts);
@@ -150,7 +147,7 @@ int WriteBenchJson(const std::string& path, const std::vector<SweepPoint>& pts,
     std::printf("bench-json: cannot open %s\n", path.c_str());
     return 1;
   }
-  std::fprintf(out, "{\n  \"schema\": \"scis-bench-serve-v1\",\n");
+  std::fprintf(out, "{\n  \"schema\": \"scis-bench-serve-v2\",\n");
   std::fprintf(out, "  \"mode\": \"%s\",\n", quick ? "quick" : "full");
   std::fprintf(out, "  \"cols\": %zu,\n", d);
   std::fprintf(out, "  \"max_wait_ms\": %.3f,\n", max_wait_ms);
@@ -158,10 +155,10 @@ int WriteBenchJson(const std::string& path, const std::vector<SweepPoint>& pts,
   for (size_t i = 0; i < pts.size(); ++i) {
     const SweepPoint& p = pts[i];
     std::fprintf(out,
-                 "    {\"shards\": %zu, \"connections\": %zu, "
-                 "\"requests\": %zu, \"p50_ms\": %.4f, \"p99_ms\": %.4f, "
+                 "    {\"connections\": %zu, \"requests\": %zu, "
+                 "\"p50_ms\": %.4f, \"p99_ms\": %.4f, "
                  "\"rows_per_s\": %.0f, \"bit_identical\": %s}%s\n",
-                 p.shards, p.connections, p.requests, p.p50_ms, p.p99_ms,
+                 p.connections, p.requests, p.p50_ms, p.p99_ms,
                  p.rows_per_s, p.bit_identical ? "true" : "false",
                  i + 1 < pts.size() ? "," : "");
   }
@@ -268,33 +265,27 @@ int main(int argc, char** argv) {
     obs.report().AddPhase(section, seconds);
   }
 
-  // Part 2: the full TCP path — connections x shards sweep.
+  // Part 2: the full TCP path — connections sweep.
   const std::vector<size_t> conn_sweep =
       quick ? std::vector<size_t>{1, 8} : std::vector<size_t>{1, 8, 64};
-  const std::vector<size_t> shard_sweep =
-      quick ? std::vector<size_t>{1, 2} : std::vector<size_t>{1, 2, 4};
   std::vector<SweepPoint> points;
-  std::printf("\n%-8s %-12s %12s %12s %12s %8s\n", "shards", "connections",
-              "p50 ms", "p99 ms", "rows/s", "ident");
-  for (const size_t shards : shard_sweep) {
-    for (const size_t connections : conn_sweep) {
-      const SweepPoint pt = RunServePoint(*engine, requests, expected, shards,
-                                          connections, max_wait_ms);
-      std::printf("%-8zu %-12zu %12.3f %12.3f %12.0f %8s\n", pt.shards,
-                  pt.connections, pt.p50_ms, pt.p99_ms, pt.rows_per_s,
-                  pt.bit_identical ? "yes" : "NO");
-      const std::string section =
-          "tcp_s" + std::to_string(shards) + "_c" + std::to_string(connections);
-      obs.report().AddSectionValue(section, "p50_ms", pt.p50_ms);
-      obs.report().AddSectionValue(section, "p99_ms", pt.p99_ms);
-      obs.report().AddSectionValue(section, "rows_per_s", pt.rows_per_s);
-      obs.report().AddSectionValue(section, "bit_identical",
-                                   pt.bit_identical ? 1.0 : 0.0);
-      points.push_back(pt);
-      if (!pt.bit_identical) {
-        std::printf("BIT-IDENTITY VIOLATION at shards=%zu connections=%zu\n",
-                    shards, connections);
-      }
+  std::printf("\n%-12s %12s %12s %12s %8s\n", "connections", "p50 ms",
+              "p99 ms", "rows/s", "ident");
+  for (const size_t connections : conn_sweep) {
+    const SweepPoint pt = RunServePoint(*engine, requests, expected,
+                                        connections, max_wait_ms);
+    std::printf("%-12zu %12.3f %12.3f %12.0f %8s\n", pt.connections,
+                pt.p50_ms, pt.p99_ms, pt.rows_per_s,
+                pt.bit_identical ? "yes" : "NO");
+    const std::string section = "tcp_c" + std::to_string(connections);
+    obs.report().AddSectionValue(section, "p50_ms", pt.p50_ms);
+    obs.report().AddSectionValue(section, "p99_ms", pt.p99_ms);
+    obs.report().AddSectionValue(section, "rows_per_s", pt.rows_per_s);
+    obs.report().AddSectionValue(section, "bit_identical",
+                                 pt.bit_identical ? 1.0 : 0.0);
+    points.push_back(pt);
+    if (!pt.bit_identical) {
+      std::printf("BIT-IDENTITY VIOLATION at connections=%zu\n", connections);
     }
   }
 

@@ -2,12 +2,12 @@
 //
 //   scis_lifecycle [--workdir DIR] [--report-out report.json]
 //
-// Runs the full SSE-driven lifecycle against a live serving fleet, three
+// Runs the full SSE-driven lifecycle against a live server, three
 // times (1, 2, and 4 worker threads), and requires every run to agree
 // bit-for-bit:
 //
 //   1. Train a GAIN generator offline, save a v3 checkpoint, serve it
-//      behind the epoll event loop (2 shards).
+//      behind the epoll event loop.
 //   2. Feed baseline traffic through a client; the DriftController check
 //      finds P(D(θ_n, θ_N) ≤ ε) ≥ 1−α — no drift, no retrain.
 //   3. Feed drifted traffic (shifted value range, heavier missingness).
@@ -23,7 +23,8 @@
 // Printed per run: confidence at each check, n*, swap generation, tap
 // drops, and FNV-1a digests of the store replay and the post-swap served
 // bytes. The three runs must produce identical digests, n*, and
-// confidences; exit code 1 otherwise (ci.sh asserts on this).
+// confidences; exit code 1 otherwise (ci.sh asserts on this), and also
+// when --report-out cannot be written.
 #include <unistd.h>
 
 #include <atomic>
@@ -171,7 +172,7 @@ LoopRun RunLoop(int threads, const std::string& dir) {
   }
 
   // The swap callback launches the 16-connection hammer just before the
-  // fleet moves to the new engine, so the swap lands under live traffic.
+  // server moves to the new engine, so the swap lands under live traffic.
   auto server_holder = std::make_shared<serve::ImputationServer*>(nullptr);
   std::vector<std::thread> hammer;
   std::atomic<uint64_t> hammer_failures{0};
@@ -230,7 +231,6 @@ LoopRun RunLoop(int threads, const std::string& dir) {
   }
 
   serve::ServerOptions sopts;
-  sopts.shards = 2;
   sopts.sample_hook = (*mgr)->SampleHook();
   serve::ImputationServer server(std::move(*engine), sopts);
   if (Status st = server.Start(); !st.ok()) {
@@ -379,6 +379,7 @@ int main(int argc, char** argv) {
     report.AddConfig("bit_identical_1_2_4_threads", identical);
     if (Status st = report.Write(report_out); !st.ok()) {
       std::printf("report: %s\n", st.ToString().c_str());
+      return 1;
     }
   }
   return identical ? 0 : 1;

@@ -1,6 +1,6 @@
-// scis_serve — online imputation server (event-driven, sharded).
+// scis_serve — online imputation server (event-driven).
 //
-//   scis_serve --params a.bin[,b.bin,...] [--shards 1] \
+//   scis_serve --params a.bin[,b.bin,...] \
 //              [--host 127.0.0.1] [--port 0] [--port_file serve.port] \
 //              [--threads 0] [--max_batch_rows 64] [--max_wait_ms 2] \
 //              [--max_queue_rows 1024] [--request_timeout_ms 0] \
@@ -9,14 +9,15 @@
 //
 // Maps one or more self-contained checkpoints written by
 // scis_impute --save_params (zero-copy; files in the retired v1/v2 text
-// formats are refused with a hint to re-save them) and serves them behind one epoll event loop: requests route to the model
-// matching their column count, then to one of --shards micro-batching
-// queues by payload hash. Results are bit-identical to the offline Imputer
-// on the same rows, for any shard count.
+// formats are refused with a hint to re-save them) and serves them behind
+// one epoll event loop: requests route to the micro-batching queue of the
+// model matching their column count. Results are bit-identical to the
+// offline Imputer on the same rows.
 //
-// SIGHUP re-loads every --params checkpoint from disk and hot-swaps it in
-// under traffic (same schema widths required). SIGINT/SIGTERM or a client
-// --shutdown stop the server gracefully.
+// SIGHUP re-loads every --params checkpoint from disk (with the --index
+// attached again, when given) and hot-swaps it in under traffic (same
+// schema widths required). SIGINT/SIGTERM or a client --shutdown stop the
+// server gracefully.
 //
 // --port 0 binds an ephemeral port; --port_file publishes the assigned port
 // for scripts (the CI loopback smoke test uses this), atomically, so a
@@ -25,15 +26,20 @@
 // --index attaches an ANN index over the training rows (write one with
 // scis_impute --save_index) to the single served model: each missing cell
 // then blends the generator output with the observed mean of the retrieved
-// nearest training rows. Incompatible with multi-model serving.
+// nearest training rows. Incompatible with multi-model serving, and with
+// --lifecycle: a retrain publishes its checkpoint without an index, so the
+// first drift swap would switch retrieval off.
 //
 // --lifecycle turns on SSE-driven continuous learning (single model only):
 // every admitted request's rows are tapped into an append-only sample store
 // under --lifecycle_dir, a background controller re-runs the SSE confidence
 // estimate every --lifecycle_interval_ms, and when P(D(θ_n, θ_N) ≤ ε)
 // drops below 1−α it retrains on the SSE-chosen n* and hot-swaps the new
-// checkpoint into the fleet (published under <dir>/checkpoints). The
+// checkpoint into the server (published under <dir>/checkpoints). The
 // confidence / n* / swap-generation metrics land in --report-out.
+//
+// --report-out is written atomically on shutdown; if it cannot be written
+// the server exits 1.
 #include <atomic>
 #include <csignal>
 #include <cstdio>
@@ -85,7 +91,6 @@ int main(int argc, char** argv) {
   std::string params, host = "127.0.0.1", port_file, report_out, index_path;
   long long port = 0;
   long long threads = 0;
-  long long shards = 1;
   long long max_batch_rows = 64;
   long long max_queue_rows = 1024;
   long long retrieval_k = 10;
@@ -112,8 +117,6 @@ int main(int argc, char** argv) {
                   "write the bound port here once listening");
   flags.AddInt("threads", &threads,
                "worker threads (0 = SCIS_NUM_THREADS or hardware)");
-  flags.AddInt("shards", &shards,
-               "independent micro-batching queues per model");
   flags.AddInt("max_batch_rows", &max_batch_rows,
                "flush a micro-batch at this many rows");
   flags.AddInt("max_queue_rows", &max_queue_rows,
@@ -161,7 +164,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::pair<bool, const char*> invalid[] = {
-      {shards < 1, "--shards must be >= 1"},
       {max_batch_rows < 1, "--max_batch_rows must be >= 1"},
       {max_queue_rows < 1, "--max_queue_rows must be >= 1"},
       {retrieval_k < 1, "--retrieval_k must be >= 1"},
@@ -180,6 +182,10 @@ int main(int argc, char** argv) {
     std::printf("--index requires a single --params checkpoint\n");
     return 1;
   }
+  if (lifecycle && !index_path.empty()) {
+    std::printf("--lifecycle cannot be combined with --index\n");
+    return 1;
+  }
   if (lifecycle && param_paths.size() > 1) {
     std::printf("--lifecycle requires a single --params checkpoint\n");
     return 1;
@@ -189,16 +195,15 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (threads > 0) runtime::SetNumThreads(static_cast<int>(threads));
+  const serve::RetrievalOptions retrieval{static_cast<size_t>(retrieval_k), 16,
+                                          retrieval_blend};
 
   std::vector<std::shared_ptr<const serve::ImputationEngine>> engines;
   for (const std::string& path : param_paths) {
     Result<std::shared_ptr<const serve::ImputationEngine>> engine =
         index_path.empty()
             ? serve::ImputationEngine::Load(path)
-            : serve::ImputationEngine::Load(
-                  path, index_path,
-                  serve::RetrievalOptions{static_cast<size_t>(retrieval_k),
-                                          16, retrieval_blend});
+            : serve::ImputationEngine::Load(path, index_path, retrieval);
     if (!engine.ok()) {
       std::printf("load %s: %s\n", path.c_str(),
                   engine.status().ToString().c_str());
@@ -213,7 +218,6 @@ int main(int argc, char** argv) {
   serve::ServerOptions opts;
   opts.host = host;
   opts.port = static_cast<int>(port);
-  opts.shards = static_cast<size_t>(shards);
   opts.queue.max_batch_rows = static_cast<size_t>(max_batch_rows);
   opts.queue.max_queue_rows = static_cast<size_t>(max_queue_rows);
   opts.queue.max_wait_ms = max_wait_ms;
@@ -269,9 +273,8 @@ int main(int argc, char** argv) {
     std::printf("start: %s\n", st.ToString().c_str());
     return 1;
   }
-  std::printf("serving %zu model%s x %lld shard%s on %s:%d\n",
-              param_paths.size(), param_paths.size() == 1 ? "" : "s", shards,
-              shards == 1 ? "" : "s", host.c_str(), server.port());
+  std::printf("serving %zu model%s on %s:%d\n", param_paths.size(),
+              param_paths.size() == 1 ? "" : "s", host.c_str(), server.port());
   // Handlers go in before the port is published, so a script that reacts
   // to the port file can always stop the server with a signal.
   std::signal(SIGINT, HandleSignal);
@@ -297,11 +300,13 @@ int main(int argc, char** argv) {
       // Same load-and-validate rules as the lifecycle publisher
       // (serve/checkpoint_loader), so the two swap paths cannot diverge.
       Result<std::shared_ptr<const serve::ImputationEngine>> engine =
-          serve::LoadAndValidateCheckpoint(path);
+          serve::LoadAndValidateCheckpoint(path, /*expect_cols=*/0, index_path,
+                                           retrieval);
       const Status st =
           engine.ok() ? server.HotSwap(std::move(*engine)) : engine.status();
       std::printf("reload %s: %s\n", path.c_str(),
                   st.ok() ? "swapped" : st.ToString().c_str());
+      std::fflush(stdout);  // scripts wait for this line before re-querying
     }
   }
   if (manager) manager->Stop();
@@ -311,7 +316,6 @@ int main(int argc, char** argv) {
   if (!report_out.empty()) {
     obs::RunReport report("scis_serve");
     report.AddConfig("params", params);
-    report.AddConfig("shards", static_cast<int64_t>(shards));
     report.AddConfig("max_batch_rows", static_cast<int64_t>(max_batch_rows));
     report.AddConfig("max_queue_rows", static_cast<int64_t>(max_queue_rows));
     report.AddConfig("max_wait_ms", max_wait_ms);
@@ -327,6 +331,7 @@ int main(int argc, char** argv) {
     if (Status st = report.Write(report_out); !st.ok()) {
       std::printf("report %s: %s\n", report_out.c_str(),
                   st.ToString().c_str());
+      return 1;
     }
   }
   return 0;

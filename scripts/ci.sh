@@ -3,7 +3,8 @@
 #
 #   scripts/ci.sh            # tier-1 gate: build default preset, ctest -L tier1
 #   scripts/ci.sh nightly    # long fuzz at high iteration counts, plain and
-#                            # under the tsan and asan presets
+#                            # under the tsan and asan presets, then all of
+#                            # tier 1 under asan
 #
 # Requires cmake >= 3.21 (presets). Run from anywhere inside the repo.
 set -euo pipefail
@@ -22,9 +23,9 @@ case "$MODE" in
     # and an ANN index over its training rows, serve it (mmap-ed,
     # zero-copy) over TCP, impute through scis_client, and require the
     # served CSV to be byte-identical to the offline scis_impute output.
-    # Served twice: across 2 shards, stopped by a client --shutdown; and
-    # with the index attached at retrieval blend 0, where every row still
-    # goes through AnnIndex::Search but the blend (1·h + 0·mean) leaves the
+    # Served twice: plain, stopped by a client --shutdown; and with the
+    # index attached at retrieval blend 0, where every row still goes
+    # through AnnIndex::Search but the blend (1·h + 0·mean) leaves the
     # generator output exactly, stopped by SIGTERM. Either way the server
     # must exit 0 and write its --report-out.
     SMOKE="$(mktemp -d)"
@@ -35,21 +36,26 @@ case "$MODE" in
       --output "$SMOKE/offline.csv" --method SCIS-GAIN --epochs 2 --n0 32 \
       --seed 3 --save_params "$SMOKE/model.bin" \
       --save_index "$SMOKE/train.annidx" >/dev/null
-    serve_and_cmp() {  # serve_and_cmp <name> <shutdown|sigterm> <flags...>
-      local name="$1" stop="$2"
-      shift 2
+    start_serve() {  # start_serve <name> <flags...>; sets serve_pid
+      local name="$1"
+      shift
       rm -f "$SMOKE/serve.port"
       ./build/examples/scis_serve --params "$SMOKE/model.bin" "$@" \
         --port 0 --port_file "$SMOKE/serve.port" \
-        --report-out "$SMOKE/$name.report.json" &
-      local serve_pid=$!
+        --report-out "$SMOKE/$name.report.json" >"$SMOKE/$name.log" &
+      serve_pid=$!
       for _ in $(seq 50); do
         [ -s "$SMOKE/serve.port" ] && break
         sleep 0.1
       done
+    }
+    impute_served() {  # impute_served <output csv>
       ./build/examples/scis_client --port_file "$SMOKE/serve.port" --ping \
-        --input "$SMOKE/tiny.csv" --output "$SMOKE/$name.csv" \
-        --rows_per_request 3 >/dev/null
+        --input "$SMOKE/tiny.csv" --output "$1" --rows_per_request 3 \
+        >/dev/null
+    }
+    stop_serve() {  # stop_serve <name> <shutdown|sigterm>
+      local name="$1" stop="$2"
       if [ "$stop" = sigterm ]; then
         kill -TERM "$serve_pid"
       else
@@ -67,24 +73,60 @@ case "$MODE" in
       fi
       wait "$serve_pid"  # a non-zero exit status fails the script
       python3 -m json.tool "$SMOKE/$name.report.json" >/dev/null
+    }
+    serve_and_cmp() {  # serve_and_cmp <name> <shutdown|sigterm> <flags...>
+      local name="$1" stop="$2"
+      shift 2
+      start_serve "$name" "$@"
+      impute_served "$SMOKE/$name.csv"
+      stop_serve "$name" "$stop"
       cmp "$SMOKE/offline.csv" "$SMOKE/$name.csv"
     }
-    serve_and_cmp served shutdown --shards 2
+    serve_and_cmp served shutdown
     serve_and_cmp served_retrieval sigterm --index "$SMOKE/train.annidx" \
       --retrieval_blend 0
-    echo "serve loopback smoke: OK (2 shards, and retrieval at blend 0" \
+    echo "serve loopback smoke: OK (plain, and retrieval at blend 0" \
       "stopped by SIGTERM; v3 mmap ckpt, served == offline)"
 
-    # A numeric flag out of range is a usage error: scis_serve prints a
-    # message and exits 1, instead of aborting (134) inside BatchQueue.
-    rc=0
-    ./build/examples/scis_serve --params "$SMOKE/model.bin" \
-      --max_batch_rows 0 >/dev/null || rc=$?
-    if [ "$rc" -ne 1 ]; then
-      echo "scis_serve --max_batch_rows 0 exited $rc, want 1" >&2
+    # A SIGHUP reload keeps retrieval on: at blend 0.5 (served != offline),
+    # the output after reloading the unchanged checkpoint must equal the
+    # output before it. The server prints "reload <path>: swapped" once the
+    # new engine is in.
+    start_serve served_reload --index "$SMOKE/train.annidx" \
+      --retrieval_blend 0.5
+    impute_served "$SMOKE/reload_before.csv"
+    kill -HUP "$serve_pid"
+    for _ in $(seq 100); do
+      grep -q ': swapped$' "$SMOKE/served_reload.log" && break
+      sleep 0.1
+    done
+    if ! grep -q ': swapped$' "$SMOKE/served_reload.log"; then
+      echo "scis_serve did not report a swap 10 s after SIGHUP" >&2
+      kill -KILL "$serve_pid"
       exit 1
     fi
-    echo "serve flag validation: OK (--max_batch_rows 0 exits 1)"
+    impute_served "$SMOKE/reload_after.csv"
+    stop_serve served_reload sigterm
+    cmp "$SMOKE/reload_before.csv" "$SMOKE/reload_after.csv"
+    echo "serve reload smoke: OK (retrieval at blend 0.5 survives SIGHUP)"
+
+    # Usage errors exit 1 with a message: a numeric flag out of range
+    # (instead of aborting (134) inside BatchQueue), and --lifecycle with
+    # --index (a drift swap would turn retrieval off).
+    expect_usage_error() {  # expect_usage_error <flags...>
+      local rc=0
+      ./build/examples/scis_serve --params "$SMOKE/model.bin" "$@" \
+        >/dev/null || rc=$?
+      if [ "$rc" -ne 1 ]; then
+        echo "scis_serve $* exited $rc, want 1" >&2
+        exit 1
+      fi
+    }
+    expect_usage_error --max_batch_rows 0
+    expect_usage_error --lifecycle --lifecycle_dir "$SMOKE/lc" \
+      --index "$SMOKE/train.annidx"
+    echo "serve flag validation: OK (--max_batch_rows 0 and" \
+      "--lifecycle --index exit 1)"
 
     # Perf smoke: the kernel bench sweep must run to completion and emit a
     # parseable json (quick mode — small sizes, short timing windows; the
@@ -164,14 +206,14 @@ assert all(c['pool_misses_after_warmup'] == 0 for c in d['configs']), d" \
       bench/BENCH_train.json
     echo "train baseline: OK (bench/BENCH_train.json holds the 2x bar on every config)"
 
-    # Serve perf smoke: the connections x shards TCP sweep must complete,
+    # Serve perf smoke: the connections TCP sweep must complete,
     # every cell must be bit-identical to the offline engine, and the json
     # must parse (quick mode; the committed full-mode baseline is
     # bench/BENCH_serve.json).
     ./build/bench/serve_latency --quick \
       --bench-json="$SMOKE/bench_serve.json" >/dev/null
     python3 -c "import json,sys; d=json.load(open(sys.argv[1])); \
-assert d['schema']=='scis-bench-serve-v1' and d['sweep'], d; \
+assert d['schema']=='scis-bench-serve-v2' and d['sweep'], d; \
 assert all(p['bit_identical'] for p in d['sweep']), d" \
       "$SMOKE/bench_serve.json"
     echo "serve bench smoke: OK ($(python3 -c "import json,sys; \
@@ -179,7 +221,7 @@ print(len(json.load(open(sys.argv[1]))['sweep']))" "$SMOKE/bench_serve.json") sw
 
     # Continuous-learning loop smoke: the scis_lifecycle demo runs the full
     # feed -> SSE drift check -> retrain-at-n* -> hot-swap loop against a
-    # live 2-shard server at 1/2/4 worker threads and exits non-zero unless
+    # live server at 1/2/4 worker threads and exits non-zero unless
     # every run is bit-identical with zero dropped or failed requests.
     ./build/examples/scis_lifecycle --workdir "$SMOKE/lifecycle" \
       --report-out "$SMOKE/lifecycle_report.json" >/dev/null
@@ -222,6 +264,8 @@ assert all(p['swapped'] and p['n_star'] > 0 for p in d['sweep']), d" \
       cmake --build --preset "$SAN" -j "$JOBS"
       ctest --preset "nightly-$SAN" -j "$JOBS"
     done
+    # All of tier 1 under ASan+UBSan (UBSan reports are fatal there).
+    ctest --preset asan -j "$JOBS"
     ;;
   *)
     echo "usage: scripts/ci.sh [tier1|nightly]" >&2

@@ -2,18 +2,18 @@
 //
 // Takes a retrained generator, persists it as a v3 binary checkpoint
 // (gen-%06u.bin under the publish directory — the same mmap-able format the
-// fleet cold-starts from, so any published generation can later be served
+// server cold-starts from, so any published generation can later be served
 // standalone), re-loads it through serve::LoadAndValidateCheckpoint (the
 // identical acceptance rules as the operator SIGHUP path), replays a
 // validation batch through the loaded engine, and only then hot-swaps it
-// into the live fleet. Any failure after the file is written rolls back:
+// into the live server. Any failure after the file is written rolls back:
 // the checkpoint file is deleted, the generation counter does not advance,
-// and the fleet keeps serving the previous version — a bad retrain can cost
+// and the server keeps serving the previous version — a bad retrain can cost
 // a publish attempt, never a serving regression.
 //
 // The generation counter (lifecycle.generation gauge, lifecycle.swaps /
 // lifecycle.rollbacks counters) is the serve-metrics audit trail of which
-// model the fleet is on.
+// model the server is on.
 #ifndef SCIS_LIFECYCLE_CHECKPOINT_PUBLISHER_H_
 #define SCIS_LIFECYCLE_CHECKPOINT_PUBLISHER_H_
 
@@ -31,8 +31,8 @@ namespace scis::lifecycle {
 class CheckpointPublisher {
  public:
   // Installs a validated engine into the serving tier (normally
-  // ImputationServer::HotSwap, injected so tests can publish into a bare
-  // EngineFleet or capture the engine directly).
+  // ImputationServer::HotSwap, injected so tests can capture the engine
+  // directly).
   using SwapFn =
       std::function<Status(std::shared_ptr<const serve::ImputationEngine>)>;
 

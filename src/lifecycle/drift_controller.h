@@ -18,10 +18,10 @@
 // EstimateMinimumSize picks n*, the most recent n* stored rows retrain the
 // generator through the existing DIM loop (warm-started — the optimizer
 // state persists across retrains), and the result is handed to the
-// publish callback (CheckpointPublisher → EngineFleet::HotSwap). The whole
-// check is a pure function of (store content, options, trained-rows state),
-// so a seeded loop reproduces bit-identical n*, weights, and post-swap
-// served bytes at any thread count.
+// publish callback (CheckpointPublisher → ImputationServer::HotSwap). The
+// whole check is a pure function of (store content, options, trained-rows
+// state), so a seeded loop reproduces bit-identical n*, weights, and
+// post-swap served bytes at any thread count.
 #ifndef SCIS_LIFECYCLE_DRIFT_CONTROLLER_H_
 #define SCIS_LIFECYCLE_DRIFT_CONTROLLER_H_
 
@@ -79,7 +79,7 @@ class DriftController {
     size_t total_rows = 0;   // N entering the check
   };
 
-  // Rebuilds the trainable model from `ckpt` (the checkpoint the fleet is
+  // Rebuilds the trainable model from `ckpt` (the checkpoint the server is
   // serving) and validates the SSE options (satellite: epsilon > 0,
   // 0 < alpha,beta < 1, k ≥ 1 — InvalidArgument instead of misbehaving).
   static Result<std::unique_ptr<DriftController>> Create(
@@ -93,7 +93,7 @@ class DriftController {
 
   // One synchronous check: estimate → (maybe) retrain → (maybe) publish.
   // Deterministic given the store content and options. A publish failure is
-  // returned but leaves the controller serviceable (the fleet keeps the
+  // returned but leaves the controller serviceable (the server keeps the
   // old model; the next check retries from the retrained weights).
   Result<CheckOutcome> RunCheck();
 

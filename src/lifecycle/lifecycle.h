@@ -1,7 +1,7 @@
 // LifecycleManager: the one-stop wiring of the continuous-learning loop —
 // SampleStore + SampleTap (served traffic capture), DriftController (SSE
 // confidence checks + incremental retrain), CheckpointPublisher (validated
-// hot-swap into the fleet). scis_serve constructs one behind --lifecycle;
+// hot-swap into the server). scis_serve constructs one behind --lifecycle;
 // the demo, bench, and tests drive RunCheck() synchronously for
 // deterministic loops.
 //
@@ -31,7 +31,7 @@ struct LifecycleOptions {
 
 class LifecycleManager {
  public:
-  // `ckpt` is the checkpoint the fleet is serving (rebuilt into the
+  // `ckpt` is the checkpoint the server is serving (rebuilt into the
   // trainable model); `swap` installs published engines (normally
   // ImputationServer::HotSwap).
   static Result<std::unique_ptr<LifecycleManager>> Create(

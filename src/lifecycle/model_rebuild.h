@@ -1,5 +1,5 @@
 // Rebuilds a *trainable* GenerativeImputer from a serving checkpoint — the
-// bridge that lets the DriftController retrain the exact model the fleet is
+// bridge that lets the DriftController retrain the exact model the server is
 // serving. The serving ImputationEngine is deliberately immutable and
 // architecture-blind (it replays (W,b) layer pairs); retraining needs the
 // real model class back so DIM can tape through it and SSE can flatten its

@@ -2,7 +2,7 @@
 //
 // scis_serve taps every admitted impute request into this append-only,
 // segmented row log; the DriftController later replays it to re-estimate
-// the SSE confidence P(D(θ_n, θ_N) ≤ ε) against what the fleet actually
+// the SSE confidence P(D(θ_n, θ_N) ≤ ε) against what the server actually
 // served. The log is designed around two failure modes of a production
 // sidecar:
 //

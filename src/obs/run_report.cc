@@ -1,7 +1,6 @@
 #include "obs/run_report.h"
 
-#include <fstream>
-
+#include "common/file_publish.h"
 #include "obs/json_writer.h"
 
 namespace scis::obs {
@@ -109,12 +108,8 @@ std::string RunReport::ToJson(const MetricsSnapshot& metrics) const {
 }
 
 Status RunReport::Write(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
-  out << ToJson(Registry::Global().Snapshot()) << '\n';
-  out.flush();
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::OK();
+  const std::string json = ToJson(Registry::Global().Snapshot());
+  return PublishFile(path, {json, "\n"});
 }
 
 }  // namespace scis::obs

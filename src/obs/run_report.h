@@ -50,7 +50,8 @@ class RunReport {
   // Renders the report with `metrics` embedded.
   std::string ToJson(const MetricsSnapshot& metrics) const;
 
-  // Snapshots the global registry and writes the report to `path`.
+  // Snapshots the global registry and publishes the report to `path`
+  // atomically (PublishFile): on failure any previous file is intact.
   Status Write(const std::string& path) const;
 
  private:

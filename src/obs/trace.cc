@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <vector>
 
+#include "common/file_publish.h"
 #include "obs/json_writer.h"
 
 namespace scis::obs {
@@ -185,12 +185,7 @@ Status WriteTrace(const std::string& path) {
     w.EndObject();
   }
 
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
-  out << w.str() << '\n';
-  out.flush();
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::OK();
+  return PublishFile(path, {w.str(), "\n"});
 }
 
 void ClearTrace() {

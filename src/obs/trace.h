@@ -43,7 +43,8 @@ void SetCurrentThreadName(const std::string& name);
 
 // Writes every recorded span (all threads) as Chrome trace-event JSON:
 // {"traceEvents":[...]}. Timestamps are microseconds from the first
-// recorded event.
+// recorded event. The file is published atomically (PublishFile): on
+// failure any previous file at `path` is intact.
 Status WriteTrace(const std::string& path);
 
 // Drops all recorded spans (bench/test epoch boundary).

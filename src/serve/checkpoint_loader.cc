@@ -6,9 +6,11 @@
 namespace scis::serve {
 
 Result<std::shared_ptr<const ImputationEngine>> LoadAndValidateCheckpoint(
-    const std::string& path, size_t expect_cols) {
+    const std::string& path, size_t expect_cols, const std::string& index_path,
+    const RetrievalOptions& retrieval) {
   Result<std::shared_ptr<const ImputationEngine>> engine =
-      ImputationEngine::Load(path);
+      index_path.empty() ? ImputationEngine::Load(path)
+                         : ImputationEngine::Load(path, index_path, retrieval);
   if (!engine.ok()) return engine.status();
 
   if (expect_cols != 0 && (*engine)->num_cols() != expect_cols) {

@@ -46,7 +46,7 @@ class ImputationEngine {
  public:
   // Maps a checkpoint from disk (MappedCheckpoint::Map) and serves it
   // zero-copy: the engine's weight views point into the page-cache-backed
-  // mapping, so a fleet hosting many models cold-starts without
+  // mapping, so a server hosting many models cold-starts without
   // materializing any weight buffers. Files without the v3 magic (including
   // the retired v1/v2 text formats) are InvalidArgument.
   static Result<std::shared_ptr<const ImputationEngine>> Load(

@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <string>
 #include <utility>
 
 #include "common/check.h"
@@ -24,6 +25,13 @@ using Clock = std::chrono::steady_clock;
 
 constexpr uint64_t kListenerId = 0;
 constexpr uint64_t kWakeId = 1;
+
+// A connection whose unread responses exceed this many buffered bytes is
+// dropped (slow-reader protection; responses are never discarded silently
+// while the peer keeps up).
+constexpr size_t kMaxWriteBufferBytes = size_t{64} << 20;
+// How long Shutdown waits for in-flight responses to flush.
+constexpr double kDrainTimeoutMs = 5000;
 
 struct ServerMetrics {
   obs::Counter* connections;
@@ -57,9 +65,10 @@ struct ImputationServer::Conn {
   FrameReader reader;
   std::vector<uint8_t> scratch;  // recv staging, reused across events
 
-  // Replies must leave in request order, but shard completions land in any
-  // order: each request takes a sequence number at dispatch and its reply
-  // waits in `pending` until every earlier reply has been staged.
+  // Replies must leave in request order, but batches complete in any order
+  // (they overlap on the runtime pool): each request takes a sequence
+  // number at dispatch and its reply waits in `pending` until every
+  // earlier reply has been staged.
   uint64_t next_seq = 0;       // assigned to the next request
   uint64_t next_to_send = 0;   // lowest seq not yet moved to `out`
   std::map<uint64_t, std::vector<uint8_t>> pending;
@@ -94,9 +103,26 @@ ImputationServer::~ImputationServer() { Shutdown(); }
 
 Status ImputationServer::Start() {
   if (listen_fd_ >= 0) return Status::AlreadyExists("server already started");
-  SCIS_ASSIGN_OR_RETURN(
-      fleet_, EngineFleet::Create(models_, opts_.shards, opts_.queue));
-  models_.clear();  // the fleet owns the engines now
+  std::vector<HostedModel> hosted;
+  hosted.reserve(models_.size());
+  for (const std::shared_ptr<const ImputationEngine>& engine : models_) {
+    const size_t cols = engine->num_cols();
+    for (const HostedModel& other : hosted) {
+      if (other.cols == cols) {
+        return Status::InvalidArgument(
+            "two models serve " + std::to_string(cols) +
+            "-column schemas; request routing is by column count, so fleet "
+            "schema widths must be unique");
+      }
+    }
+    HostedModel model;
+    model.cols = cols;
+    model.slot = std::make_shared<EngineSlot>(engine);
+    model.queue = std::make_unique<BatchQueue>(model.slot, opts_.queue);
+    hosted.push_back(std::move(model));
+  }
+  hosted_ = std::move(hosted);
+  models_.clear();  // the slots own the engines now
 
   SCIS_ASSIGN_OR_RETURN(int listen_fd,
                         ListenTcp(opts_.host, opts_.port, 128, &port_));
@@ -135,8 +161,29 @@ Status ImputationServer::Start() {
 
 Status ImputationServer::HotSwap(
     std::shared_ptr<const ImputationEngine> next) {
-  if (fleet_ == nullptr) return Status::Unavailable("server not started");
-  return fleet_->HotSwap(std::move(next));
+  if (hosted_.empty()) return Status::Unavailable("server not started");
+  if (next == nullptr) return Status::InvalidArgument("null engine");
+  for (HostedModel& model : hosted_) {
+    if (model.cols == next->num_cols()) {
+      return model.slot->Swap(std::move(next));
+    }
+  }
+  return Status::NotFound("no hosted model serves a " +
+                          std::to_string(next->num_cols()) +
+                          "-column schema; hot-swap cannot add models");
+}
+
+Result<BatchQueue*> ImputationServer::Route(size_t cols) const {
+  for (const HostedModel& model : hosted_) {
+    if (model.cols == cols) return model.queue.get();
+  }
+  std::string widths;
+  for (const HostedModel& model : hosted_) {
+    if (!widths.empty()) widths += ", ";
+    widths += std::to_string(model.cols);
+  }
+  return Status::InvalidArgument("request has " + std::to_string(cols) +
+                                 " columns; hosted models expect " + widths);
 }
 
 void ImputationServer::WakeLoop() {
@@ -201,12 +248,7 @@ bool ImputationServer::ProcessFrames(uint64_t id, Conn* conn) {
           StageReply(conn, seq, MakeErrorFrame(rows.status()));
           break;
         }
-        // Deterministic routing: model by schema width, shard by payload
-        // hash — a replayed request always lands on the same shard.
-        const uint64_t hash = EngineFleet::HashBytes(frame.payload.data(),
-                                                     frame.payload.size());
-        Result<BatchQueue*> queue =
-            fleet_->Route(rows.value().cols(), hash);
+        Result<BatchQueue*> queue = Route(rows.value().cols());
         if (!queue.ok()) {
           StageReply(conn, seq, MakeErrorFrame(queue.status()));
           break;
@@ -229,12 +271,6 @@ bool ImputationServer::ProcessFrames(uint64_t id, Conn* conn) {
         break;
       }
       case FrameType::kShutdown: {
-        if (!opts_.allow_remote_shutdown) {
-          StageReply(conn, conn->next_seq++,
-                     MakeErrorFrame(
-                         Status::Unavailable("remote shutdown disabled")));
-          break;
-        }
         StageReply(conn, conn->next_seq++, Frame{FrameType::kShutdownAck, {}});
         std::lock_guard<std::mutex> lock(mu_);
         shutdown_requested_ = true;
@@ -285,7 +321,7 @@ void ImputationServer::FlushConn(uint64_t id) {
 
   // Slow-reader protection: unbounded buffering would let one stalled peer
   // absorb the server's memory.
-  if (conn->unsent() > opts_.max_write_buffer_bytes) {
+  if (conn->unsent() > kMaxWriteBufferBytes) {
     Metrics().slow_reader_drops->Add();
     CloseConn(id);
     return;
@@ -405,7 +441,7 @@ void ImputationServer::EventLoop() {
         drain_deadline =
             Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                std::chrono::duration<double, std::milli>(
-                                   opts_.drain_timeout_ms));
+                                   kDrainTimeoutMs));
         // Stop accepting, then shut down read sides: idle peers see EOF,
         // while dispatched requests still finish and flush their replies.
         ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
@@ -478,7 +514,7 @@ void ImputationServer::Shutdown() {
   }
   // Queue callbacks only touch the completion queue and the eventfd, both
   // still alive here; their completions are discarded.
-  if (fleet_ != nullptr) fleet_->Shutdown();
+  for (HostedModel& model : hosted_) model.queue->Shutdown();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;

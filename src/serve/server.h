@@ -6,11 +6,12 @@
 // state machine — an incremental FrameReader on the read side, an ordered
 // reply queue plus a buffered partial-write queue on the write side — so a
 // dribbling writer, a slow reader, or thousands of idle connections cost
-// one fd each, not one thread each. Requests are routed deterministically
-// to an EngineFleet (model by schema width, shard by payload hash) and
-// executed asynchronously; completions re-enter the loop through the
-// eventfd and are written back in per-connection request order, so served
-// bytes are independent of shard count and event interleaving.
+// one fd each, not one thread each. Each hosted model has one BatchQueue;
+// a request is routed to the queue of the model whose schema width matches
+// its column count, and executed asynchronously. Completions re-enter the
+// loop through the eventfd and are written back in per-connection request
+// order, so served bytes are independent of batching and event
+// interleaving.
 //
 // fd lifecycle rules (see serve/io.h): accept4(NONBLOCK|CLOEXEC) +
 // TCP_NODELAY on every connection, every accept error path closes the fd,
@@ -19,7 +20,7 @@
 //
 // Shutdown is graceful: the listener closes, connection read sides shut
 // down, in-flight requests finish and their responses flush (bounded by a
-// drain deadline), the shard queues drain, then the loop thread joins. A
+// drain deadline), the model queues drain, then the loop thread joins. A
 // client can trigger the same sequence remotely with a kShutdown frame
 // (scis_client --shutdown), which the server acknowledges first.
 #ifndef SCIS_SERVE_SERVER_H_
@@ -39,7 +40,6 @@
 #include "common/status.h"
 #include "serve/batch_queue.h"
 #include "serve/engine.h"
-#include "serve/fleet.h"
 #include "serve/wire.h"
 
 namespace scis::serve {
@@ -47,15 +47,7 @@ namespace scis::serve {
 struct ServerOptions {
   std::string host = "127.0.0.1";  // dotted-quad bind address
   int port = 0;                    // 0 = kernel-assigned ephemeral port
-  size_t shards = 1;               // independent BatchQueues per model
-  BatchQueueOptions queue;
-  bool allow_remote_shutdown = true;  // honor kShutdown frames
-  // A connection whose unread responses exceed this many buffered bytes is
-  // dropped (slow-reader protection; responses are never discarded
-  // silently while the peer keeps up).
-  size_t max_write_buffer_bytes = 64u << 20;
-  // How long Shutdown waits for in-flight responses to flush.
-  double drain_timeout_ms = 5000;
+  BatchQueueOptions queue;         // one queue per hosted model
   // Invoked on the event-loop thread with each admitted request's rows,
   // after routing succeeds and before batch execution. Must not block —
   // the continuous-learning tap (lifecycle::SampleTap::Offer) copies the
@@ -65,10 +57,11 @@ struct ServerOptions {
 
 class ImputationServer {
  public:
-  // Single-model fleet (the common case).
+  // Single model (the common case).
   ImputationServer(std::shared_ptr<const ImputationEngine> engine,
                    ServerOptions opts);
-  // Multi-model fleet: schema widths must be unique (checked at Start).
+  // Several models, routed by request width: schema widths must be unique
+  // (checked at Start).
   ImputationServer(
       std::vector<std::shared_ptr<const ImputationEngine>> models,
       ServerOptions opts);
@@ -77,7 +70,8 @@ class ImputationServer {
   ImputationServer(const ImputationServer&) = delete;
   ImputationServer& operator=(const ImputationServer&) = delete;
 
-  // Binds, listens, builds the fleet, and starts the event loop. After an
+  // Builds one queue per model, binds, listens, and starts the event loop.
+  // InvalidArgument when two models share a schema width. After an
   // ephemeral bind (port 0), port() reports the kernel-assigned port.
   Status Start();
 
@@ -85,7 +79,8 @@ class ImputationServer {
 
   // Atomically replaces the hosted model matching next's schema width
   // (scis_serve re-loads checkpoints on SIGHUP through this). Safe under
-  // traffic: every batch runs wholly on one engine version.
+  // traffic: every batch runs wholly on one engine version. Unavailable
+  // before Start; NotFound when no hosted model has that width.
   Status HotSwap(std::shared_ptr<const ImputationEngine> next);
 
   // Blocks until Shutdown() is called or a client requests shutdown, then
@@ -98,17 +93,27 @@ class ImputationServer {
   bool WaitFor(double timeout_ms);
 
   // Graceful stop: close the listener, flush in-flight responses, drain the
-  // shard queues, join the loop thread. Idempotent; safe from any thread.
+  // model queues, join the loop thread. Idempotent; safe from any thread.
   void Shutdown();
 
  private:
   struct Conn;
+  // One served model: every batch of its queue reads the engine through
+  // `slot`, which HotSwap replaces.
+  struct HostedModel {
+    size_t cols = 0;
+    std::shared_ptr<EngineSlot> slot;
+    std::unique_ptr<BatchQueue> queue;
+  };
   struct Completion {
     uint64_t conn_id;
     uint64_t seq;
     Result<Matrix> result;
   };
 
+  // The queue of the model serving `cols`-column requests; InvalidArgument
+  // (a client error) when no hosted model has that width.
+  Result<BatchQueue*> Route(size_t cols) const;
   void EventLoop();
   void WakeLoop();
   void HandleAccept();
@@ -125,8 +130,9 @@ class ImputationServer {
   bool HasPendingWork() const;
 
   ServerOptions opts_;
+  // Engines handed to the constructor; Start hands them to hosted_.
   std::vector<std::shared_ptr<const ImputationEngine>> models_;
-  std::unique_ptr<EngineFleet> fleet_;
+  std::vector<HostedModel> hosted_;
 
   int listen_fd_ = -1;
   int epoll_fd_ = -1;

@@ -176,7 +176,6 @@ void RunLoop(int threads, const std::string& dir, LoopDigest* digest_out) {
   ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();
 
   serve::ServerOptions sopts;
-  sopts.shards = 2;
   sopts.sample_hook = (*mgr)->SampleHook();
   serve::ImputationServer server(std::move(*engine), sopts);
   ASSERT_TRUE(server.Start().ok());

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cmath>
+#include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -173,6 +177,73 @@ TEST(ObsReportTest, WriteAndShape) {
 TEST(ObsReportTest, WriteToBadPathErrors) {
   obs::RunReport report("obs_test");
   EXPECT_FALSE(report.Write("/nonexistent/dir/report.json").ok());
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+size_t TempSiblings(const std::string& dir) {
+  size_t n = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    if (e.path().filename().string().find(".tmp.") != std::string::npos) ++n;
+  }
+  return n;
+}
+
+// Reports and traces are published atomically: a write that fails
+// mid-file (here: the file size limit) or at the rename (the target is a
+// directory) leaves no temp file behind and does not replace the file
+// already there.
+TEST(ObsReportTest, FailedWriteKeepsExistingFileAndLeavesNoTemp) {
+  const std::string dir = ::testing::TempDir() + "scis_obs_publish";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir + "/dir.json");
+  const std::string report_path = dir + "/report.json";
+  const std::string trace_path = dir + "/trace.json";
+  obs::ClearTrace();
+  ASSERT_TRUE(obs::RunReport("obs_test").Write(report_path).ok());
+  ASSERT_TRUE(obs::WriteTrace(trace_path).ok());
+  const std::string report_before = ReadFileBytes(report_path);
+  const std::string trace_before = ReadFileBytes(trace_path);
+
+  // Both far larger than the 4 KiB cap below.
+  obs::RunReport big("obs_test");
+  for (int i = 0; i < 1000; ++i) {
+    big.AddConfig("key_" + std::to_string(i), std::string(16, 'x'));
+  }
+  obs::SetTraceEnabled(true);
+  for (int i = 0; i < 1000; ++i) {
+    SCIS_TRACE_SPAN("test.publish");
+  }
+  obs::SetTraceEnabled(false);
+
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit capped = saved;
+  capped.rlim_cur = 4096;
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+  const Status report_too_big = big.Write(report_path);
+  const Status trace_too_big = obs::WriteTrace(trace_path);
+  ::setrlimit(RLIMIT_FSIZE, &saved);
+  std::signal(SIGXFSZ, old_handler);
+  EXPECT_EQ(report_too_big.code(), StatusCode::kIoError)
+      << report_too_big.ToString();
+  EXPECT_EQ(trace_too_big.code(), StatusCode::kIoError)
+      << trace_too_big.ToString();
+  EXPECT_EQ(ReadFileBytes(report_path), report_before);
+  EXPECT_EQ(ReadFileBytes(trace_path), trace_before);
+
+  EXPECT_EQ(big.Write(dir + "/dir.json").code(), StatusCode::kIoError);
+  EXPECT_EQ(obs::WriteTrace(dir + "/dir.json").code(), StatusCode::kIoError);
+  EXPECT_TRUE(std::filesystem::is_directory(dir + "/dir.json"));
+  EXPECT_EQ(TempSiblings(dir), 0u);
+  obs::ClearTrace();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

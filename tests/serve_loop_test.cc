@@ -1,6 +1,6 @@
 // Adversarial and scale tests for the event-driven server: hostile client
 // behavior (dribbling writers, mid-frame disconnects, slow readers),
-// pipelined request ordering, concurrent-connection fan-in, shard-count
+// pipelined request ordering, concurrent-connection fan-in with
 // bit-identity against the offline engine, multi-model routing, and
 // hot-swap under traffic.
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "runtime/runtime.h"
 #include "serve/client.h"
 #include "serve/engine.h"
 #include "serve/server.h"
@@ -138,6 +139,16 @@ class RawClient {
   FrameReader reader_;
 };
 
+// Restores the runtime's thread count when a test that changed it ends.
+class ThreadsGuard {
+ public:
+  ThreadsGuard() : saved_(runtime::NumThreads()) {}
+  ~ThreadsGuard() { runtime::SetNumThreads(saved_); }
+
+ private:
+  int saved_;
+};
+
 ServerOptions FastOptions() {
   ServerOptions opts;
   opts.queue.max_wait_ms = 0.5;
@@ -193,23 +204,32 @@ TEST(ServeLoopTest, MidFrameDisconnectLeavesServerServing) {
 }
 
 // Pipelined requests on one connection answer strictly in request order,
-// even though shard completions can land out of order inside the server.
+// even when their batches complete out of order. A request is never split
+// across batches, so the large first request runs as one long batch on one
+// pool worker while the single-row requests behind it are batched and
+// finish first on the other.
 TEST(ServeLoopTest, PipelinedRequestsAnswerInOrder) {
-  std::shared_ptr<const ImputationEngine> engine = MakeEngine(4, 107);
+  ThreadsGuard guard;
+  runtime::SetNumThreads(2);
+  constexpr size_t d = 64;
+  std::shared_ptr<const ImputationEngine> engine = MakeEngine(d, 107);
   ServerOptions opts = FastOptions();
-  opts.shards = 4;  // different requests land on different shards
+  opts.queue.max_queue_rows = 4096;
   ImputationServer server(engine, opts);
   ASSERT_TRUE(server.Start().ok());
 
   Rng rng(23);
   constexpr size_t kRequests = 24;
   std::vector<Matrix> inputs;
-  RawClient client(server.port());
+  std::vector<uint8_t> bytes;
   for (size_t k = 0; k < kRequests; ++k) {
-    inputs.push_back(RandomRows(rng, 1 + k % 5, 4, 0.4));
-    client.SendFrame(
-        Frame{FrameType::kImputeRequest, EncodeMatrixPayload(inputs[k])});
+    inputs.push_back(RandomRows(rng, k == 0 ? 2000 : 1, d, 0.4));
+    AppendFrame(
+        Frame{FrameType::kImputeRequest, EncodeMatrixPayload(inputs[k])},
+        &bytes);
   }
+  RawClient client(server.port());
+  client.Send(bytes.data(), bytes.size());
   for (size_t k = 0; k < kRequests; ++k) {
     const Frame reply = client.RecvFrame();
     ASSERT_EQ(reply.type, FrameType::kImputeResponse) << "reply " << k;
@@ -255,13 +275,11 @@ TEST(ServeLoopTest, SlowReaderForcesPartialWriteBuffering) {
   }
 }
 
-// ISSUE-7 acceptance: >= 64 concurrent loopback connections across >= 2
-// shards, every response bit-identical to the offline engine.
-TEST(ServeLoopTest, Sustains64ConnectionsAcrossTwoShards) {
+// >= 64 concurrent loopback connections, every response bit-identical to
+// the offline engine.
+TEST(ServeLoopTest, Sustains64Connections) {
   std::shared_ptr<const ImputationEngine> engine = MakeEngine(5, 113);
-  ServerOptions opts = FastOptions();
-  opts.shards = 2;
-  ImputationServer server(engine, opts);
+  ImputationServer server(engine, FastOptions());
   ASSERT_TRUE(server.Start().ok());
 
   constexpr int kClients = 64;
@@ -285,50 +303,12 @@ TEST(ServeLoopTest, Sustains64ConnectionsAcrossTwoShards) {
   EXPECT_EQ(ok_count.load(), kClients);
 }
 
-// Sharding must never change served bytes: the same requests against S=1
-// and S=4 servers yield byte-identical responses, equal to the offline
-// engine output (the scis_impute path).
-TEST(ServeLoopTest, ShardCountDoesNotChangeServedBytes) {
-  std::shared_ptr<const ImputationEngine> engine = MakeEngine(6, 127);
-  Rng rng(25);
-  constexpr size_t kRequests = 12;
-  std::vector<Matrix> inputs;
-  for (size_t k = 0; k < kRequests; ++k) {
-    inputs.push_back(RandomRows(rng, 1 + rng.UniformIndex(6), 6, 0.35));
-  }
-
-  std::vector<std::vector<Matrix>> served;  // [config][request]
-  for (const size_t shards : {size_t{1}, size_t{4}}) {
-    ServerOptions opts = FastOptions();
-    opts.shards = shards;
-    ImputationServer server(engine, opts);
-    ASSERT_TRUE(server.Start().ok());
-    Result<std::unique_ptr<ImputationClient>> client =
-        ImputationClient::Connect("127.0.0.1", server.port());
-    ASSERT_TRUE(client.ok());
-    std::vector<Matrix> replies;
-    for (const Matrix& rows : inputs) {
-      Result<Matrix> got = (*client)->Impute(rows);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      replies.push_back(std::move(got).value());
-    }
-    served.push_back(std::move(replies));
-  }
-  for (size_t k = 0; k < kRequests; ++k) {
-    const Matrix offline = engine->ImputeBatch(inputs[k]).value();
-    EXPECT_TRUE(BitIdentical(offline, served[0][k])) << "S=1 request " << k;
-    EXPECT_TRUE(BitIdentical(served[0][k], served[1][k]))
-        << "S=1 vs S=4 request " << k;
-  }
-}
-
-// Multi-model fleets route by request width; unknown widths are client
+// Multi-model servers route by request width; unknown widths are client
 // errors, not crashes.
 TEST(ServeLoopTest, MultiModelRoutesByColumnCount) {
   std::shared_ptr<const ImputationEngine> narrow = MakeEngine(3, 131);
   std::shared_ptr<const ImputationEngine> wide = MakeEngine(5, 137);
   ServerOptions opts = FastOptions();
-  opts.shards = 2;
   ImputationServer server({narrow, wide}, opts);
   ASSERT_TRUE(server.Start().ok());
 
@@ -393,7 +373,7 @@ TEST(ServeLoopTest, HotSwapUnderTraffic) {
   ASSERT_TRUE(got.ok());
   EXPECT_TRUE(BitIdentical(bits_v2, got.value()));
 
-  // A swap to a width the fleet does not host is rejected.
+  // A swap to a width the server does not host is rejected.
   EXPECT_EQ(server.HotSwap(MakeEngine(7, 151)).code(),
             StatusCode::kNotFound);
 }

@@ -25,6 +25,7 @@
 #include "runtime/runtime.h"
 #include "runtime/thread_pool.h"
 #include "serve/batch_queue.h"
+#include "serve/checkpoint_loader.h"
 #include "serve/client.h"
 #include "serve/engine.h"
 #include "serve/server.h"
@@ -457,6 +458,43 @@ TEST(ServeEngineTest, MappedRetrievalLoadMatchesInMemory) {
     EXPECT_TRUE(BitIdentical(a.value(), b.value())) << threads << " threads";
   }
   runtime::SetNumThreads(0);  // restore the env/hardware default
+}
+
+// The hot-swap loader, given an index, attaches it exactly as
+// ImputationEngine::Load does: a reload of a retrieval-serving model keeps
+// retrieval on and serves the same bits.
+TEST(ServeEngineTest, CheckpointLoaderAttachesIndex) {
+  const size_t d = 4;
+  const Checkpoint ckpt = MakeCheckpoint(d, 97);
+  ParamStore store;
+  for (const NamedParam& p : ckpt.params) store.Add(p.name, p.value);
+  const std::string dir = ::testing::TempDir();
+  const std::string path = dir + "scis_loader_index_engine.bin";
+  const std::string index_path = dir + "scis_loader_index_engine.annidx";
+  ASSERT_TRUE(SaveCheckpoint(store, ckpt.meta, path).ok());
+  Rng rng(19);
+  Matrix train_mask = rng.BernoulliMatrix(300, d, 0.8);
+  Matrix train_values = rng.UniformMatrix(300, d, 0.0, 1.0);
+  MulInPlace(train_values, train_mask);
+  ASSERT_TRUE(
+      index::AnnIndex::Build(train_values, train_mask).Save(index_path).ok());
+
+  const RetrievalOptions retrieval{5, 4, 0.5};
+  Result<std::shared_ptr<const ImputationEngine>> loaded =
+      LoadAndValidateCheckpoint(path, d, index_path, retrieval);
+  Result<std::shared_ptr<const ImputationEngine>> direct =
+      ImputationEngine::Load(path, index_path, retrieval);
+  std::remove(path.c_str());
+  std::remove(index_path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  EXPECT_TRUE((*loaded)->has_index());
+
+  const Matrix rows = RandomRows(rng, 40, d, 0.4);
+  Result<Matrix> a = (*loaded)->ImputeBatch(rows);
+  Result<Matrix> b = (*direct)->ImputeBatch(rows);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_TRUE(BitIdentical(a.value(), b.value()));
 }
 
 // A saved index file, as lines of whitespace-separated tokens.
