@@ -1,7 +1,6 @@
 #include "index/ann_index.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <fstream>
 #include <iomanip>
@@ -290,24 +289,39 @@ AnnIndex AnnIndex::Build(const Matrix& values, const Matrix& mask,
 }
 
 // Copies rows into one packed block — the tree rows in leaf order, then the
-// side rows — with their observed-coordinate bitsets. A leaf scan then
-// streams a contiguous block instead of gathering scattered rows (at large
-// n the scattered gather is the difference between beating the perfectly
-// sequential brute-force loop and losing to it), and the bitset kernel
-// visits only the coordinates a row and the query both observe.
+// side rows — as tiles: each leaf, and the side list, is cut into pieces of
+// at most kMaskedScanChunk rows, and each piece is stored coordinate-major.
+// A leaf scan then streams one contiguous stretch instead of gathering
+// scattered rows (at large n the scattered gather is the difference between
+// beating the perfectly sequential brute-force loop and losing to it), and
+// a query touches only the runs of the coordinates it observes. Missing
+// cells pack as +0.0 so that every term the scan adds for them is an exact
+// +0.0 (see kernels/masked_distance.h).
 void AnnIndex::PackRows() {
-  const size_t d = values_.cols(), words = kernels::MaskWords(d);
-  packed_values_ = Matrix(values_.rows(), d);
-  packed_bits_.assign(values_.rows() * words, 0);
-  size_t p = 0;
-  for (const std::vector<size_t>* ids : {&row_ids_, &side_rows_}) {
-    for (const size_t r : *ids) {
-      std::copy(values_.row_data(r), values_.row_data(r) + d,
-                packed_values_.row_data(p));
-      kernels::MaskBits(mask_.row_data(r), d, packed_bits_.data() + p * words);
-      ++p;
+  constexpr size_t kChunk = kernels::kMaskedScanChunk;
+  const size_t n = values_.rows(), d = values_.cols();
+  const size_t tree_rows = row_ids_.size();
+  packed_cols_.assign(n * d, 0.0);
+  packed_weights_.assign(n * d, 0.0);
+  auto pack = [&](size_t begin, size_t end) {  // one leaf, or the side list
+    for (size_t s = begin; s < end; s += kChunk) {
+      const size_t len = std::min(kChunk, end - s);
+      for (size_t p = s; p < s + len; ++p) {
+        const size_t r =
+            p < tree_rows ? row_ids_[p] : side_rows_[p - tree_rows];
+        const size_t at = s * d + (p - s);
+        for (size_t j = 0; j < d; ++j) {
+          if (mask_(r, j) != 1.0) continue;
+          packed_cols_[at + j * len] = values_(r, j);
+          packed_weights_[at + j * len] = 1.0;
+        }
+      }
     }
+  };
+  for (const Node& node : nodes_) {
+    if (node.children.empty()) pack(node.begin, node.end);
   }
+  pack(tree_rows, n);
 }
 
 size_t AnnIndex::num_leaves() const {
@@ -345,50 +359,70 @@ void AnnIndex::SearchInto(const double* query, const double* query_mask,
   out->clear();
   queries->Add(1);
   if (num_rows() == 0 || opts.k == 0) return;
-  const size_t d = values_.cols(), words = kernels::MaskWords(d);
-  std::vector<uint64_t> query_bits(words);
-  kernels::MaskBits(query_mask, d, query_bits.data());
-  size_t query_obs = 0;
-  for (const uint64_t w : query_bits) query_obs += std::popcount(w);
-  if (query_obs == 0) return;  // at +inf from every row
+  const size_t d = values_.cols();
+  std::vector<size_t> observed;  // the query's observed coordinates, ascending
+  for (size_t j = 0; j < d; ++j) {
+    if (query_mask[j] == 1.0) observed.push_back(j);
+  }
+  if (observed.empty()) return;  // at +inf from every row
 
   auto worse = [](const Neighbor& a, const Neighbor& b) {
     return NeighborLess(a, b);  // max-heap: worst candidate on top
   };
   std::priority_queue<Neighbor, std::vector<Neighbor>, decltype(worse)> top(
       worse);
+  // Distance of the k-th best candidate held, +inf until k are held: a row
+  // farther than it cannot enter, so one well-predicted compare skips it.
+  double kth = kInf;
   size_t visited = 0, scanned = 0;
-  // Scans `count` packed rows from packed position `first`; ids[i] is the
-  // row id of packed row first + i. The one scan routine behind leaf,
-  // side-list and full scans.
+  constexpr size_t kChunk = kernels::kMaskedScanChunk;
+  double acc[kChunk] = {}, cnt[kChunk] = {}, dist[kChunk] = {};
+  // Scans `count` packed rows from packed position `first` — one leaf or
+  // the side list, the runs PackRows tiles; ids[i] is the row id of packed
+  // row first + i. The one scan routine behind leaf, side-list and full
+  // scans: per tile, the kernel accumulates the observed coordinates, then
+  // rows are offered to the top k in packed order.
   auto scan = [&](const size_t* ids, size_t first, size_t count) {
-    for (size_t i = 0; i < count; ++i) {
-      const size_t r = ids[i];
-      if (r == exclude) continue;
-      const size_t p = first + i;
-      const double dist = kernels::MaskedRowDistance(
-          query, query_bits.data(), packed_values_.row_data(p),
-          packed_bits_.data() + p * words, d);
-      ++scanned;
-      if (std::isinf(dist)) continue;
-      const Neighbor cand{r, dist};
-      if (top.size() < opts.k) {
-        top.push(cand);
-      } else if (NeighborLess(cand, top.top())) {
-        top.pop();
-        top.push(cand);
+    scanned += count;
+    if (exclude != kNoExclude) scanned -= std::count(ids, ids + count, exclude);
+    for (size_t c = 0; c < count; c += kChunk) {
+      const size_t len = std::min(kChunk, count - c), at = (first + c) * d;
+      std::fill_n(acc, len, 0.0);
+      std::fill_n(cnt, len, 0.0);
+      for (const size_t j : observed) {
+        kernels::MaskedDistanceAccumulate(query[j], &packed_cols_[at + j * len],
+                                          &packed_weights_[at + j * len], len,
+                                          acc, cnt);
+      }
+      kernels::MaskedDistanceFinish(acc, cnt, len, dist);
+      for (size_t i = 0; i < len; ++i) {
+        if (dist[i] > kth || std::isinf(dist[i]) || ids[c + i] == exclude) {
+          continue;
+        }
+        const Neighbor cand{ids[c + i], dist[i]};
+        if (top.size() < opts.k) {
+          top.push(cand);
+        } else if (NeighborLess(cand, top.top())) {
+          top.pop();
+          top.push(cand);
+        }
+        if (top.size() == opts.k) kth = top.top().distance;
       }
     }
   };
   const size_t tree_rows = row_ids_.size();
 
-  if (query_obs <= sparse_obs_threshold_) {
+  if (observed.size() <= sparse_obs_threshold_) {
     // A sparse query's neighbors are ranked by one or two coordinates — they
     // scatter across the tree, so descend-and-scan cannot find them. Answer
     // exactly instead by scanning every packed row; (distance, row) is a
     // strict total order, so the top k do not depend on the scan order.
     sparse_queries->Add(1);
-    scan(row_ids_.data(), 0, tree_rows);
+    for (const Node& node : nodes_) {
+      if (node.children.empty()) {
+        scan(row_ids_.data() + node.begin, node.begin, node.end - node.begin);
+      }
+    }
     scan(side_rows_.data(), tree_rows, side_rows_.size());
   } else {
     // Best-bin-first: a min-heap over (centroid distance, node id) decides
@@ -644,6 +678,22 @@ Result<AnnIndex> AnnIndex::Load(const std::string& path) {
       }
       has_parent[child] = true;
     }
+  }
+  // The leaves, in node order, must cut the tree rows into consecutive
+  // runs: the packed block is tiled leaf by leaf, and a search that met a
+  // row in two leaves (or in none) would return it twice (or never).
+  size_t leaf_end = 0;
+  for (const Node& node : idx.nodes_) {
+    if (!node.children.empty()) continue;
+    if (node.begin != leaf_end) {
+      return Status::InvalidArgument("leaves do not partition rowids in " +
+                                     path);
+    }
+    leaf_end = node.end;
+  }
+  if (leaf_end != tree_rows) {
+    return Status::InvalidArgument("leaves do not partition rowids in " +
+                                   path);
   }
   if (!expect("centroids")) {
     return Status::InvalidArgument("missing centroids: " + path);

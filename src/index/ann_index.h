@@ -34,14 +34,19 @@
 // exact scan of the whole index.
 //
 // Scans: the tree rows (in leaf order) and the side rows are copied into
-// one packed block together with each row's observed-coordinate bitset.
+// one packed block of tiles: each leaf, and the side list, is cut into
+// pieces of at most 256 rows. Each tile is stored coordinate-major: for
+// each coordinate, the values of the tile's rows in one contiguous run
+// (+0.0 where a row misses it) beside a run of their {0,1} weights. A leaf
+// is thus one contiguous stretch of memory, which keeps wide, dense leaf
+// scans on large, memory-resident indexes streaming (EXPERIMENTS.md).
 // Leaf scans, the side-list scan and the sparse-query full scan are one
-// routine over that block, and each row distance is the bitset form of the
-// metric (kernels/masked_distance.h): on rows wider than 16 coordinates it
-// visits only the coordinates the row and the query both observe — about
-// 2 of 64 on the Search shape — and it returns the same double as the
-// array form, so results do not depend on which form or scan order
-// computed them.
+// routine over that block. It walks its rows tile by tile; per tile it
+// accumulates only the query's observed coordinates, in ascending order,
+// with the rows in SIMD lanes (kernels/masked_distance.h) — about 12 of 64
+// coordinates on the Search shape — and every distance is the same double
+// the array form of the metric returns, so results do not depend on which
+// form or scan order computed them. The block costs 16·d bytes per row.
 //
 // Exactness: with SearchOptions::max_leaf_visits == 0 every leaf is scanned
 // and the result equals the brute-force oracle exactly (the mask-aware
@@ -171,13 +176,16 @@ class AnnIndex {
   // side_rows_ this partitions 0..n-1.
   std::vector<size_t> row_ids_;
   std::vector<size_t> side_rows_;  // sparse rows, scanned on every search
-  // The packed block every scan streams: row p < row_ids_.size() holds row
-  // row_ids_[p] (leaf order), and the side rows follow in side_rows_ order.
-  // packed_bits_ holds each packed row's observed-coordinate bitset
-  // (kernels::MaskBits, MaskWords(cols) words per row). Derived from the
-  // members above — rebuilt on Load, not serialized.
-  Matrix packed_values_;
-  std::vector<uint64_t> packed_bits_;
+  // The packed block every scan streams: packed row p < row_ids_.size() is
+  // row row_ids_[p] (leaf order), and the side rows follow in side_rows_
+  // order. Each leaf, and the side list, is cut into tiles of at most
+  // kernels::kMaskedScanChunk rows; within a tile of L rows starting at
+  // packed row s, coordinate j of packed row p sits at s * d + j * L +
+  // (p - s): packed_cols_ holds the value (+0.0 where missing),
+  // packed_weights_ the {0,1} mask. Derived from the members above —
+  // rebuilt on Load, not serialized.
+  std::vector<double> packed_cols_;
+  std::vector<double> packed_weights_;
 
   void PackRows();  // fills the two members above
 };

@@ -4,40 +4,41 @@
 // co-observed count. Two rows with no coordinate observed in common are at
 // +inf — callers decide how to handle that (skip, sentinel, fallback).
 //
-// Array form: a single sequential pass over the coordinates with a
-// branch-free {0,1}-mask product, which is bit-identical to the branched
-// `if (ma && mb)` loop it replaced (adding a +0.0 contribution is exact)
-// while letting the compiler if-convert and vectorize the body. Callers that
-// hold only double masks (BruteForceSearch, BuildKnnGraph, k-means) use it.
+// Array form (MaskedRowDistance): one row pair, a single sequential pass
+// over the coordinates with a branch-free {0,1}-mask product. It is
+// bit-identical to the branched `if (ma && mb)` loop it replaced (adding a
+// +0.0 contribution is exact) and is the reference the other form matches.
+// Callers that hold only double masks (BruteForceSearch, BuildKnnGraph,
+// k-means) use it.
 //
-// Bitset form: masks packed by MaskBits into 64-coordinate words, one bit
-// per observed coordinate. On rows wider than 16 coordinates the distance
-// visits only the coordinates both rows observe — the set bits of a & b, in
-// ascending order, or a straight loop when they run unbroken from the
-// word's first coordinate — so a sparse pair costs its handful of
-// co-observed coordinates instead of d. Narrower rows take the array form's
-// own loop with the {0,1} weights read from the bits: there a walk saves
-// a few additions but pays a mispredicted loop exit, and on well-observed
-// rows it searched up to 1.39x slower than the array form (the measured
-// cutoff is in masked_distance.cc). Sparse narrow rows would favour the
-// walk (0.6-0.7x at 81% missing); the width cutoff gives that up. Either
-// way the result is bit-identical to the array form for finite values:
-//   - every coordinate the array form adds but the walk skips contributes
-//     w * diff * diff with w = 0, i.e. (0 · diff) · diff = +0.0, and adding
-//     +0.0 to the non-negative accumulator is exact;
-//   - the visited coordinates add the same w * diff * diff (w = 1) in the
-//     same order, so the accumulator takes the same sequence of values;
-//   - the co-observed count is the number of set bits of a & b, which
-//     equals the array form's exact sum of 1.0 weights.
-// This holds at the default ISA, where no FMA contraction happens. Under
-// SCIS_NATIVE (-march=native) the compiler may contract acc + w·diff·diff
-// into an FMA; the forms then stay identical only while all of them keep
-// the same `w * diff * diff` expression, so change them together.
+// Coordinate-major form (MaskedDistanceAccumulate + MaskedDistanceFinish):
+// one query against a contiguous range of rows stored coordinate-major —
+// for each coordinate j, the values of all rows in one run, with a parallel
+// run of their {0,1} weights. Missing cells hold +0.0 and weight 0. The
+// caller zeroes acc and cnt, accumulates the query's observed coordinates
+// in ascending j, then finishes. Rows sit in SIMD lanes, so the loop
+// vectorizes without any cross-lane sum, and a sparse query costs its
+// observed coordinates rather than d. The result is bit-identical to the
+// array form, row by row, whenever the array form's inputs are finite:
+//   - a coordinate the query does not observe is skipped; the array form
+//     adds w · diff · diff with w = 0 there, i.e. (0 · diff) · diff = +0.0,
+//     and adding +0.0 to the non-negative accumulator is exact;
+//   - at an observed coordinate the row's weight w equals the array form's
+//     ma · mb (= 1 · w), and the term is the same w · diff · diff with the
+//     same diff = q_j − x_j. When the row misses j, x_j is the packed +0.0
+//     rather than the source value, so diff is finite and the term is
+//     again an exact +0.0, as in the array form;
+//   - so each row's accumulator takes the same nonzero terms in the same
+//     ascending order, and the count is the same exact sum of 1.0 weights.
+// This holds at the default ISA and in the AVX2 clone, where no FMA
+// contraction happens (kernels/dispatch.h). Under SCIS_NATIVE
+// (-march=native) the compiler may contract acc + w·diff·diff into an FMA;
+// the forms then stay identical only while both keep the same
+// `w * diff * diff` expression, so change them together.
 #ifndef SCIS_KERNELS_MASKED_DISTANCE_H_
 #define SCIS_KERNELS_MASKED_DISTANCE_H_
 
 #include <cstddef>
-#include <cstdint>
 
 namespace scis::kernels {
 
@@ -46,18 +47,23 @@ namespace scis::kernels {
 double MaskedRowDistance(const double* xa, const double* ma, const double* xb,
                          const double* mb, size_t d);
 
-// 64-bit words holding a d-coordinate observed-coordinate bitset.
-constexpr size_t MaskWords(size_t d) { return (d + 63) / 64; }
+// Most rows per accumulate/finish pass in the index scan (its tiles hold
+// one leaf or at most this many rows): acc, cnt and the distances of one
+// pass stay in L1 while the query's coordinates stream through them.
+// Single-thread SearchBatch times on an Intel Xeon (AVX2 clone) at 64 to
+// 1,024 rows were within about 7% of each other; 256 was fastest on the
+// 1,000 x 64, 81%-missing serving shape (EXPERIMENTS.md).
+inline constexpr size_t kMaskedScanChunk = 256;
 
-// Packs a {0,1} mask into MaskWords(d) words: bit j % 64 of word j / 64 is
-// set iff mask[j] == 1.0; bits past d are clear.
-void MaskBits(const double* mask, size_t d, uint64_t* words_out);
+// One observed query coordinate q against n rows' values x (coordinate-
+// major run, +0.0 where missing) and {0,1} weights w:
+//   acc[i] += w[i] · (q − x[i])²,  cnt[i] += w[i].
+void MaskedDistanceAccumulate(double q, const double* x, const double* w,
+                              size_t n, double* acc, double* cnt);
 
-// MaskedRowDistance over bitset masks (MaskBits(ma, d) and MaskBits(mb, d)):
-// bit-identical to the array form, at a cost proportional to the
-// co-observed coordinates rather than to d on rows wider than 16.
-double MaskedRowDistance(const double* xa, const uint64_t* bits_a,
-                         const double* xb, const uint64_t* bits_b, size_t d);
+// dist[i] = +inf when cnt[i] == 0, else acc[i] / cnt[i].
+void MaskedDistanceFinish(const double* acc, const double* cnt, size_t n,
+                          double* dist);
 
 // Same metric against a fully observed row `c` (a k-means centroid, a
 // complete reference row): averages over a's observed coordinates alone;

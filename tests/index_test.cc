@@ -15,6 +15,7 @@
 
 #include "index/ann_index.h"
 #include "index/knn_graph.h"
+#include "kernels/masked_distance.h"
 #include "runtime/runtime.h"
 #include "tensor/rng.h"
 #include "testkit/generators.h"
@@ -142,11 +143,11 @@ double RecallAtK(const AnnIndex& idx, const Matrix& values, const Matrix& mask,
   return want > 0.0 ? hit / want : 1.0;
 }
 
-// The bitset scans across word widths (1 to 3 words per row, partial last
-// words) and missing rates: with every leaf visited — max_leaf_visits = 0,
-// or the default budget on a tree with no more leaves than the budget —
-// Search equals BruteForceSearch and the independent oracle exactly, and
-// SearchBatch is bit-identical at 1/2/4 threads.
+// The scan across row widths (1 to 130 coordinates) and missing rates:
+// with every leaf visited — max_leaf_visits = 0, or the default budget on
+// a tree with no more leaves than the budget — Search equals
+// BruteForceSearch and the independent oracle exactly, and SearchBatch is
+// bit-identical at 1/2/4 threads.
 TEST(IndexTest, SearchMatchesBruteForceAcrossWordWidths) {
   ThreadsGuard guard;
   const SearchOptions defaults;
@@ -183,6 +184,70 @@ TEST(IndexTest, SearchMatchesBruteForceAcrossWordWidths) {
           EXPECT_EQ(idx.SearchBatch(queries.values, queries.mask, sopts), base)
               << "d=" << d << " missing=" << missing << " at " << threads
               << " threads";
+        }
+      }
+    }
+  }
+}
+
+// The chunked scan at its chunk edges: indexes of chunk - 1, chunk and
+// chunk + 1 rows, leaves smaller and larger than a chunk (the latter cut
+// into several tiles), and queries that
+// take the sparse full scan or the tree (budget 0, so every leaf is
+// scanned). Values on a 0.25 grid make many distances tie, so the top k
+// must break ties on the row id however the scan orders rows. Search and
+// SelfNeighbors (which passes `exclude`) equal BruteForceSearch exactly,
+// and SearchBatch and SelfNeighbors are bit-identical at 1/2/4 threads.
+TEST(IndexTest, ChunkedScanMatchesBruteForceAtChunkEdges) {
+  ThreadsGuard guard;
+  constexpr size_t kChunk = kernels::kMaskedScanChunk;
+  SearchOptions sopts;
+  sopts.max_leaf_visits = 0;
+  for (const size_t n : {kChunk - 1, kChunk, kChunk + 1}) {
+    for (const size_t leaf_rows : {kChunk / 4, 2 * kChunk}) {
+      for (const size_t d : {6, 64}) {
+        for (const double missing : {0.0, 0.3, 0.81}) {
+          TestData data = MakeData(n + 7 * d, n, d, missing);
+          TestData queries = MakeData(n + 11 * d, 24, d, missing);
+          for (size_t k = 0; k < data.values.size(); ++k) {
+            data.values[k] = std::round(4.0 * data.values[k]) / 4.0;
+          }
+          IndexOptions iopts;
+          iopts.max_leaf_rows = leaf_rows;
+          const AnnIndex idx = AnnIndex::Build(data.values, data.mask, iopts);
+          if (missing == 0.0) {
+            // Every row and query is dense: all of them take the tree.
+            ASSERT_EQ(idx.num_side_rows(), 0u);
+            ASSERT_EQ(idx.num_leaves() > 1, leaf_rows < n);
+          }
+          for (size_t q = 0; q < queries.values.rows(); ++q) {
+            const double* qv = queries.values.row_data(q);
+            const double* qm = queries.mask.row_data(q);
+            EXPECT_EQ(idx.Search(qv, qm, sopts),
+                      index::BruteForceSearch(data.values, data.mask, qv, qm,
+                                              sopts.k))
+                << "n=" << n << " leaf_rows=" << leaf_rows << " d=" << d
+                << " missing=" << missing << " query " << q;
+          }
+          runtime::SetNumThreads(1);
+          const auto self = idx.SelfNeighbors(sopts);
+          const auto batch =
+              idx.SearchBatch(queries.values, queries.mask, sopts);
+          for (size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(self[i], index::BruteForceSearch(
+                                   data.values, data.mask,
+                                   data.values.row_data(i),
+                                   data.mask.row_data(i), sopts.k, i))
+                << "n=" << n << " leaf_rows=" << leaf_rows << " d=" << d
+                << " missing=" << missing << " self row " << i;
+          }
+          for (int threads : {2, 4}) {
+            runtime::SetNumThreads(threads);
+            EXPECT_EQ(idx.SelfNeighbors(sopts), self) << threads << " threads";
+            EXPECT_EQ(idx.SearchBatch(queries.values, queries.mask, sopts),
+                      batch)
+                << threads << " threads";
+          }
         }
       }
     }
@@ -279,6 +344,26 @@ TEST(IndexTest, LoadRejectsGarbage) {
   std::fclose(f);
   EXPECT_FALSE(AnnIndex::Load(path).ok());
   EXPECT_FALSE(AnnIndex::Load("/tmp/scis_annindex_missing.txt").ok());
+  std::remove(path.c_str());
+}
+
+// The leaves, in node order, must cut the tree rows into consecutive runs:
+// the golden index with its second leaf widened to overlap the first, or
+// narrowed to leave a row in no leaf, is refused.
+TEST(IndexTest, LoadRejectsLeavesThatDoNotPartitionRows) {
+  const std::string golden =
+      ReadFileBytes(testkit::GoldenDir() + "/annindex_v1.txt");
+  const std::string leaf = "\n7 11 0\n";
+  ASSERT_NE(golden.find(leaf), std::string::npos);
+  const std::string path = ::testing::TempDir() + "scis_annindex_leaves.txt";
+  for (const char* bad : {"\n6 11 0\n", "\n8 11 0\n"}) {
+    std::string text = golden;
+    text.replace(text.find(leaf), leaf.size(), bad);
+    std::ofstream(path, std::ios::binary) << text;
+    const Result<AnnIndex> loaded = AnnIndex::Load(path);
+    ASSERT_FALSE(loaded.ok()) << bad;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
   std::remove(path.c_str());
 }
 

@@ -205,56 +205,74 @@ TEST(KernelsVsOracle, BlockedMatMulsMatchNaiveOracle) {
   });
 }
 
-// The bitset form of the masked row distance returns the array form's
-// double bit for bit — zero overlap (+inf), full overlap and random overlap,
-// at widths on both sides of the narrow-row cutoff (16) and around and
-// across the 64-coordinate word boundary.
-TEST(KernelsVsOracle, MaskedDistanceBitsetMatchesArrayKernel) {
-  CHECK_PROPERTY("kernels.masked_distance_bitset", [](uint64_t seed) {
+// The coordinate-major kernel pair returns the array form's double bit for
+// bit, row by row — zero overlap (+inf), full overlap and random overlap,
+// around and across the widths the index meets, over row ranges that
+// straddle the index's scan chunk and start at nonzero offsets. Missing
+// cells of the packed runs hold +0.0 while the array form sees the source
+// values, so the +0.0 packing argument is exercised too.
+TEST(KernelsVsOracle, MaskedDistanceCoordinateMajorMatchesArrayKernel) {
+  CHECK_PROPERTY("kernels.masked_distance_coordinate_major", [](uint64_t seed) {
     Rng rng(seed);
-    for (const size_t d : {1, 9, 16, 17, 63, 64, 65, 130}) {
-      const size_t words = kernels::MaskWords(d);
-      std::vector<double> xa(d), xb(d), ma(d), mb(d);
-      for (size_t j = 0; j < d; ++j) {
-        xa[j] = rng.Uniform(-3.0, 3.0);
-        xb[j] = rng.Bernoulli(0.1) ? xa[j] : rng.Uniform(-3.0, 3.0);
-      }
+    constexpr size_t kChunk = kernels::kMaskedScanChunk;
+    constexpr size_t kRows = 1000 + 11;  // room for the largest range + offset
+    for (const size_t d : {1, 6, 9, 16, 17, 63, 64, 65, 130}) {
+      std::vector<double> xq(d), mq(d);
+      for (size_t j = 0; j < d; ++j) xq[j] = rng.Uniform(-3.0, 3.0);
       // {complementary masks, all observed, random at several rates}
       for (int variant = 0; variant < 6; ++variant) {
         const double rates[] = {0.0, 0.5, 0.81, 0.95};
+        const Matrix x = rng.UniformMatrix(kRows, d, -3.0, 3.0);
+        Matrix m(kRows, d);
         for (size_t j = 0; j < d; ++j) {
-          if (variant == 0) {
-            ma[j] = static_cast<double>(j % 2);
-            mb[j] = 1.0 - ma[j];
-          } else if (variant == 1) {
-            ma[j] = mb[j] = 1.0;
-          } else {
-            ma[j] = rng.Bernoulli(rates[variant - 2]) ? 0.0 : 1.0;
-            mb[j] = rng.Bernoulli(rates[variant - 2]) ? 0.0 : 1.0;
+          mq[j] = variant == 0   ? static_cast<double>(j % 2)
+                  : variant == 1 ? 1.0
+                  : rng.Bernoulli(rates[variant - 2]) ? 0.0
+                                                       : 1.0;
+        }
+        for (size_t r = 0; r < kRows; ++r) {
+          for (size_t j = 0; j < d; ++j) {
+            m(r, j) = variant == 0   ? 1.0 - mq[j]
+                      : variant == 1 ? 1.0
+                      : rng.Bernoulli(rates[variant - 2]) ? 0.0
+                                                           : 1.0;
           }
         }
-        std::vector<uint64_t> ba(words + 1, ~uint64_t{0});
-        std::vector<uint64_t> bb(words + 1, ~uint64_t{0});
-        kernels::MaskBits(ma.data(), d, ba.data());
-        kernels::MaskBits(mb.data(), d, bb.data());
-        PROP_CHECK_MSG(ba[words] == ~uint64_t{0},
-                       "MaskBits wrote past its words");
-        size_t set = 0;
-        for (size_t w = 0; w < words; ++w) set += std::popcount(ba[w]);
-        size_t observed = 0;
-        for (size_t j = 0; j < d; ++j) observed += ma[j] == 1.0 ? 1 : 0;
-        PROP_CHECK_MSG(set == observed, "MaskBits set " << set << " bits for "
-                                                        << observed
-                                                        << " observed");
-        const double array = kernels::MaskedRowDistance(
-            xa.data(), ma.data(), xb.data(), mb.data(), d);
-        const double bitset = kernels::MaskedRowDistance(
-            xa.data(), ba.data(), xb.data(), bb.data(), d);
-        PROP_CHECK_MSG(std::memcmp(&array, &bitset, sizeof(double)) == 0,
-                       "d=" << d << " variant " << variant << ": array "
-                            << array << " vs bitset " << bitset);
-        if (variant == 0) {
-          PROP_CHECK_MSG(bitset == kInf, "zero overlap is not +inf");
+        // Coordinate-major runs: coordinate j of row r at j * kRows + r.
+        std::vector<double> cols(kRows * d, 0.0), weights(kRows * d, 0.0);
+        for (size_t r = 0; r < kRows; ++r) {
+          for (size_t j = 0; j < d; ++j) {
+            if (m(r, j) != 1.0) continue;
+            cols[j * kRows + r] = x(r, j);
+            weights[j * kRows + r] = 1.0;
+          }
+        }
+        const size_t offsets[] = {1, 3, 5, 7, 11};
+        const size_t lengths[] = {1, kChunk - 1, kChunk, kChunk + 1, 1000};
+        for (size_t t = 0; t < 5; ++t) {
+          const size_t first = offsets[t], len = lengths[t];
+          std::vector<double> acc(len, 0.0), cnt(len, 0.0), dist(len);
+          for (size_t j = 0; j < d; ++j) {
+            if (mq[j] != 1.0) continue;
+            kernels::MaskedDistanceAccumulate(
+                xq[j], &cols[j * kRows + first], &weights[j * kRows + first],
+                len, acc.data(), cnt.data());
+          }
+          kernels::MaskedDistanceFinish(acc.data(), cnt.data(), len,
+                                        dist.data());
+          for (size_t i = 0; i < len; ++i) {
+            const size_t r = first + i;
+            const double array = kernels::MaskedRowDistance(
+                xq.data(), mq.data(), x.row_data(r), m.row_data(r), d);
+            PROP_CHECK_MSG(std::memcmp(&array, &dist[i], sizeof(double)) == 0,
+                           "d=" << d << " variant " << variant << " row " << r
+                                << " of range [" << first << ", "
+                                << first + len << "): array " << array
+                                << " vs coordinate-major " << dist[i]);
+            if (variant == 0) {
+              PROP_CHECK_MSG(dist[i] == kInf, "zero overlap is not +inf");
+            }
+          }
         }
       }
     }
