@@ -25,13 +25,9 @@ using namespace scis;
 int main(int argc, char** argv) {
   double scale = 0.002;  // 22.5M * 0.002 = ~45k rows
   long long epochs = 10;
-  long long sinkhorn_rank = SinkhornOptions::kAutoRank;
   FlagParser flags;
   flags.AddDouble("scale", &scale, "row-count multiplier vs the paper");
   flags.AddInt("epochs", &epochs, "training epochs for both arms");
-  flags.AddInt("sinkhorn_rank", &sinkhorn_rank,
-               "Sinkhorn rank for DIM (0 dense, -1 auto, >0 forced); at "
-               "large --scale the auto low-rank path keeps DIM sub-quadratic");
   if (Status st = flags.Parse(argc, argv); !st.ok()) {
     std::printf("%s\n", st.ToString().c_str());
     return st.code() == StatusCode::kOutOfRange ? 0 : 1;
@@ -80,7 +76,6 @@ int main(int argc, char** argv) {
         500, static_cast<size_t>(20000.0 * scale * 22507139.0 / 22507139.0));
     opts.dim.epochs = static_cast<int>(epochs);
     opts.dim.lambda = 130.0;
-    opts.dim.sinkhorn_rank = static_cast<int>(sinkhorn_rank);
     opts.sse.epsilon = 0.001;
     Scis scis(opts);
     Stopwatch watch;

@@ -61,7 +61,6 @@ int main(int argc, char** argv) {
   double epsilon = 0.001;
   long long seed = 7;
   long long threads = 0;
-  long long sinkhorn_rank = SinkhornOptions::kAutoRank;
   FlagParser flags;
   flags.AddString("input", &input, "incomplete CSV (header row required)");
   flags.AddString("output", &output, "where to write the imputed CSV");
@@ -73,9 +72,6 @@ int main(int argc, char** argv) {
   flags.AddInt("seed", &seed, "random seed");
   flags.AddInt("threads", &threads,
                "worker threads (0 = SCIS_NUM_THREADS or hardware)");
-  flags.AddInt("sinkhorn_rank", &sinkhorn_rank,
-               "Sinkhorn solver rank: 0 = exact dense, -1 = auto "
-               "(low-rank above the size threshold), >0 = force rank");
   flags.AddString("save_params", &save_params,
                   "optional path to checkpoint the trained generator "
                   "(scis_serve --params)");
@@ -129,7 +125,6 @@ int main(int argc, char** argv) {
     opts.initial_size = static_cast<size_t>(n0);
     opts.dim.epochs = static_cast<int>(epochs);
     opts.dim.lambda = 130.0;
-    opts.dim.sinkhorn_rank = static_cast<int>(sinkhorn_rank);
     opts.sse.epsilon = epsilon;
     Scis scis(opts);
     Result<Matrix> res = scis.Run(*gen, train);

@@ -151,33 +151,6 @@ assert all(p['bit_identical_1_2_4_threads'] for p in d['sweep']), d" \
     echo "index bench smoke: OK ($(python3 -c "import json,sys; \
 print(len(json.load(open(sys.argv[1]))['sweep']))" "$SMOKE/bench_index.json") sweep points)"
 
-    # Sinkhorn scaling smoke: the dense-vs-low-rank sweep must complete,
-    # the low-rank arm must stay bit-identical across 1/2/4 threads, and
-    # both solvers must agree on the objective within the 1e-2 relative
-    # budget at every sweep point (quick mode; the committed full-mode
-    # baseline with the 20k-row >=5x speedup is bench/BENCH_sinkhorn.json).
-    ./build/bench/sinkhorn_scale --quick \
-      --bench-json="$SMOKE/bench_sinkhorn.json" >/dev/null
-    python3 -c "import json,sys; d=json.load(open(sys.argv[1])); \
-assert d['schema']=='scis-bench-sinkhorn-v1' and d['sweep'], d; \
-assert all(p['bit_identical_1_2_4_threads'] for p in d['sweep']), d; \
-assert all(p['rel_gap'] <= 1e-2 for p in d['sweep']), d" \
-      "$SMOKE/bench_sinkhorn.json"
-    echo "sinkhorn bench smoke: OK ($(python3 -c "import json,sys; \
-print(len(json.load(open(sys.argv[1]))['sweep']))" "$SMOKE/bench_sinkhorn.json") sweep points, dense/low-rank agree)"
-
-    # Committed Sinkhorn baseline sanity: the checked-in full-mode sweep
-    # must parse and hold the acceptance bar (>=5x single-thread speedup at
-    # the largest n, objective gap <= 1e-2 everywhere, bit-identical).
-    python3 -c "import json,sys; d=json.load(open(sys.argv[1])); \
-assert d['schema']=='scis-bench-sinkhorn-v1' and d['mode']=='full', d; \
-assert all(p['bit_identical_1_2_4_threads'] for p in d['sweep']), d; \
-assert all(p['rel_gap'] <= 1e-2 for p in d['sweep']), d; \
-big=max(d['sweep'], key=lambda p: p['n']); \
-assert big['n'] >= 20000 and big['speedup_single_thread'] >= 5.0, big" \
-      bench/BENCH_sinkhorn.json
-    echo "sinkhorn baseline: OK (bench/BENCH_sinkhorn.json holds the 5x/1e-2 bar)"
-
     # Train fast-path smoke: both arms of the training-step bench must run,
     # the fast path must train to bit-identical weights (vs the vendored
     # pre-fast-path engine, and across 1/2/4 threads), with zero steady-state

@@ -66,11 +66,7 @@ Status DimTrainer::Train(GenerativeImputer& model, const Dataset& data) {
     return Status::InvalidArgument("DIM needs at least two rows");
   }
   EnsureCritic(data.num_cols(), rng_);
-  SinkhornOptions sopts;
-  sopts.lambda = opts_.lambda;
-  sopts.max_iters = opts_.sinkhorn_iters;
-  sopts.tol = 1e-7;
-  sopts.rank = opts_.sinkhorn_rank;
+  const SinkhornOptions sopts = SolverOptions();
 
   ParamStore& gen_store = model.generator_params();
   MiniBatcher batcher(data.num_rows(), opts_.batch_size, rng_);
@@ -176,13 +172,14 @@ Status DimTrainer::Train(GenerativeImputer& model, const Dataset& data) {
   return Status::OK();
 }
 
+SinkhornOptions DimTrainer::SolverOptions() const {
+  return {.lambda = opts_.lambda, .max_iters = opts_.sinkhorn_iters,
+          .tol = 1e-7};
+}
+
 double DimTrainer::EvalLoss(GenerativeImputer& model, const Matrix& x,
                             const Matrix& m) {
-  SinkhornOptions sopts;
-  sopts.lambda = opts_.lambda;
-  sopts.max_iters = opts_.sinkhorn_iters;
-  sopts.tol = 1e-7;
-  sopts.rank = opts_.sinkhorn_rank;
+  const SinkhornOptions sopts = SolverOptions();
   Tape& tape = eval_tape_;
   Var xbar = model.ReconstructOnTape(tape, x, m, /*train=*/false);
   Var loss = MsLoss(xbar, x, m, sopts);

@@ -30,11 +30,6 @@ struct DimOptions {
   double learning_rate = 1e-3;
   double lambda = 130.0;      // MS-divergence λ (§VI default)
   int sinkhorn_iters = 100;
-  // Sinkhorn execution rank (SinkhornOptions::rank): kAutoRank keeps small
-  // batches on the exact dense solver and switches to the sub-quadratic
-  // low-rank path only above SinkhornOptions::lowrank_min_rows — full-batch
-  // scale runs, not the default 128-row minibatches.
-  int sinkhorn_rank = SinkhornOptions::kAutoRank;
   // Identity critic (false) is the default: the generator directly descends
   // the Eq.-3 loss, which the probe benchmarks showed trains ~50x faster at
   // equal accuracy. The learned critic (OT-GAN style) remains available for
@@ -83,6 +78,8 @@ class DimTrainer {
 
  private:
   void EnsureCritic(size_t d, Rng& rng);
+  // The Sinkhorn options every DIM solve uses (Train and EvalLoss).
+  SinkhornOptions SolverOptions() const;
 
   DimOptions opts_;
   Rng rng_;

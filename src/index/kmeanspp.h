@@ -1,7 +1,5 @@
-// Seeded k-means++ over dense rows: the landmark-selection machinery shared
-// by the ANN vocabulary tree (ann_index.cc, masked metric) and the low-rank
-// Sinkhorn Gibbs factorization (ot/lowrank_cost.cc, plain Euclidean over
-// mask-projected rows).
+// Seeded k-means++ over dense rows: the landmark selection behind the ANN
+// vocabulary tree (ann_index.cc, masked metric).
 //
 // Determinism contract: KMeansLandmarks is a pure function of
 // (points, k, seed, lloyd_iters). Seeding draws from a single Rng in a fixed

@@ -1,27 +1,13 @@
 #include "ot/divergence.h"
 
 #include "common/check.h"
+#include "obs/trace.h"
 #include "ot/masked_cost.h"
 #include "tensor/matrix_ops.h"
 
 namespace scis {
 
 namespace {
-
-// Envelope gradients against whichever plan representation the solve
-// produced: the dense n×m plan on the exact path, the truncated CSR plan on
-// the low-rank path. Same math either way (Prop. 1 only needs <P, ∂C>).
-Matrix GradWrtA(const SinkhornSolution& sol, const Matrix& a, const Matrix& ma,
-                const Matrix& b, const Matrix& mb) {
-  if (sol.low_rank) return MaskedOtGradWrtA(sol.sparse_plan, a, ma, b, mb);
-  return MaskedOtGradWrtA(sol.plan, a, ma, b, mb);
-}
-
-Matrix GradWrtB(const SinkhornSolution& sol, const Matrix& a, const Matrix& ma,
-                const Matrix& b, const Matrix& mb) {
-  if (sol.low_rank) return MaskedOtGradWrtB(sol.sparse_plan, a, ma, b, mb);
-  return MaskedOtGradWrtB(sol.plan, a, ma, b, mb);
-}
 
 // The X̄-dependent part of the MS divergence, 2·OT_λ^m(A, B) − OT_λ^m(A, A),
 // from the cross solve `ab` and the A self solve `aa`, with its Prop.-1
@@ -34,12 +20,13 @@ DivergenceResult CrossMinusSelf(const SinkhornSolution& ab,
   DivergenceResult out;
   out.value = 2.0 * ab.reg_value - aa.reg_value;
   if (with_grad) {
+    SCIS_TRACE_SPAN("ot.envelope_grad");
     // Cross term: X̄ appears only as the source measure.
-    Matrix g = GradWrtA(ab, a, ma, b, mb);
+    Matrix g = MaskedOtGradWrtA(ab.plan, a, ma, b, mb);
     MulScalarInPlace(g, 2.0);
     // Self term: X̄ is both source and target; subtract both envelope parts.
-    Matrix gs = GradWrtA(aa, a, ma, a, ma);
-    AddInPlace(gs, GradWrtB(aa, a, ma, a, ma));
+    Matrix gs = MaskedOtGradWrtA(aa.plan, a, ma, a, ma);
+    AddInPlace(gs, MaskedOtGradWrtB(aa.plan, a, ma, a, ma));
     SubInPlace(g, gs);
     out.grad_xbar = std::move(g);
   }
@@ -56,9 +43,6 @@ DivergenceResult MsDivergenceMasked(const Matrix& a, const Matrix& ma,
   SCIS_CHECK(b.SameShape(mb));
   SCIS_CHECK_EQ(a.cols(), b.cols());
 
-  // Each solve routes through the masked entry point: dense exact at
-  // rank 0 (bit-identical to the historic cost-then-solve sequence — the
-  // three solves share no state), sub-quadratic factored solves otherwise.
   const SinkhornSolution ab = SolveSinkhornMasked(a, ma, b, mb, opts);
   const SinkhornSolution aa = SolveSinkhornMasked(a, ma, a, ma, opts);
   const SinkhornSolution bb = SolveSinkhornMasked(b, mb, b, mb, opts);

@@ -1,8 +1,5 @@
 #include "ot/masked_cost.h"
 
-#include <algorithm>
-#include <vector>
-
 #include "common/check.h"
 #include "kernels/elementwise.h"
 #include "runtime/parallel_for.h"
@@ -50,54 +47,6 @@ Matrix MaskedOtGradWrtB(const Matrix& plan, const Matrix& a, const Matrix& ma,
                         const Matrix& b, const Matrix& mb) {
   // Reuse the A-side kernel on the transposed problem.
   return MaskedOtGradWrtA(Transpose(plan), b, mb, a, ma);
-}
-
-Matrix MaskedOtGradWrtA(const SparseMatrix& plan, const Matrix& a,
-                        const Matrix& ma, const Matrix& b, const Matrix& mb) {
-  SCIS_CHECK_EQ(plan.rows(), a.rows());
-  SCIS_CHECK_EQ(plan.cols(), b.rows());
-  const size_t n = a.rows(), d = a.cols();
-  const std::vector<size_t>& row_ptr = plan.row_ptr();
-  const std::vector<size_t>& col_idx = plan.col_idx();
-  const std::vector<double>& vals = plan.values();
-  const size_t avg_nnz = n > 0 ? std::max<size_t>(1, plan.nnz() / n) : 1;
-  Matrix grad(n, d);
-  runtime::ParallelFor(0, n, runtime::GrainForWork(n, avg_nnz * d),
-                       [&](size_t rb, size_t re) {
-    for (size_t i = rb; i < re; ++i) {
-      const double* ai = a.row_data(i);
-      const double* mi = ma.row_data(i);
-      double* gi = grad.row_data(i);
-      const double prow =
-          kernels::Sum(vals.data() + row_ptr[i], row_ptr[i + 1] - row_ptr[i]);
-      for (size_t t = row_ptr[i]; t < row_ptr[i + 1]; ++t) {
-        const double pij = vals[t];
-        if (pij == 0.0) continue;
-        const size_t j = col_idx[t];
-        kernels::ScaledMulAdd(-pij, mb.row_data(j), b.row_data(j), gi, d);
-      }
-      kernels::MaskedGradFinish(mi, ai, prow, gi, d);
-    }
-  });
-  return grad;
-}
-
-Matrix MaskedOtGradWrtB(const SparseMatrix& plan, const Matrix& a,
-                        const Matrix& ma, const Matrix& b, const Matrix& mb) {
-  // Transpose by edge swap, then reuse the A-side kernel (the SparseMatrix
-  // constructor re-sorts into CSR over the swapped axes).
-  const std::vector<size_t>& row_ptr = plan.row_ptr();
-  const std::vector<size_t>& col_idx = plan.col_idx();
-  const std::vector<double>& vals = plan.values();
-  std::vector<Edge> edges;
-  edges.reserve(plan.nnz());
-  for (size_t i = 0; i < plan.rows(); ++i) {
-    for (size_t t = row_ptr[i]; t < row_ptr[i + 1]; ++t) {
-      edges.push_back(Edge{col_idx[t], i, vals[t]});
-    }
-  }
-  return MaskedOtGradWrtA(SparseMatrix(plan.cols(), plan.rows(), std::move(edges)),
-                          b, mb, a, ma);
 }
 
 }  // namespace scis

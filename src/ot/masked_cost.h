@@ -4,7 +4,6 @@
 #define SCIS_OT_MASKED_COST_H_
 
 #include "tensor/matrix.h"
-#include "tensor/sparse.h"
 
 namespace scis {
 
@@ -23,15 +22,6 @@ Matrix MaskedOtGradWrtA(const Matrix& plan, const Matrix& a, const Matrix& ma,
 //   ∂/∂b_j = Σ_i P_ij · 2 (m'_j⊙b_j − m_i⊙a_i) ⊙ m'_j
 Matrix MaskedOtGradWrtB(const Matrix& plan, const Matrix& a, const Matrix& ma,
                         const Matrix& b, const Matrix& mb);
-
-// Sparse-plan overloads for the low-rank Sinkhorn path: identical math on a
-// truncated plan, O(nnz·d) instead of O(n·m·d) — the dense n×m plan is
-// never materialized. The CSR row iteration visits columns in stored order,
-// so results are a pure function of the plan (deterministic).
-Matrix MaskedOtGradWrtA(const SparseMatrix& plan, const Matrix& a,
-                        const Matrix& ma, const Matrix& b, const Matrix& mb);
-Matrix MaskedOtGradWrtB(const SparseMatrix& plan, const Matrix& a,
-                        const Matrix& ma, const Matrix& b, const Matrix& mb);
 
 }  // namespace scis
 

@@ -7,19 +7,12 @@
 
 #include "common/check.h"
 #include "common/stopwatch.h"
-#include "index/ann_index.h"
-#include "index/kmeanspp.h"
-#include "kernels/elementwise.h"
-#include "kernels/exp.h"
-#include "kernels/lowrank.h"
 #include "kernels/lse.h"
 #include "kernels/matmul.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "ot/lowrank_cost.h"
 #include "ot/masked_cost.h"
 #include "runtime/parallel_for.h"
-#include "tensor/matrix_ops.h"
 
 namespace scis {
 
@@ -31,9 +24,7 @@ struct SinkhornMetrics {
   obs::Counter* solves;
   obs::Counter* iterations;
   obs::Counter* converged;
-  obs::Counter* ladder_rungs;
   obs::Counter* plan_ns;
-  obs::Counter* lowrank_solves;
   obs::Histogram* iters_per_solve;
 
   static const SinkhornMetrics& Get() {
@@ -43,9 +34,7 @@ struct SinkhornMetrics {
           r.GetCounter("sinkhorn.solves"),
           r.GetCounter("sinkhorn.iterations"),
           r.GetCounter("sinkhorn.converged_solves"),
-          r.GetCounter("sinkhorn.ladder_rungs"),
           r.GetCounter("sinkhorn.plan_recovery_ns"),
-          r.GetCounter("sinkhorn.lowrank_solves"),
           r.GetHistogram("sinkhorn.iters_per_solve",
                          {1, 2, 4, 8, 16, 32, 64, 128, 256, 512}),
       };
@@ -147,8 +136,7 @@ SinkhornSolution SolveSinkhornWeightedImpl(const Matrix& cost,
   // Dual potentials; P_ij = exp((f_i + g_j - C_ij)/λ + log a_i + log b_j).
   std::vector<double> f(n, 0.0), g(m, 0.0);
 
-  // Transposed cost for the g-update, built once per solve (λ-independent,
-  // so every ladder rung reuses it).
+  // Transposed cost for the g-update, built once per solve.
   Matrix costT(m, n);
   runtime::ParallelFor(0, n, runtime::GrainForWork(n, m),
                        [&](size_t r0, size_t r1) {
@@ -156,25 +144,11 @@ SinkhornSolution SolveSinkhornWeightedImpl(const Matrix& cost,
   });
 
   SinkhornSolution sol;
-  if (opts.epsilon_scaling && opts.scaling_steps > 1) {
-    // Warm-start down a geometric λ ladder: each rung only needs a rough
-    // solve (loose tolerance, few iterations) to position the potentials.
-    for (int s = opts.scaling_steps - 1; s >= 1; --s) {
-      const double rung = lam * std::pow(2.0, static_cast<double>(s));
-      bool conv = false;
-      sol.iters += RunIterations(cost, costT, loga, logb, rung,
-                                 std::min(50, std::max(2, opts.max_iters / 8)),
-                                 std::max(opts.tol, 1e-4), f, g, &conv);
-      metrics.ladder_rungs->Add(1);
-    }
-  }
-  bool conv = false;
-  sol.iters += RunIterations(cost, costT, loga, logb, lam,
-                             opts.max_iters, opts.tol, f, g, &conv);
-  sol.converged = conv;
+  sol.iters = RunIterations(cost, costT, loga, logb, lam, opts.max_iters,
+                            opts.tol, f, g, &sol.converged);
   metrics.solves->Add(1);
   metrics.iterations->Add(static_cast<uint64_t>(sol.iters));
-  if (conv) metrics.converged->Add(1);
+  if (sol.converged) metrics.converged->Add(1);
   metrics.iters_per_solve->Observe(static_cast<double>(sol.iters));
 
   // Plan recovery: rows are independent; the transport-cost and entropy
@@ -214,286 +188,7 @@ SinkhornSolution SolveSinkhornWeightedImpl(const Matrix& cost,
   return sol;
 }
 
-// ---------------------------------------------------------------------------
-// Low-rank path
-// ---------------------------------------------------------------------------
-
-// Log-domain Sinkhorn over the factored kernel. Each half-update contracts
-// the opposite potential into the r landmark channels
-// (s_l = LSE_i(κ·E(l,i) + shift_i), over the transposed factor so rows
-// stream contiguously) and then expands back through the row features —
-// O((n+m)·r) total, never touching an n×m object. `feat_scale` κ rescales
-// features built at the final λ to a ladder rung (κ = λ_final/λ_rung).
-// Chunk grids are shape-derived and the delta is a max-reduction, so the
-// iterates are bit-identical at any thread count.
-int RunLowRankIterations(const Matrix& eu, const Matrix& euT, const Matrix& ev,
-                         const Matrix& evT, const std::vector<double>& loga,
-                         const std::vector<double>& logb, double lam,
-                         double feat_scale, int max_iters, double tol,
-                         std::vector<double>& f, std::vector<double>& g,
-                         bool* converged) {
-  SCIS_TRACE_SPAN("sinkhorn.lowrank_iterate");
-  const size_t n = eu.rows(), m = ev.rows(), r = eu.cols();
-  const double inv_lam = 1.0 / lam;
-  const size_t chan_grain_n = runtime::GrainForWork(r, n);
-  const size_t chan_grain_m = runtime::GrainForWork(r, m);
-  const size_t row_grain = runtime::GrainForWork(n, r);
-  const size_t col_grain = runtime::GrainForWork(m, r);
-  std::vector<double> sf(n), sg(m), s(r);
-  *converged = false;
-  int it = 0;
-  for (; it < max_iters; ++it) {
-    // g-update: s_l = LSE_i(κ·E_u(i,l) + f_i/λ + log a_i), then
-    // g_j = −λ·LSE_l(κ·E_v(j,l) + s_l).
-    for (size_t i = 0; i < n; ++i) sf[i] = f[i] * inv_lam + loga[i];
-    runtime::ParallelFor(0, r, chan_grain_n, [&](size_t lb, size_t le) {
-      kernels::LowRankLseRows(euT.data(), feat_scale, sf.data(), lb, le, n,
-                              s.data());
-    });
-    runtime::ParallelFor(0, m, col_grain, [&](size_t jb, size_t je) {
-      kernels::LowRankDualUpdateRows(ev.data(), feat_scale, s.data(), lam, jb,
-                                     je, r, g.data());
-    });
-    // f-update, tracking the potential movement for convergence.
-    for (size_t j = 0; j < m; ++j) sg[j] = g[j] * inv_lam + logb[j];
-    runtime::ParallelFor(0, r, chan_grain_m, [&](size_t lb, size_t le) {
-      kernels::LowRankLseRows(evT.data(), feat_scale, sg.data(), lb, le, m,
-                              s.data());
-    });
-    const double delta = runtime::ParallelReduce(
-        0, n, row_grain, 0.0,
-        [&](size_t ib, size_t ie) {
-          return kernels::LowRankDualUpdateRows(eu.data(), feat_scale,
-                                                s.data(), lam, ib, ie, r,
-                                                f.data());
-        },
-        [](double a, double b) { return std::max(a, b); });
-    if (it > 0 && delta / lam < tol) {
-      *converged = true;
-      ++it;
-      break;
-    }
-  }
-  return it;
-}
-
-// Sparse-plan support: the plan_topk nearest target rows per source row
-// under the Def.-2 cost. The ANN index runs its mask-aware metric with
-// all-ones masks over the already-projected rows, which is the masked cost
-// scaled by 1/d — the same neighbor order — so the budgeted tree search
-// retrieves the dominant plan entries without an O(n·m) scan. Small column
-// counts take every column (the truncation is exact there).
-std::vector<std::vector<size_t>> SparseSupport(const Matrix& u,
-                                               const Matrix& v, size_t topk,
-                                               uint64_t seed) {
-  const size_t n = u.rows(), m = v.rows();
-  std::vector<std::vector<size_t>> support(n);
-  if (m <= topk) {
-    std::vector<size_t> all(m);
-    for (size_t j = 0; j < m; ++j) all[j] = j;
-    for (size_t i = 0; i < n; ++i) support[i] = all;
-    return support;
-  }
-  const Matrix ones_v = Matrix::Ones(v.rows(), v.cols());
-  const Matrix ones_u = Matrix::Ones(u.rows(), u.cols());
-  index::IndexOptions iopts;
-  iopts.seed = seed;
-  iopts.sparse_obs_max = 0;  // rows are dense (projected): no side list
-  const index::AnnIndex idx = index::AnnIndex::Build(v, ones_v, iopts);
-  index::SearchOptions sopts;
-  sopts.k = topk;
-  sopts.max_leaf_visits = 32;
-  const std::vector<std::vector<index::Neighbor>> hits =
-      idx.SearchBatch(u, ones_u, sopts);
-  for (size_t i = 0; i < n; ++i) {
-    support[i].reserve(hits[i].size());
-    for (const index::Neighbor& nb : hits[i]) support[i].push_back(nb.row);
-    // Keep column order sorted so the CSR layout is canonical.
-    std::sort(support[i].begin(), support[i].end());
-  }
-  return support;
-}
-
-SinkhornSolution SolveSinkhornLowRank(const Matrix& a, const Matrix& ma,
-                                      const Matrix& b, const Matrix& mb,
-                                      int rank, const SinkhornOptions& opts) {
-  SCIS_TRACE_SPAN("sinkhorn.lowrank_solve");
-  const SinkhornMetrics& metrics = SinkhornMetrics::Get();
-  const size_t n = a.rows(), m = b.rows();
-  SCIS_CHECK_GT(n, 0u);
-  SCIS_CHECK_GT(m, 0u);
-  SCIS_CHECK_MSG(opts.lambda > 0, "Sinkhorn requires lambda > 0");
-  const double lam = opts.lambda;
-
-  LowRankCostOptions lr;
-  lr.rank = rank;
-  lr.seed = opts.lowrank_seed;
-  const LowRankGibbsFactor factor =
-      BuildLowRankGibbsFactor(a, ma, b, mb, lam, lr);
-  const size_t r = factor.landmarks.rows();
-
-  // Transposed factor copies for the channel contraction (stream rows).
-  Matrix euT(r, n), evT(r, m);
-  runtime::ParallelFor(0, n, runtime::GrainForWork(n, r),
-                       [&](size_t r0, size_t r1) {
-    kernels::TransposeScaleRows(factor.logu.data(), n, r, 1.0, euT.data(), r0,
-                                r1);
-  });
-  runtime::ParallelFor(0, m, runtime::GrainForWork(m, r),
-                       [&](size_t r0, size_t r1) {
-    kernels::TransposeScaleRows(factor.logv.data(), m, r, 1.0, evT.data(), r0,
-                                r1);
-  });
-
-  std::vector<double> loga(n, -std::log(static_cast<double>(n)));
-  std::vector<double> logb(m, -std::log(static_cast<double>(m)));
-  std::vector<double> f(n, 0.0), g(m, 0.0);
-
-  SinkhornSolution sol;
-  sol.low_rank = true;
-  sol.rank_used = static_cast<int>(r);
-  if (opts.epsilon_scaling && opts.scaling_steps > 1) {
-    // The features were built at the final λ; a rung at λ·2^s uses the
-    // same factor with κ = 2^{−s} (logφ scales linearly in 1/λ).
-    for (int s = opts.scaling_steps - 1; s >= 1; --s) {
-      const double rung = lam * std::pow(2.0, static_cast<double>(s));
-      const double kappa = lam / rung;
-      bool conv = false;
-      sol.iters += RunLowRankIterations(
-          factor.logu, euT, factor.logv, evT, loga, logb, rung, kappa,
-          std::min(50, std::max(2, opts.max_iters / 8)),
-          std::max(opts.tol, 1e-4), f, g, &conv);
-      metrics.ladder_rungs->Add(1);
-    }
-  }
-  bool conv = false;
-  sol.iters += RunLowRankIterations(factor.logu, euT, factor.logv, evT, loga,
-                                    logb, lam, 1.0, opts.max_iters, opts.tol,
-                                    f, g, &conv);
-  sol.converged = conv;
-  metrics.solves->Add(1);
-  metrics.lowrank_solves->Add(1);
-  metrics.iterations->Add(static_cast<uint64_t>(sol.iters));
-  if (conv) metrics.converged->Add(1);
-  metrics.iters_per_solve->Observe(static_cast<double>(sol.iters));
-
-  // reg_value from the dual objective at the fixed point:
-  // OT_λ(C̃) = Σ a_i f_i + Σ b_j g_j + λ(Σ a log a + Σ b log b)
-  // under the plain-entropy convention — O(n+m), no plan needed.
-  const double inv_n = 1.0 / static_cast<double>(n);
-  const double inv_m = 1.0 / static_cast<double>(m);
-  double dual = 0.0;
-  dual += inv_n * kernels::Sum(f.data(), n);
-  dual += inv_m * kernels::Sum(g.data(), m);
-  dual += lam * (loga[0] + logb[0]);
-  sol.reg_value = dual;
-
-  // Truncated sparse plan: exact factored values on a nearest-neighbor
-  // support, then alternating marginal renormalization (cols, rows — ending
-  // on rows, so row sums equal a_i exactly). The renormalization sweeps are
-  // serial O(nnz): deterministic by construction.
-  SCIS_TRACE_SPAN("sinkhorn.lowrank_plan");
-  Stopwatch plan_watch;
-  const Matrix u = Mul(a, ma);
-  const Matrix v = Mul(b, mb);
-  const size_t topk =
-      std::min<size_t>(m, static_cast<size_t>(std::max(1, opts.plan_topk)));
-  const std::vector<std::vector<size_t>> support =
-      SparseSupport(u, v, topk, index::MixSeed(opts.lowrank_seed, 7));
-
-  std::vector<double> fs(n), gs(m);
-  const double inv_lam = 1.0 / lam;
-  for (size_t i = 0; i < n; ++i) fs[i] = f[i] * inv_lam + loga[i];
-  for (size_t j = 0; j < m; ++j) gs[j] = g[j] * inv_lam + logb[j];
-
-  std::vector<size_t> row_ptr(n + 1, 0);
-  for (size_t i = 0; i < n; ++i) row_ptr[i + 1] = row_ptr[i] + support[i].size();
-  const size_t nnz = row_ptr[n];
-  std::vector<size_t> cols(nnz);
-  std::vector<double> vals(nnz);
-  runtime::ParallelFor(
-      0, n, runtime::GrainForWork(n, topk * r), [&](size_t ib, size_t ie) {
-        for (size_t i = ib; i < ie; ++i) {
-          const double* eu_row = factor.logu.row_data(i);
-          size_t t = row_ptr[i];
-          for (const size_t j : support[i]) {
-            const double logk = kernels::LowRankLogKernel(
-                eu_row, factor.logv.row_data(j), r);
-            cols[t] = j;
-            vals[t] = kernels::ExpD(fs[i] + gs[j] + logk);
-            ++t;
-          }
-        }
-      });
-
-  // Marginal renormalization of the truncated plan — Sinkhorn matrix
-  // scaling restricted to the kept support, O(nnz) per round, ending on a
-  // row pass so row sums equal a_i exactly.
-  constexpr int kBalanceRounds = 20;
-  std::vector<double> colsum(m);
-  for (int round = 0; round < kBalanceRounds; ++round) {
-    std::fill(colsum.begin(), colsum.end(), 0.0);
-    for (size_t t = 0; t < nnz; ++t) colsum[cols[t]] += vals[t];
-    for (size_t j = 0; j < m; ++j) {
-      colsum[j] = colsum[j] > 0.0 ? inv_m / colsum[j] : 0.0;
-    }
-    for (size_t t = 0; t < nnz; ++t) vals[t] *= colsum[cols[t]];
-    for (size_t i = 0; i < n; ++i) {
-      const double rsum =
-          kernels::Sum(vals.data() + row_ptr[i], row_ptr[i + 1] - row_ptr[i]);
-      if (rsum <= 0.0) continue;
-      kernels::ScaleInPlace(vals.data() + row_ptr[i], inv_n / rsum,
-                            row_ptr[i + 1] - row_ptr[i]);
-    }
-  }
-
-  // Transport cost against the TRUE masked cost on the support (the plan is
-  // what DIM's gradient consumes; its cost pairs O(nnz·d) work).
-  const size_t d = u.cols();
-  double tcost = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    const double* ui = u.row_data(i);
-    double row_acc = 0.0;
-    for (size_t t = row_ptr[i]; t < row_ptr[i + 1]; ++t) {
-      const double* vj = v.row_data(cols[t]);
-      double c = 0.0;
-      for (size_t k = 0; k < d; ++k) {
-        const double diff = ui[k] - vj[k];
-        c += diff * diff;
-      }
-      row_acc += vals[t] * c;
-    }
-    tcost += row_acc;
-  }
-  sol.transport_cost = tcost;
-
-  std::vector<Edge> edges;
-  edges.reserve(nnz);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t t = row_ptr[i]; t < row_ptr[i + 1]; ++t) {
-      edges.push_back(Edge{i, cols[t], vals[t]});
-    }
-  }
-  sol.sparse_plan = SparseMatrix(n, m, std::move(edges));
-  metrics.plan_ns->Add(
-      static_cast<uint64_t>(plan_watch.ElapsedSeconds() * 1e9));
-  sol.f = std::move(f);
-  sol.g = std::move(g);
-  return sol;
-}
-
 }  // namespace
-
-int ResolveSinkhornRank(const SinkhornOptions& opts, size_t n, size_t m) {
-  if (opts.rank == 0) return 0;
-  if (opts.rank > 0) return opts.rank;
-  // kAutoRank: dense for small problems, √-scaled landmark count above the
-  // threshold (clamped — past ~256 landmarks the factor build dominates).
-  const size_t big = std::max(n, m);
-  if (big < opts.lowrank_min_rows) return 0;
-  const int r = static_cast<int>(2.0 * std::sqrt(static_cast<double>(big)));
-  return std::clamp(r, 64, 256);
-}
 
 SinkhornSolution SolveSinkhorn(const Matrix& cost,
                                const SinkhornOptions& opts) {
@@ -541,14 +236,11 @@ Result<SinkhornSolution> SolveSinkhornWeighted(const Matrix& cost,
 SinkhornSolution SolveSinkhornMasked(const Matrix& a, const Matrix& ma,
                                      const Matrix& b, const Matrix& mb,
                                      const SinkhornOptions& opts) {
-  SCIS_CHECK(a.SameShape(ma));
-  SCIS_CHECK(b.SameShape(mb));
-  SCIS_CHECK_EQ(a.cols(), b.cols());
-  const int rank = ResolveSinkhornRank(opts, a.rows(), b.rows());
-  if (rank <= 0) {
-    return SolveSinkhorn(MaskedCostMatrix(a, ma, b, mb), opts);
-  }
-  return SolveSinkhornLowRank(a, ma, b, mb, rank, opts);
+  const Matrix cost = [&] {
+    SCIS_TRACE_SPAN("ot.masked_cost");
+    return MaskedCostMatrix(a, ma, b, mb);
+  }();
+  return SolveSinkhorn(cost, opts);
 }
 
 }  // namespace scis

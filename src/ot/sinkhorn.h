@@ -6,88 +6,39 @@
 // entropy Σ P log P, not KL against the product measure (the two differ by
 // a constant given the marginals).
 //
-// Two execution paths share this API:
-//   * dense (rank = 0): the historic exact solver — O(n·m) per iteration
-//     over the materialized cost matrix;
-//   * low-rank (rank > 0 or kAutoRank above the size threshold): a
-//     landmark factorization of the Gibbs kernel (ot/lowrank_cost.h) with
-//     O((n+m)·r) iterations and a truncated sparse plan, entered through
-//     SolveSinkhornMasked. The dense path is untouched — rank = 0 output
-//     is bit-identical to the pre-low-rank solver.
+// The solver is dense and exact: O(n·m) per iteration over the
+// materialized cost matrix. DIM solves 128-row minibatches, where a
+// sub-quadratic approximation has nothing to win.
 #ifndef SCIS_OT_SINKHORN_H_
 #define SCIS_OT_SINKHORN_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "common/status.h"
 #include "tensor/matrix.h"
-#include "tensor/sparse.h"
 
 namespace scis {
 
 struct SinkhornOptions {
-  // Sentinel for `rank`: choose dense-vs-low-rank (and the rank itself)
-  // from the problem size.
-  static constexpr int kAutoRank = -1;
-
   double lambda = 1.0;   // entropic regularization weight λ (> 0)
   int max_iters = 300;   // cap on Sinkhorn iterations
   // Convergence: sup-norm movement of the row potential per iteration,
   // relative to λ. Small potential movement implies small marginal
   // violation (and is O(n) to track instead of O(n·m)).
   double tol = 1e-9;
-  // ε-scaling (Schmitzer-style warm start): position the potentials
-  // through a geometric ladder of regularization weights λ·2^{k}…λ before
-  // the final solve. Removes the initial transient; note the asymptotic
-  // per-iteration contraction is set by the final λ, so at tight
-  // tolerances the total iteration count is similar — the win is at loose
-  // tolerances and as a numerical safeguard for extreme cost/λ ratios.
-  bool epsilon_scaling = false;
-  int scaling_steps = 4;
-
-  // ---- low-rank (sub-quadratic) path; consumed by SolveSinkhornMasked ----
-  // 0: dense exact solver, bit-identical to the historic behavior.
-  // > 0: force the landmark-factored solver at this rank.
-  // kAutoRank: dense below lowrank_min_rows, else rank ≈ 2√max(n,m)
-  // clamped to [64, 256].
-  int rank = 0;
-  // Auto-selection threshold: with rank == kAutoRank, problems whose larger
-  // side is below this stay on the dense exact path.
-  size_t lowrank_min_rows = 4096;
-  // Sparse-plan truncation: nearest-support entries kept per source row
-  // before marginal renormalization (clamped to the column count).
-  int plan_topk = 32;
-  // Drives landmark selection and calibration probes — the low-rank path
-  // is a pure function of (inputs, options), bit-identical across thread
-  // counts like the dense path.
-  uint64_t lowrank_seed = 0xC057;
 };
 
-// Resolved execution rank for an (n, m) problem: 0 = dense, else the
-// landmark count the low-rank path will use. Exposed for tests and benches.
-int ResolveSinkhornRank(const SinkhornOptions& opts, size_t n, size_t m);
-
 struct SinkhornSolution {
-  Matrix plan;              // optimal transport plan P* (n x m); empty on
-                            // the low-rank path (use sparse_plan)
+  Matrix plan;              // optimal transport plan P* (n x m)
   double transport_cost;    // <P*, C>
   double reg_value;         // <P*, C> + λ Σ P log P  (the OT_λ value)
   std::vector<double> f;    // dual potential over rows
   std::vector<double> g;    // dual potential over cols
   int iters = 0;            // iterations actually run
   bool converged = false;
-
-  // Low-rank path outputs: the truncated plan (top-k support per row,
-  // marginals renormalized — row sums exactly a_i) and the rank used.
-  // low_rank == false ⇒ sparse_plan is empty and `plan` is dense.
-  SparseMatrix sparse_plan;
-  bool low_rank = false;
-  int rank_used = 0;
 };
 
-// Uniform-marginal solve: a_i = 1/n, b_j = 1/m. Always dense (the cost is
-// already materialized); `rank` is ignored here.
+// Uniform-marginal solve: a_i = 1/n, b_j = 1/m.
 SinkhornSolution SolveSinkhorn(const Matrix& cost,
                                const SinkhornOptions& opts);
 
@@ -101,9 +52,8 @@ Result<SinkhornSolution> SolveSinkhornWeighted(const Matrix& cost,
                                                const SinkhornOptions& opts);
 
 // Masked OT entry point: solves OT_λ over the Def.-2 masking cost between
-// (a, ma) and (b, mb) with uniform marginals, WITHOUT materializing the
-// n×m cost when the low-rank path is selected (see SinkhornOptions::rank).
-// rank 0 is exactly MaskedCostMatrix + SolveSinkhorn (bit-identical).
+// (a, ma) and (b, mb) with uniform marginals — exactly
+// SolveSinkhorn(MaskedCostMatrix(a, ma, b, mb), opts).
 SinkhornSolution SolveSinkhornMasked(const Matrix& a, const Matrix& ma,
                                      const Matrix& b, const Matrix& mb,
                                      const SinkhornOptions& opts);

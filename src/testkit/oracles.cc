@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <limits>
 
 #include "common/check.h"
 #include "tensor/matrix_ops.h"
@@ -141,31 +140,6 @@ double OracleMsDivergence(const Matrix& xbar, const Matrix& x, const Matrix& m,
   const double aa = SolveEntropicOtOracle(cost_aa, lambda).reg_value;
   const double bb = SolveEntropicOtOracle(cost_bb, lambda).reg_value;
   return 2.0 * ab - aa - bb;
-}
-
-double EntropicOtGapBound(const Matrix& exact_cost,
-                          const Matrix& approx_cost) {
-  SCIS_CHECK(exact_cost.SameShape(approx_cost));
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  const double* c = exact_cost.data();
-  const double* ct = approx_cost.data();
-  for (size_t t = 0; t < exact_cost.size(); ++t) {
-    const double d = ct[t] - c[t];
-    lo = std::min(lo, d);
-    hi = std::max(hi, d);
-  }
-  // bound(c) = max(|lo − c|, |hi − c|) + |c|, minimized over candidate
-  // shifts. The sup-norm term is piecewise linear in c with its minimum at
-  // the interval midpoint; adding |c| keeps the optimum at one of these
-  // four points.
-  const double candidates[] = {0.0, 0.5 * (lo + hi), lo, hi};
-  double best = std::numeric_limits<double>::infinity();
-  for (const double cand : candidates) {
-    const double sup = std::max(std::abs(lo - cand), std::abs(hi - cand));
-    best = std::min(best, sup + std::abs(cand));
-  }
-  return best;
 }
 
 std::vector<double> NumericDimLossGrad(GenerativeImputer& model,

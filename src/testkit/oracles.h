@@ -1,6 +1,6 @@
 // Slow reference oracles for differential testing. Each oracle is an
 // independent, deliberately naive implementation of math the production
-// code optimizes (blocked/parallel kernels, warm-started log-domain
+// code optimizes (blocked/parallel kernels, fused log-domain
 // Sinkhorn, analytic Prop.-1 gradients, Hutchinson-probed curvature), so a
 // bug has to appear in two unrelated implementations to slip through.
 // Oracles are serial and unoptimized; keep instances tiny.
@@ -46,7 +46,7 @@ struct OtOracle {
 
 // Entropic OT with uniform marginals via the textbook log-domain fixed
 // point φ_i = log aᵢ − LSE_j(ψ_j − C_ij/λ), iterated to ~machine precision.
-// No ε-scaling, no warm start, no early exit heuristics.
+// No warm start, no early exit heuristics.
 OtOracle SolveEntropicOtOracle(const Matrix& cost, double lambda,
                                int max_iters = 20000, double tol = 1e-13);
 
@@ -54,20 +54,6 @@ OtOracle SolveEntropicOtOracle(const Matrix& cost, double lambda,
 // masked costs: 2·OT(x̄,x) − OT(x̄,x̄) − OT(x,x).
 double OracleMsDivergence(const Matrix& xbar, const Matrix& x, const Matrix& m,
                           double lambda);
-
-// Rigorous a-priori bound on the entropic-OT objective gap between an exact
-// cost C and an approximation C̃ (e.g. the low-rank effective cost):
-//
-//   |OT_λ(C̃) − OT_λ(C)| ≤ min_c ( ‖C̃ − C − c·11ᵀ‖∞ + |c| )
-//
-// Proof sketch: OT_λ is 1-Lipschitz in the sup norm (the optimal plans have
-// total mass 1, so swapping costs moves the objective by at most the
-// entrywise gap in either direction), and OT_λ(C + c·11ᵀ) = OT_λ(C) + c
-// with an unchanged plan. The minimization over the shift c makes the bound
-// invariant to the calibration constant the low-rank builder folds in; it
-// is evaluated in closed form at c* = (min D + max D)/2 of D = C̃ − C when
-// that beats c = 0 / c = min D / c = max D. O(n·m).
-double EntropicOtGapBound(const Matrix& exact_cost, const Matrix& approx_cost);
 
 // Central-difference gradient of the DIM evaluation loss
 // (DimTrainer::EvalLoss: MsLoss through the generator) with respect to the

@@ -53,7 +53,6 @@ TEST(NightlyFuzzTest, SinkhornOracleLongFuzz) {
         opts.lambda = lambda;
         opts.max_iters = 20000;
         opts.tol = 1e-13;
-        opts.epsilon_scaling = (seed % 2 == 1);
         const SinkhornSolution fast = SolveSinkhorn(cost, opts);
         const testkit::OtOracle slow =
             testkit::SolveEntropicOtOracle(cost, lambda);
@@ -94,37 +93,10 @@ TEST(NightlyFuzzTest, MsDivergenceGradLongFuzz) {
       opts);
 }
 
-TEST(NightlyFuzzTest, SinkhornLowRankEdgeLongFuzz) {
+TEST(NightlyFuzzTest, SinkhornEdgeLongFuzz) {
   testkit::PropertyOptions opts;
-  opts.iterations = NightlyIters(/*scale=*/2);  // two solves per seed
-  CHECK_PROPERTY("nightly_sinkhorn_lowrank_edge", SinkhornEdgeCaseProperty,
-                 opts);
-}
-
-// Large-n dense-vs-low-rank agreement: at problem sizes where the dense
-// solver is still tractable but well past minibatch scale, the factored
-// objective must stay within the ISSUE's 1e-2 relative budget of the exact
-// one. Runs once per nightly (the dense arm is the expensive part).
-TEST(NightlyFuzzTest, SinkhornLowRankLargeNAgreement) {
-  Rng rng(97);
-  const size_t n = 1500, m = 1500, d = 6;
-  const Matrix a = rng.UniformMatrix(n, d, 0.0, 1.0);
-  const Matrix b = rng.UniformMatrix(m, d, 0.0, 1.0);
-  const Matrix ma = rng.BernoulliMatrix(n, d, 0.8);
-  const Matrix mb = rng.BernoulliMatrix(m, d, 0.8);
-  SinkhornOptions opts;
-  opts.lambda = 5.0;
-  opts.max_iters = 2000;
-  opts.tol = 1e-9;
-  opts.rank = 0;
-  const SinkhornSolution dense = SolveSinkhornMasked(a, ma, b, mb, opts);
-  opts.rank = 96;
-  const SinkhornSolution lr = SolveSinkhornMasked(a, ma, b, mb, opts);
-  ASSERT_TRUE(lr.low_rank);
-  EXPECT_TRUE(dense.converged);
-  EXPECT_TRUE(lr.converged);
-  EXPECT_LE(std::abs(lr.reg_value - dense.reg_value),
-            1e-2 * (1.0 + std::abs(dense.reg_value)));
+  opts.iterations = NightlyIters();
+  CHECK_PROPERTY("nightly_sinkhorn_edge", SinkhornEdgeCaseProperty, opts);
 }
 
 TEST(NightlyFuzzTest, DatasetGeneratorAlwaysValidates) {

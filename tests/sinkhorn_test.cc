@@ -1,14 +1,24 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <limits>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "common/status.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "ot/divergence.h"
 #include "ot/masked_cost.h"
 #include "ot/sinkhorn.h"
 #include "runtime/runtime.h"
 #include "tensor/matrix_ops.h"
 #include "tensor/rng.h"
+#include "testkit/gtest_glue.h"
+#include "fuzz_common.h"
 
 namespace scis {
 namespace {
@@ -71,6 +81,37 @@ TEST(SinkhornTest, WeightedMarginals) {
   double c1 = s.plan(0, 1) + s.plan(1, 1);
   EXPECT_NEAR(r0, 0.7, 1e-8);
   EXPECT_NEAR(c1, 0.6, 1e-8);
+}
+
+TEST(SinkhornTest, WeightedRejectsInvalidMarginals) {
+  Matrix c{{0.0, 1.0}, {1.0, 0.0}};
+  SinkhornOptions opts;
+  opts.lambda = 0.5;
+
+  auto expect_invalid = [&](const std::vector<double>& a,
+                            const std::vector<double>& b, const char* what) {
+    const Result<SinkhornSolution> res = SolveSinkhornWeighted(c, a, b, opts);
+    ASSERT_FALSE(res.ok()) << what;
+    EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument) << what;
+  };
+
+  expect_invalid({0.7, 0.3, 0.1}, {0.5, 0.5}, "wrong row-marginal size");
+  expect_invalid({0.7, 0.3}, {0.5}, "wrong col-marginal size");
+  expect_invalid({-0.2, 1.2}, {0.5, 0.5}, "negative entry");
+  expect_invalid({0.0, 1.0}, {0.5, 0.5}, "zero entry");
+  expect_invalid({std::nan(""), 0.5}, {0.5, 0.5}, "NaN entry");
+  expect_invalid({0.5, 0.5},
+                 {std::numeric_limits<double>::infinity(), 0.5}, "inf entry");
+  expect_invalid({0.6, 0.3}, {0.5, 0.5}, "rows do not sum to 1");
+  expect_invalid({0.5, 0.5}, {0.8, 0.8}, "cols do not sum to 1");
+
+  // Regression guard: valid marginals still solve (and keep solving after
+  // the Result<> migration).
+  const Result<SinkhornSolution> ok =
+      SolveSinkhornWeighted(c, {0.7, 0.3}, {0.4, 0.6}, opts);
+  ASSERT_TRUE(ok.ok());
+  EXPECT_TRUE(ok->converged);
+  EXPECT_NEAR(ok->plan(0, 0) + ok->plan(0, 1), 0.7, 1e-8);
 }
 
 TEST(SinkhornTest, LargeLambdaApproachesIndependentPlan) {
@@ -155,10 +196,23 @@ TEST(MaskedCostTest, MaskedCoordinatesIgnored) {
   EXPECT_NEAR(c1(0, 0), c2(0, 0), 1e-12);
 }
 
+// Occurrences of a span name in a Chrome trace written by obs::WriteTrace.
+int CountTraceSpans(const std::string& json, const std::string& name) {
+  const std::string key = "\"name\":\"" + name + "\"";
+  int count = 0;
+  for (size_t at = json.find(key); at != std::string::npos;
+       at = json.find(key, at + key.size())) {
+    ++count;
+  }
+  return count;
+}
+
 // Work counters must be a pure function of the input, never of the thread
 // count: the runtime chunks deterministically, so the solves/iterations the
 // instrumentation records at --threads=1 and --threads=N are identical.
-// Wall-clock counters (plan_recovery_ns) are deliberately excluded.
+// Wall-clock counters (plan_recovery_ns) are deliberately excluded. The
+// traced training divergence must also name its masked cost builds and its
+// envelope gradient, the parts of dim.forward outside the solver spans.
 TEST(SinkhornTest, MetricsDeterministicAcrossThreadCounts) {
   auto run_and_snapshot = [](int threads) {
     runtime::SetNumThreads(threads);
@@ -168,12 +222,14 @@ TEST(SinkhornTest, MetricsDeterministicAcrossThreadCounts) {
     Rng rng(42);
     Matrix x = rng.UniformMatrix(120, 6, 0.0, 1.0);
     Matrix cost = PairwiseSquaredDistances(x, x);
-    SinkhornOptions opts = Opts(1.0, 60);
-    opts.epsilon_scaling = true;
+    const SinkhornOptions opts = Opts(1.0, 60);
     for (int rep = 0; rep < 3; ++rep) {
       SinkhornSolution s = SolveSinkhorn(cost, opts);
       EXPECT_GT(s.iters, 0);
     }
+    const Matrix m = rng.BernoulliMatrix(32, 6, 0.8);
+    (void)MsDivergenceForTraining(x.RowRange(0, 32), x.RowRange(32, 64), m,
+                                  opts);
     obs::SetTraceEnabled(false);
     return obs::Registry::Global().Snapshot();
   };
@@ -182,9 +238,17 @@ TEST(SinkhornTest, MetricsDeterministicAcrossThreadCounts) {
   obs::MetricsSnapshot four = run_and_snapshot(4);
   EXPECT_GT(four.CounterOr("sinkhorn.solves"), 0u);
   EXPECT_GT(obs::TraceSpanCount(), 0u);
-  for (const char* name :
-       {"sinkhorn.solves", "sinkhorn.iterations", "sinkhorn.converged_solves",
-        "sinkhorn.ladder_rungs"}) {
+  const std::string path =
+      ::testing::TempDir() + "scis_sinkhorn_trace_test.json";
+  ASSERT_TRUE(obs::WriteTrace(path).ok());
+  std::ifstream in(path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  std::remove(path.c_str());
+  EXPECT_EQ(CountTraceSpans(buf.str(), "ot.masked_cost"), 2);
+  EXPECT_EQ(CountTraceSpans(buf.str(), "ot.envelope_grad"), 1);
+  for (const char* name : {"sinkhorn.solves", "sinkhorn.iterations",
+                           "sinkhorn.converged_solves"}) {
     EXPECT_EQ(one.CounterOr(name), four.CounterOr(name)) << name;
   }
   const auto& h1 = one.histograms.at("sinkhorn.iters_per_solve");
@@ -195,6 +259,25 @@ TEST(SinkhornTest, MetricsDeterministicAcrossThreadCounts) {
   obs::ClearTrace();
   obs::Registry::Global().Reset();
   runtime::SetNumThreads(0);  // restore the env/hardware default
+}
+
+// Tier-1 slice of the edge-case property (the nightly suite runs it long),
+// plus replay of every seed that ever exposed a bug.
+TEST(SinkhornEdgeFuzzTest, EdgeCaseFuzz) {
+  testkit::PropertyOptions opts;
+  opts.iterations = 25;  // every scenario × both λ branches
+  CHECK_PROPERTY("sinkhorn_edge_cases", SinkhornEdgeCaseProperty, opts);
+}
+
+TEST(SinkhornEdgeFuzzTest, EdgeCaseCorpusReplays) {
+  const std::vector<uint64_t> seeds = LoadSeedCorpus(
+      std::string(SCIS_TEST_CORPUS_DIR) + "/sinkhorn_edge_seeds.txt");
+  ASSERT_FALSE(seeds.empty()) << "corpus file missing or empty";
+  for (const uint64_t seed : seeds) {
+    const testkit::PropertyStatus status = SinkhornEdgeCaseProperty(seed);
+    EXPECT_TRUE(status.ok)
+        << "corpus seed " << seed << " regressed: " << status.message;
+  }
 }
 
 }  // namespace

@@ -104,7 +104,6 @@ TEST(OracleDiffTest, SinkhornMatchesBruteForceOracleAcrossLambdaLadder) {
     opts.lambda = lambda;
     opts.max_iters = 20000;
     opts.tol = 1e-13;
-    opts.epsilon_scaling = (seed % 2 == 1);
     const SinkhornSolution fast = SolveSinkhorn(cost, opts);
     const testkit::OtOracle slow = testkit::SolveEntropicOtOracle(cost, lambda);
     PROP_CHECK_MSG(slow.converged, "oracle did not converge");

@@ -7,7 +7,6 @@
 #include "eval/metrics.h"
 #include "models/mean_imputer.h"
 #include "models/xgb_imputer.h"
-#include "ot/sinkhorn.h"
 #include "tensor/matrix_ops.h"
 
 namespace scis {
@@ -96,43 +95,6 @@ TEST(XgbImputerTest, BeatsMeanOnCorrelatedData) {
       MaskedRmse(mean.Impute(train), truth, h.eval_mask);
   const double rmse_xgb = MaskedRmse(xgb.Impute(train), truth, h.eval_mask);
   EXPECT_LT(rmse_xgb, 0.7 * rmse_mean);
-}
-
-TEST(EpsilonScalingTest, SameSolutionAtSmallLambda) {
-  Rng rng(5);
-  Matrix x = rng.UniformMatrix(24, 4, 0, 1);
-  Matrix cost = PairwiseSquaredDistances(x, x);
-  SinkhornOptions plain;
-  plain.lambda = 0.05;
-  plain.max_iters = 20000;
-  plain.tol = 1e-7;
-  SinkhornOptions scaled = plain;
-  scaled.epsilon_scaling = true;
-  scaled.scaling_steps = 5;
-  SinkhornSolution a = SolveSinkhorn(cost, plain);
-  SinkhornSolution b = SolveSinkhorn(cost, scaled);
-  ASSERT_TRUE(a.converged);
-  ASSERT_TRUE(b.converged);
-  EXPECT_NEAR(a.reg_value, b.reg_value, 1e-5);
-  EXPECT_TRUE(a.plan.AllClose(b.plan, 1e-5));
-  // The warm start removes the initial transient; at tight tolerance the
-  // total count is governed by λ's contraction rate, so just require the
-  // ladder not to cost materially more.
-  EXPECT_LT(b.iters, static_cast<int>(1.3 * a.iters));
-}
-
-TEST(EpsilonScalingTest, HarmlessAtLargeLambda) {
-  Rng rng(6);
-  Matrix x = rng.UniformMatrix(16, 3, 0, 1);
-  Matrix cost = PairwiseSquaredDistances(x, x);
-  SinkhornOptions opts;
-  opts.lambda = 130.0;
-  opts.epsilon_scaling = true;
-  SinkhornSolution s = SolveSinkhorn(cost, opts);
-  EXPECT_TRUE(s.converged);
-  double row0 = 0;
-  for (size_t j = 0; j < 16; ++j) row0 += s.plan(0, j);
-  EXPECT_NEAR(row0, 1.0 / 16.0, 1e-8);
 }
 
 }  // namespace
