@@ -1,7 +1,7 @@
 // scis_client — command-line client for scis_serve.
 //
-//   scis_client --port 4821 --input data.csv --output imputed.csv \
-//               [--host 127.0.0.1] [--port_file serve.port] \
+//   scis_client --port 4821 --input data.csv --output imputed.csv
+//               [--host 127.0.0.1] [--port_file serve.port]
 //               [--rows_per_request 16] [--ping] [--shutdown]
 //
 // Reads an incomplete CSV, sends its rows to the server in request-sized

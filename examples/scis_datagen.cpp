@@ -1,7 +1,7 @@
 // scis_datagen — emit the Table-II-shaped synthetic datasets as CSV, for
 // use with scis_impute or external tools:
 //
-//   scis_datagen --dataset Trial --scale 0.5 --output trial.csv \
+//   scis_datagen --dataset Trial --scale 0.5 --output trial.csv
 //                [--labels trial_labels.csv] [--complete trial_full.csv]
 //
 // The incomplete CSV uses empty fields for missing cells. `--complete`

@@ -1,8 +1,8 @@
 // scis_impute — command-line imputation of a CSV file.
 //
-//   scis_impute --input data.csv --output imputed.csv \
-//               [--method SCIS-GAIN|GAIN|GINN|MICE|MissF|...] \
-//               [--epochs 30] [--epsilon 0.001] [--n0 500] [--seed 7] \
+//   scis_impute --input data.csv --output imputed.csv
+//               [--method SCIS-GAIN|GAIN|GINN|MICE|MissF|...]
+//               [--epochs 30] [--epsilon 0.001] [--n0 500] [--seed 7]
 //               [--threads 0] [--save_params model.bin]
 //
 // Missing cells are empty fields / NA / nan / null. The pipeline is the

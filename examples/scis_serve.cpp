@@ -1,10 +1,10 @@
 // scis_serve — online imputation server (event-driven).
 //
-//   scis_serve --params a.bin[,b.bin,...] \
-//              [--host 127.0.0.1] [--port 0] [--port_file serve.port] \
-//              [--threads 0] [--max_batch_rows 64] [--max_wait_ms 2] \
-//              [--max_queue_rows 1024] [--request_timeout_ms 0] \
-//              [--index train.annidx] [--retrieval_k 10] \
+//   scis_serve --params a.bin[,b.bin,...]
+//              [--host 127.0.0.1] [--port 0] [--port_file serve.port]
+//              [--threads 0] [--max_batch_rows 64] [--max_wait_ms 2]
+//              [--max_queue_rows 1024] [--request_timeout_ms 0]
+//              [--index train.annidx] [--retrieval_k 10]
 //              [--retrieval_blend 0.5] [--report-out report.json]
 //
 // Maps one or more self-contained checkpoints written by

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "kernels/arena.h"
 #include "kernels/elementwise.h"
 #include "kernels/linear.h"
 #include "kernels/lse.h"
@@ -126,6 +127,20 @@ void SinkMatMulTransA(Tape& t, Var dst, const Matrix& a, const Matrix& g) {
   });
   t.Recycle(std::move(bp));
   t.AccumulateGrad(dst, std::move(out));
+}
+
+// out = log(1+e^a), overflow-safe; the one softplus forward the tape op
+// and FusedLinearForward share. out may alias a.
+void SoftplusInto(const Matrix& a, Matrix* out) {
+  const double* pa = a.data();
+  double* po = out->data();
+  runtime::ParallelFor(0, a.size(), MapGrain(a.size()),
+                       [&](size_t kb, size_t ke) {
+                         for (size_t k = kb; k < ke; ++k) {
+                           const double v = pa[k];
+                           po[k] = v > 30 ? v : std::log1p(std::exp(v));
+                         }
+                       });
 }
 
 kernels::Act ToKernelAct(Activation act) {
@@ -550,16 +565,7 @@ Var Softplus(Var a) {
   Tape* t = a.tape();
   const Matrix& av = a.value();
   Matrix out = t->Temp(av.rows(), av.cols());
-  const double* pa = av.data();
-  double* po = out.data();
-  runtime::ParallelFor(0, av.size(), MapGrain(av.size()),
-                       [&](size_t kb, size_t ke) {
-                         for (size_t k = kb; k < ke; ++k) {
-                           const double v = pa[k];
-                           // log(1+e^v), overflow-safe.
-                           po[k] = v > 30 ? v : std::log1p(std::exp(v));
-                         }
-                       });
+  SoftplusInto(av, &out);
   // d/dx softplus = sigmoid(x); recomputed in backward from the input (the
   // historic code precomputed the same SigmoidArray values at node build).
   return t->Node(std::move(out), {a},
@@ -769,10 +775,43 @@ Var RowLogSumExp(Var a) {
                  });
 }
 
+void FusedLinearForward(const Matrix& x, const double* w, const double* b,
+                        Activation act, Matrix* out) {
+  const size_t m = x.rows(), k = x.cols(), n = out->cols();
+  SCIS_CHECK(out->rows() == m);
+  // Softplus has no fused form (see kernels/linear.h): an identity pass,
+  // then the Softplus op's own map, as the tape composes it.
+  const bool softplus = act == Activation::kSoftplus;
+  const kernels::Act ka =
+      softplus ? kernels::Act::kIdentity : ToKernelAct(act);
+  double* y = out->data();
+  const size_t grain =
+      kernels::RowAlignedGrain(runtime::GrainForWork(m, k * n));
+  if (n <= kernels::kSmallNMax) {
+    // Narrow layer: the direct kernel reads W row-major — no pack pass, no
+    // padded panel columns, bit-identical accumulation order.
+    runtime::ParallelFor(0, m, grain, [&](size_t i0, size_t i1) {
+      kernels::LinearForwardRowsSmallN(x.data(), w, b, y, i0, i1, k, n, ka);
+    });
+  } else {
+    kernels::ScopedScratch wp(kernels::PackedSize(k, n));
+    const size_t tiles = kernels::NumPanels(n);
+    runtime::ParallelFor(0, tiles,
+                         runtime::GrainForWork(tiles, k * kernels::kColTile),
+                         [&](size_t t0, size_t t1) {
+                           kernels::PackPanels(w, k, n, t0, t1, wp.data());
+                         });
+    runtime::ParallelFor(0, m, grain, [&](size_t i0, size_t i1) {
+      kernels::LinearForwardRows(x.data(), wp.data(), b, y, i0, i1, k, n, ka);
+    });
+  }
+  if (softplus) SoftplusInto(*out, out);
+}
+
 Var FusedLinear(Var x, Var w, Var b, Activation act) {
   if (act == Activation::kSoftplus) {
-    // No fused form (see kernels/linear.h); the identity-fused node keeps
-    // the pre-activation bit-identical to the unfused composition.
+    // The identity-fused node keeps the pre-activation bit-identical to the
+    // unfused composition, for the Softplus node's backward.
     return Softplus(FusedLinear(x, w, b, Activation::kNone));
   }
   Tape* t = x.tape();
@@ -781,33 +820,9 @@ Var FusedLinear(Var x, Var w, Var b, Activation act) {
   const Matrix& bv = b.value();
   SCIS_CHECK_MSG(xv.cols() == wv.rows(), "MatMul inner dimension mismatch");
   SCIS_CHECK(bv.rows() == 1 && bv.cols() == wv.cols());
-  const size_t m = xv.rows(), k = wv.rows(), n = wv.cols();
   const kernels::Act ka = ToKernelAct(act);
-  Matrix out = t->Temp(m, n);  // fully overwritten by the kernel
-  const size_t grain =
-      kernels::RowAlignedGrain(runtime::GrainForWork(m, k * n));
-  if (n <= kernels::kSmallNMax) {
-    // Narrow layer: the direct kernel reads W row-major — no pack pass, no
-    // padded panel columns, bit-identical accumulation order.
-    runtime::ParallelFor(0, m, grain, [&](size_t i0, size_t i1) {
-      kernels::LinearForwardRowsSmallN(xv.data(), wv.data(), bv.data(),
-                                       out.data(), i0, i1, k, n, ka);
-    });
-  } else {
-    Matrix wp = t->Temp(1, kernels::PackedSize(k, n));
-    const size_t tiles = kernels::NumPanels(n);
-    runtime::ParallelFor(0, tiles,
-                         runtime::GrainForWork(tiles, k * kernels::kColTile),
-                         [&](size_t t0, size_t t1) {
-                           kernels::PackPanels(wv.data(), k, n, t0, t1,
-                                               wp.data());
-                         });
-    runtime::ParallelFor(0, m, grain, [&](size_t i0, size_t i1) {
-      kernels::LinearForwardRows(xv.data(), wp.data(), bv.data(), out.data(),
-                                 i0, i1, k, n, ka);
-    });
-    t->Recycle(std::move(wp));
-  }
+  Matrix out = t->Temp(xv.rows(), wv.cols());  // fully overwritten
+  FusedLinearForward(xv, wv.data(), bv.data(), act, &out);
   return t->Node(
       std::move(out), {x, w, b},
       [x, w, b, ka](Tape& tape, Var self, const Matrix& g) {
@@ -947,13 +962,13 @@ Var WeightedBceLoss(Var p, Var labels, Var weight) {
       });
 }
 
-Var SparseMatMul(const SparseMatrix& a, Var x) {
+Var SparseMatMul(std::shared_ptr<const SparseMatrix> a, Var x) {
   Tape* t = x.tape();
-  const SparseMatrix* ap = &a;
-  return t->Node(a.MatMulDense(x.value()), {x},
-                 [ap, x](Tape& tape, Var, const Matrix& g) {
+  Matrix y = a->MatMulDense(x.value());
+  return t->Node(std::move(y), {x},
+                 [a = std::move(a), x](Tape& tape, Var, const Matrix& g) {
                    if (tape.requires_grad(x))
-                     tape.AccumulateGrad(x, ap->TransposeMatMulDense(g));
+                     tape.AccumulateGrad(x, a->TransposeMatMulDense(g));
                  });
 }
 

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -267,10 +268,18 @@ Var RowLogSumExp(Var a);
 // Forward is a single register-tiled pass over the packed matmul kernel
 // with the bias add and activation applied at the tile store; backward
 // produces dX, dW, db in one sweep from the saved output. Bit-identical to
-// the unfused Apply(act, AddRowBroadcast(MatMul(x, w), b)) composition.
+// the unfused act(AddRowBroadcast(MatMul(x, w), b)) composition.
 // kSoftplus falls back to an unfused activation (its derivative needs the
 // pre-activation, which the fused node does not keep).
 Var FusedLinear(Var x, Var w, Var b, Activation act);
+
+// The forward half of FusedLinear, without a tape: out = act(x·w + b), w a
+// borrowed row-major x.cols() × out->cols() buffer, b its bias row; out
+// (x.rows() rows) is overwritten. FusedLinear runs exactly this (softplus:
+// the Softplus op's map over an identity pass), so a tape-free forward on
+// it equals the tape forward bit for bit, at any thread count.
+void FusedLinearForward(const Matrix& x, const double* w, const double* b,
+                        Activation act, Matrix* out);
 
 // Mean squared error restricted to entries where weight==1 (mask); weight is
 // a constant matrix of the same shape. Divides by the weight sum.
@@ -288,9 +297,10 @@ Var CustomScalarOp(Var input, double value,
 class SparseMatrix;  // tensor/sparse.h
 
 // y = A x for a constant sparse A (no gradient into A); the GCN
-// message-passing step in the GINN generator. The caller must keep `a`
-// alive until Backward() completes.
-Var SparseMatMul(const SparseMatrix& a, Var x);
+// message-passing step in the GINN generator. The backward closure shares
+// ownership of `a`, so it outlives the caller's handle until the tape is
+// cleared.
+Var SparseMatMul(std::shared_ptr<const SparseMatrix> a, Var x);
 
 }  // namespace scis
 

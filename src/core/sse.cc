@@ -188,19 +188,9 @@ double SseEstimator::OutputDistance(GenerativeImputer& model,
                                     const std::vector<double>& theta_b) {
   ParamStore& store = model.generator_params();
   store.FromFlat(theta_a);
-  Tape ta;
-  Matrix xa = model
-                  .ReconstructOnTape(ta, validation.values(),
-                                     validation.mask(), /*train=*/false)
-                  .value();
-  store.CollectGrads();
+  const Matrix xa = model.Reconstruct(validation);
   store.FromFlat(theta_b);
-  Tape tb;
-  Matrix xb = model
-                  .ReconstructOnTape(tb, validation.values(),
-                                     validation.mask(), /*train=*/false)
-                  .value();
-  store.CollectGrads();
+  const Matrix xb = model.Reconstruct(validation);
   // Eq. 4: RMS of m ⊙ (x̄_a − x̄_b) over observed cells.
   double acc = 0.0;
   size_t cnt = 0;

@@ -76,11 +76,7 @@ DownstreamResult EvaluateDownstream(const Matrix& imputed,
     std::copy(imputed.row_data(row), imputed.row_data(row) + d,
               xtest.row_data(r));
   }
-  Tape tape;
-  Matrix pred =
-      net.ForwardDropout(tape, tape.Constant(std::move(xtest)), 0.0, false,
-                         rng)
-          .value();
+  const Matrix pred = net.Infer(xtest);
   DownstreamResult out;
   out.task = task;
   std::vector<double> scores(split.validation.size());

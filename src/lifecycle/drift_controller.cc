@@ -11,6 +11,7 @@
 #include "lifecycle/model_rebuild.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "serve/engine.h"
 
 namespace scis::lifecycle {
 
@@ -134,7 +135,7 @@ Result<DriftController::CheckOutcome> DriftController::RunCheck() {
     }
   }
   Dataset ds("lifecycle", std::move(values), std::move(mask),
-             ColumnsFromMeta(meta_));
+             serve::ColumnsFromMeta(meta_));
   Result<MinMaxNormalizer> norm =
       MinMaxNormalizer::FromStats(meta_.norm_lo, meta_.norm_hi);
   if (!norm.ok()) return norm.status();

@@ -8,19 +8,6 @@
 
 namespace scis::lifecycle {
 
-std::vector<ColumnMeta> ColumnsFromMeta(const CheckpointMeta& meta) {
-  std::vector<ColumnMeta> cols;
-  cols.reserve(meta.columns.size());
-  for (const CheckpointColumn& c : meta.columns) {
-    ColumnMeta m;
-    m.name = c.name;
-    m.kind = static_cast<ColumnKind>(c.kind);
-    m.num_categories = c.num_categories;
-    cols.push_back(std::move(m));
-  }
-  return cols;
-}
-
 Result<std::unique_ptr<GenerativeImputer>> RebuildTrainableModel(
     const Checkpoint& ckpt, uint64_t seed) {
   const size_t d = ckpt.meta.columns.size();

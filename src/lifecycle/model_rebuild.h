@@ -28,10 +28,6 @@ namespace scis::lifecycle {
 Result<std::unique_ptr<GenerativeImputer>> RebuildTrainableModel(
     const Checkpoint& ckpt, uint64_t seed);
 
-// The column metadata a checkpoint describes, in data-module terms (the
-// Dataset shape replayed store rows are wrapped in).
-std::vector<ColumnMeta> ColumnsFromMeta(const CheckpointMeta& meta);
-
 }  // namespace scis::lifecycle
 
 #endif  // SCIS_LIFECYCLE_MODEL_REBUILD_H_

@@ -111,11 +111,8 @@ Status GainImputer::Fit(const Dataset& data) {
 
 Matrix GainImputer::Reconstruct(const Dataset& data) const {
   SCIS_CHECK_MSG(built_, "Reconstruct before Fit");
-  Tape tape;
-  auto* self = const_cast<GainImputer*>(this);
-  return self
-      ->ReconstructOnTape(tape, data.values(), data.mask(), /*train=*/false)
-      .value();
+  // ReconstructOnTape at train=false, without the tape: x̃ = x (no noise).
+  return generator_->Infer(ConcatCols(data.values(), data.mask()));
 }
 
 std::unique_ptr<GenerativeImputer> GainImputer::CloneArchitecture(

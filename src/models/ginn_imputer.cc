@@ -27,40 +27,22 @@ void GinnImputer::EnsureBuilt(size_t d) {
   built_ = true;
 }
 
-Var GinnImputer::GcnForward(Tape& tape, const SparseMatrix& graph,
-                            const Matrix& x, const Matrix& m) {
+Var GinnImputer::GcnForward(Tape& tape, const Matrix& x, const Matrix& m,
+                            std::shared_ptr<const SparseMatrix> graph) const {
+  if (!graph) {
+    graph = std::make_shared<const SparseMatrix>(
+        index::BuildKnnGraphAuto(x, m, opts_.graph_k, opts_.graph));
+  }
   Var xin = tape.Constant(ConcatCols(x, m));
   // Layer 1: relu(Â X W1 + b1); Linear applies W then we propagate with Â.
   Var h = Relu(SparseMatMul(graph, gcn1_->Forward(tape, xin)));
-  Var out = Sigmoid(SparseMatMul(graph, gcn2_->Forward(tape, h)));
-  return out;
+  return Sigmoid(SparseMatMul(std::move(graph), gcn2_->Forward(tape, h)));
 }
 
 Var GinnImputer::ReconstructOnTape(Tape& tape, const Matrix& x,
                                    const Matrix& m, bool /*train*/) {
   EnsureBuilt(x.cols());
-  // Batch-local graph. Ownership: the tape's backward closures reference
-  // it, so it must live past Backward(); stash it on the heap and let the
-  // lambda own it via shared_ptr.
-  auto graph = std::make_shared<SparseMatrix>(
-      index::BuildKnnGraphAuto(x, m, opts_.graph_k, opts_.graph));
-  Var xin = tape.Constant(ConcatCols(x, m));
-  Var w1 = gcn1_->Forward(tape, xin);
-  // Re-implement GcnForward inline so the shared_ptr is captured.
-  Tape* t = &tape;
-  Var h1 = t->Node(graph->MatMulDense(w1.value()), {w1},
-                   [graph, w1](Tape& tp, Var, const Matrix& g) {
-                     if (tp.requires_grad(w1))
-                       tp.AccumulateGrad(w1, graph->TransposeMatMulDense(g));
-                   });
-  Var h = Relu(h1);
-  Var w2 = gcn2_->Forward(tape, h);
-  Var h2 = t->Node(graph->MatMulDense(w2.value()), {w2},
-                   [graph, w2](Tape& tp, Var, const Matrix& g) {
-                     if (tp.requires_grad(w2))
-                       tp.AccumulateGrad(w2, graph->TransposeMatMulDense(g));
-                   });
-  return Sigmoid(h2);
+  return GcnForward(tape, x, m);  // batch-local graph
 }
 
 Status GinnImputer::Fit(const Dataset& data) {
@@ -69,8 +51,9 @@ Status GinnImputer::Fit(const Dataset& data) {
   const size_t n = data.num_rows();
   // Full similarity graph — index-backed above the brute-force threshold,
   // so this step no longer dominates at scale.
-  const SparseMatrix graph = index::BuildKnnGraphAuto(
-      data.values(), data.mask(), opts_.graph_k, opts_.graph);
+  const auto graph = std::make_shared<const SparseMatrix>(
+      index::BuildKnnGraphAuto(data.values(), data.mask(), opts_.graph_k,
+                               opts_.graph));
   const Matrix& x = data.values();
   const Matrix& m = data.mask();
   const Matrix ones = Matrix::Ones(n, data.num_cols());
@@ -80,7 +63,7 @@ Status GinnImputer::Fit(const Dataset& data) {
     // Critic steps: distinguish observed from imputed cells on x̂.
     for (int cstep = 0; cstep < opts_.critic_steps; ++cstep) {
       Tape& tape = critic_tape_;
-      Var xbar = GcnForward(tape, graph, x, m);
+      Var xbar = GcnForward(tape, x, m, graph);
       Var mC = tape.ConstantRef(&m);
       Var xhat = Add(Mul(mC, tape.ConstantRef(&x)),
                      Mul(tape.ConstantRef(&inv_m), xbar));
@@ -95,7 +78,7 @@ Status GinnImputer::Fit(const Dataset& data) {
     // Generator step.
     {
       Tape& tape = gen_tape_;
-      Var xbar = GcnForward(tape, graph, x, m);
+      Var xbar = GcnForward(tape, x, m, graph);
       Var mC = tape.ConstantRef(&m);
       Var xC = tape.ConstantRef(&x);
       Var invC = tape.ConstantRef(&inv_m);
@@ -116,11 +99,8 @@ Status GinnImputer::Fit(const Dataset& data) {
 
 Matrix GinnImputer::Reconstruct(const Dataset& data) const {
   SCIS_CHECK_MSG(built_, "Reconstruct before Fit");
-  auto* self = const_cast<GinnImputer*>(this);
-  const SparseMatrix graph = index::BuildKnnGraphAuto(
-      data.values(), data.mask(), opts_.graph_k, opts_.graph);
   Tape tape;
-  return self->GcnForward(tape, graph, data.values(), data.mask()).value();
+  return GcnForward(tape, data.values(), data.mask()).value();
 }
 
 std::unique_ptr<GenerativeImputer> GinnImputer::CloneArchitecture(

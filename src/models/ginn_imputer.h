@@ -54,9 +54,10 @@ class GinnImputer final : public GenerativeImputer {
 
  private:
   void EnsureBuilt(size_t d);
-  // GCN forward over an externally supplied graph (kept alive by caller).
-  Var GcnForward(Tape& tape, const SparseMatrix& graph, const Matrix& x,
-                 const Matrix& m);
+  // GCN forward over `graph` (which the tape's backward closures share),
+  // or over the kNN graph of (x, m) when none is given.
+  Var GcnForward(Tape& tape, const Matrix& x, const Matrix& m,
+                 std::shared_ptr<const SparseMatrix> graph = nullptr) const;
 
   GinnImputerOptions opts_;
   Rng rng_;

@@ -49,7 +49,9 @@ class GenerativeImputer : public Imputer {
 
   // Builds the reconstruction X̄ of the batch (x, m) on `tape`,
   // differentiable w.r.t. the generator parameters. When `train` is true
-  // the model may inject noise/dropout exactly as during Fit().
+  // the model may inject noise/dropout exactly as during Fit(). At
+  // train=false the value equals Reconstruct() on the same rows bit for
+  // bit, so gradient-free callers (SSE's output distance) use Reconstruct.
   virtual Var ReconstructOnTape(Tape& tape, const Matrix& x, const Matrix& m,
                                 bool train) = 0;
 

@@ -12,14 +12,10 @@ void MlpImputer::BuildModel(size_t d) {
                                Activation::kSigmoid, rng_);
 }
 
-Var MlpImputer::Forward(Tape& tape, const Matrix& x, const Matrix& m,
-                        bool train) {
-  Var xin = tape.Constant(ConcatCols(x, m));
-  return net_->ForwardDropout(tape, xin, opts_.dropout, train, rng_);
-}
-
 Var MlpImputer::BuildLoss(Tape& tape, const Matrix& x, const Matrix& m) {
-  Var pred = Forward(tape, x, m, /*train=*/true);
+  Var xin = tape.Constant(ConcatCols(x, m));
+  Var pred =
+      net_->ForwardDropout(tape, xin, opts_.dropout, /*train=*/true, rng_);
   Var target = tape.Constant(x);
   Var weight = tape.Constant(m);
   return WeightedMseLoss(pred, target, weight);
@@ -27,10 +23,8 @@ Var MlpImputer::BuildLoss(Tape& tape, const Matrix& x, const Matrix& m) {
 
 Matrix MlpImputer::Reconstruct(const Dataset& data) const {
   SCIS_CHECK_MSG(built_, "Reconstruct before Fit");
-  Tape tape;
-  auto* self = const_cast<MlpImputer*>(this);
-  return self->Forward(tape, data.values(), data.mask(), /*train=*/false)
-      .value();
+  // Forward at train=false (dropout is the identity), without the tape.
+  return net_->Infer(ConcatCols(data.values(), data.mask()));
 }
 
 }  // namespace scis

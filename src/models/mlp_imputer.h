@@ -30,8 +30,6 @@ class MlpImputer final : public DeepImputerBase {
   Var BuildLoss(Tape& tape, const Matrix& x, const Matrix& m) override;
 
  private:
-  Var Forward(Tape& tape, const Matrix& x, const Matrix& m, bool train);
-
   MlpImputerOptions mopts_;
   std::unique_ptr<Mlp> net_;
 };

@@ -2,20 +2,18 @@
 
 namespace scis {
 
-Var Apply(Activation act, Var x) {
-  switch (act) {
-    case Activation::kNone:
-      return x;
-    case Activation::kSigmoid:
-      return Sigmoid(x);
-    case Activation::kRelu:
-      return Relu(x);
-    case Activation::kTanh:
-      return Tanh(x);
-    case Activation::kSoftplus:
-      return Softplus(x);
+Matrix InferForward(const std::vector<LayerView>& layers, const Matrix& x) {
+  SCIS_CHECK(!layers.empty());
+  const Matrix* in = &x;
+  Matrix h;
+  for (const LayerView& l : layers) {
+    SCIS_CHECK_EQ(in->cols(), l.in);
+    Matrix y(in->rows(), l.out);
+    FusedLinearForward(*in, l.w, l.b, l.act, &y);
+    h = std::move(y);
+    in = &h;
   }
-  return x;
+  return h;
 }
 
 Linear::Linear(ParamStore* store, const std::string& name, size_t in,
@@ -30,6 +28,10 @@ Var Linear::Forward(Tape& tape, Var x) const {
   Var w = store_->Bind(tape, w_);
   Var b = store_->Bind(tape, b_);
   return FusedLinear(x, w, b, act_);
+}
+
+LayerView Linear::View() const {
+  return {store_->value(w_).data(), store_->value(b_).data(), in_, out_, act_};
 }
 
 Var Dropout(Var x, double rate, bool train, Rng& rng) {
@@ -61,6 +63,13 @@ Var Mlp::Forward(Tape& tape, Var x) const {
   Var h = x;
   for (const Linear& l : layers_) h = l.Forward(tape, h);
   return h;
+}
+
+Matrix Mlp::Infer(const Matrix& x) const {
+  std::vector<LayerView> views;
+  views.reserve(layers_.size());
+  for (const Linear& l : layers_) views.push_back(l.View());
+  return InferForward(views, x);
 }
 
 Var Mlp::ForwardDropout(Tape& tape, Var x, double rate, bool train,

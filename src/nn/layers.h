@@ -1,6 +1,8 @@
 // Neural-network building blocks over the autodiff tape: Linear, Dropout,
 // and the multi-layer perceptron used by every deep imputer in the paper
-// (GAIN/GINN generators & discriminators, AE encoders/decoders, DataWig).
+// (GAIN/GINN generators & discriminators, AE encoders/decoders, DataWig),
+// plus the one tape-free inference forward (InferForward) that imputing,
+// serving and SSE's output distance run.
 #ifndef SCIS_NN_LAYERS_H_
 #define SCIS_NN_LAYERS_H_
 
@@ -16,8 +18,20 @@ namespace scis {
 // Activation is defined in autodiff/tape.h (shared with the fused linear
 // tape op).
 
-// Applies `act` to `x` on x's tape.
-Var Apply(Activation act, Var x);
+// A borrowed fully-connected layer y = act(x W + b): w is an in × out
+// row-major buffer and b its out-long bias, owned elsewhere (a ParamStore,
+// a checkpoint, an mmap-ed file).
+struct LayerView {
+  const double* w = nullptr;
+  const double* b = nullptr;
+  size_t in = 0, out = 0;
+  Activation act = Activation::kNone;
+};
+
+// Inference forward through `layers` without a tape or gradient: each layer
+// runs FusedLinearForward, the forward of the FusedLinear tape op, so the
+// result equals Mlp::Forward on a tape bit for bit at any thread count.
+Matrix InferForward(const std::vector<LayerView>& layers, const Matrix& x);
 
 // Fully-connected layer y = act(x W + b). Parameters are registered in the
 // given ParamStore; Forward binds them on the caller's tape.
@@ -28,6 +42,8 @@ class Linear {
          InitKind init = InitKind::kXavierUniform);
 
   Var Forward(Tape& tape, Var x) const;
+  // Borrowed view of the current parameters, for InferForward.
+  LayerView View() const;
 
   size_t in_dim() const { return in_; }
   size_t out_dim() const { return out_; }
@@ -57,6 +73,9 @@ class Mlp {
   // Forward with dropout `rate` after each hidden activation when training.
   Var ForwardDropout(Tape& tape, Var x, double rate, bool train,
                      Rng& rng) const;
+  // Tape-free Forward over the current parameters (dropout off), through
+  // InferForward.
+  Matrix Infer(const Matrix& x) const;
 
   size_t in_dim() const { return layers_.front().in_dim(); }
   size_t out_dim() const { return layers_.back().out_dim(); }

@@ -8,6 +8,19 @@
 
 namespace scis::serve {
 
+std::vector<ColumnMeta> ColumnsFromMeta(const CheckpointMeta& meta) {
+  std::vector<ColumnMeta> cols;
+  cols.reserve(meta.columns.size());
+  for (const CheckpointColumn& c : meta.columns) {
+    ColumnMeta m;
+    m.name = c.name;
+    m.kind = static_cast<ColumnKind>(c.kind);
+    m.num_categories = c.num_categories;
+    cols.push_back(std::move(m));
+  }
+  return cols;
+}
+
 Result<std::shared_ptr<const ImputationEngine>> ImputationEngine::Load(
     const std::string& path) {
   SCIS_ASSIGN_OR_RETURN(std::shared_ptr<ImputationEngine> engine,
@@ -88,13 +101,15 @@ Result<std::shared_ptr<ImputationEngine>> ImputationEngine::BuildFromCheckpoint(
   // caller's Checkpoint may not outlive the engine. Matrix moves keep their
   // heap buffers, so the views stay valid as owned_ grows.
   engine->owned_.reserve(ckpt.params.size());
-  for (size_t l = 0; l < engine->layers_.size(); ++l) {
-    for (WeightView* v : {&engine->layers_[l].w, &engine->layers_[l].b}) {
-      Matrix copy(v->rows, v->cols);
-      std::copy(v->data, v->data + copy.size(), copy.data());
-      engine->owned_.push_back(std::move(copy));
-      v->data = engine->owned_.back().data();
-    }
+  auto own = [&](const double* data, size_t rows, size_t cols) {
+    Matrix copy(rows, cols);
+    std::copy(data, data + copy.size(), copy.data());
+    engine->owned_.push_back(std::move(copy));
+    return engine->owned_.back().data();
+  };
+  for (LayerView& l : engine->layers_) {
+    l.w = own(l.w, l.in, l.out);
+    l.b = own(l.b, 1, l.out);
   }
   return engine;
 }
@@ -134,14 +149,7 @@ Result<std::shared_ptr<ImputationEngine>> ImputationEngine::BuildFromParts(
   engine->model_ = meta.model;
   engine->lo_ = meta.norm_lo;
   engine->hi_ = meta.norm_hi;
-  engine->columns_.reserve(d);
-  for (const CheckpointColumn& c : meta.columns) {
-    ColumnMeta cm;
-    cm.name = c.name;
-    cm.kind = static_cast<ColumnKind>(c.kind);
-    cm.num_categories = c.num_categories;
-    engine->columns_.push_back(std::move(cm));
-  }
+  engine->columns_ = ColumnsFromMeta(meta);
 
   // Reassemble the generator MLP: (W: in x out, b: 1 x out) pairs chained
   // [x, m] (2d) -> ... -> d, ReLU hidden / sigmoid output (GAIN §VI).
@@ -161,12 +169,10 @@ Result<std::shared_ptr<ImputationEngine>> ImputationEngine::BuildFromParts(
                                      " bias '" + *b.name +
                                      "' does not match its weight");
     }
-    Layer layer;
-    layer.w = {w.data, w.rows, w.cols};
-    layer.b = {b.data, b.rows, b.cols};
-    layer.sigmoid_out = (l + 1 == num_layers);
+    engine->layers_.push_back(
+        {w.data, b.data, w.rows, w.cols,
+         l + 1 == num_layers ? Activation::kSigmoid : Activation::kRelu});
     expect_in = w.cols;
-    engine->layers_.push_back(layer);
   }
   if (expect_in != d) {
     return Status::InvalidArgument("generator output width " +
@@ -208,15 +214,8 @@ Result<Matrix> ImputationEngine::ImputeBatch(const Matrix& rows) const {
     }
   }
 
-  // Generator forward pass through the same kernels nn::Mlp::Forward uses,
-  // so values match the offline tape path bit-for-bit.
-  Matrix h = ConcatCols(x, m);
-  for (const Layer& layer : layers_) {
-    h = AddRowBroadcastView(MatMulView(h, layer.w.data, layer.w.rows,
-                                       layer.w.cols),
-                            layer.b.data);
-    h = layer.sigmoid_out ? Sigmoid(h) : Relu(h);
-  }
+  // The offline tape-free forward, so values match the offline imputer.
+  Matrix h = InferForward(layers_, ConcatCols(x, m));
 
   // Retrieval augmentation: blend each missing cell with the observed-value
   // mean of the k nearest training rows (normalized space, same mask-aware

@@ -7,9 +7,10 @@
 // threads without locking (std::shared_ptr<const ImputationEngine>).
 //
 // Bit-identity contract: ImputeBatch replays the exact offline pipeline —
-// min-max normalize with the stored stats, generator forward pass through
-// the same tensor kernels nn::Mlp uses (MatMul / AddRowBroadcast / Relu /
-// Sigmoid), Eq. 1, inverse transform — and every output row depends only on
+// min-max normalize with the stored stats, the generator forward through
+// nn::InferForward (ReLU hidden layers, sigmoid output; the same fused
+// linear forward GainImputer::Reconstruct and the FusedLinear tape op
+// run), Eq. 1, inverse transform — and every output row depends only on
 // its own input row. Serving a row alone, inside any micro-batch, or via
 // the offline Imputer on the training machine produces bit-identical
 // values; the testkit oracles rely on this. Retrieval augmentation keeps
@@ -25,6 +26,7 @@
 #include "common/status.h"
 #include "data/dataset.h"
 #include "index/ann_index.h"
+#include "nn/layers.h"
 #include "nn/serialize.h"
 #include "tensor/matrix.h"
 
@@ -41,6 +43,9 @@ struct RetrievalOptions {
   size_t max_leaf_visits = 16;  // per-query leaf budget (0 = exact)
   double blend = 0.5;
 };
+
+// The column schema a checkpoint describes, in data-module terms.
+std::vector<ColumnMeta> ColumnsFromMeta(const CheckpointMeta& meta);
 
 class ImputationEngine {
  public:
@@ -81,17 +86,6 @@ class ImputationEngine {
   Result<Matrix> ImputeBatch(const Matrix& rows) const;
 
  private:
-  // A borrowed row-major weight buffer. For checkpoint-built engines it
-  // points into owned_; for mapped engines, straight into the mmap (both
-  // anchored by this object, so views never dangle).
-  struct WeightView {
-    const double* data = nullptr;
-    size_t rows = 0, cols = 0;
-  };
-  struct Layer {
-    WeightView w, b;
-    bool sigmoid_out = false;  // hidden layers are ReLU (GAIN §VI)
-  };
   // One (name, shape, data) triple per parameter — the common input the
   // checkpoint and mmap construction paths both reduce to.
   struct ParamRef {
@@ -119,7 +113,10 @@ class ImputationEngine {
   std::string model_;
   std::vector<ColumnMeta> columns_;
   std::vector<double> lo_, hi_;
-  std::vector<Layer> layers_;
+  // Generator layers. For checkpoint-built engines the views point into
+  // owned_; for mapped engines, straight into the mmap (both anchored by
+  // this object, so views never dangle).
+  std::vector<LayerView> layers_;
   std::vector<Matrix> owned_;  // weight storage for checkpoint-built engines
   std::shared_ptr<const MappedCheckpoint> mapped_;  // anchor for mmap views
   index::AnnIndex index_;  // empty unless retrieval is attached

@@ -35,18 +35,16 @@ Matrix BinaryOp(const Matrix& a, const Matrix& b, double (*op)(double, double)) 
 }
 // Packs the right-hand side into column panels (parallel over panels), the
 // once-per-multiply setup both packed matmul kernels share.
-std::vector<double> PackRhs(const double* b, size_t k, size_t n) {
+std::vector<double> PackRhs(const Matrix& b, size_t k, size_t n) {
   std::vector<double> bp(kernels::PackedSize(k, n));
   const size_t tiles = kernels::NumPanels(n);
   runtime::ParallelFor(0, tiles,
                        runtime::GrainForWork(tiles, k * kernels::kColTile),
                        [&](size_t t0, size_t t1) {
-                         kernels::PackPanels(b, k, n, t0, t1, bp.data());
+                         kernels::PackPanels(b.data(), k, n, t0, t1,
+                                             bp.data());
                        });
   return bp;
-}
-std::vector<double> PackRhs(const Matrix& b, size_t k, size_t n) {
-  return PackRhs(b.data(), k, n);
 }
 
 }  // namespace
@@ -56,10 +54,10 @@ std::vector<double> PackRhs(const Matrix& b, size_t k, size_t n) {
 // rounded to the row-tile size so chunk boundaries coincide with tile
 // boundaries; per-element accumulation order is unchanged from the historic
 // kernels (see matmul.h for the exact determinism/drift statement).
-Matrix MatMulView(const Matrix& a, const double* b, size_t k, size_t n) {
-  SCIS_CHECK_MSG(a.cols() == k, "MatMul inner dimension mismatch");
-  Matrix out(a.rows(), n);
-  const size_t m = a.rows();
+Matrix MatMul(const Matrix& a, const Matrix& b) {
+  SCIS_CHECK_MSG(a.cols() == b.rows(), "MatMul inner dimension mismatch");
+  Matrix out(a.rows(), b.cols());
+  const size_t m = a.rows(), k = b.rows(), n = b.cols();
   const std::vector<double> bp = PackRhs(b, k, n);
   const size_t grain =
       kernels::RowAlignedGrain(runtime::GrainForWork(m, k * n));
@@ -67,10 +65,6 @@ Matrix MatMulView(const Matrix& a, const double* b, size_t k, size_t n) {
     kernels::MatMulRowsPacked(a.data(), bp.data(), out.data(), i0, i1, k, n);
   });
   return out;
-}
-
-Matrix MatMul(const Matrix& a, const Matrix& b) {
-  return MatMulView(a, b.data(), b.rows(), b.cols());
 }
 
 Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
@@ -181,21 +175,18 @@ void MulScalarInPlace(Matrix& a, double s) {
                        });
 }
 
-Matrix AddRowBroadcastView(const Matrix& a, const double* row) {
+Matrix AddRowBroadcast(const Matrix& a, const Matrix& row) {
+  SCIS_CHECK(row.rows() == 1 && row.cols() == a.cols());
   Matrix out = a;
   runtime::ParallelFor(0, a.rows(), runtime::GrainForWork(a.rows(), a.cols()),
                        [&](size_t ib, size_t ie) {
     for (size_t i = ib; i < ie; ++i) {
       double* p = out.row_data(i);
-      for (size_t j = 0; j < a.cols(); ++j) p[j] += row[j];
+      const double* r = row.data();
+      for (size_t j = 0; j < a.cols(); ++j) p[j] += r[j];
     }
   });
   return out;
-}
-
-Matrix AddRowBroadcast(const Matrix& a, const Matrix& row) {
-  SCIS_CHECK(row.rows() == 1 && row.cols() == a.cols());
-  return AddRowBroadcastView(a, row.data());
 }
 
 Matrix MulRowBroadcast(const Matrix& a, const Matrix& row) {

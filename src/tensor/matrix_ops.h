@@ -12,10 +12,6 @@ namespace scis {
 
 // ---- products ----
 Matrix MatMul(const Matrix& a, const Matrix& b);          // a(m,k) * b(k,n)
-// a(m,k) * b(k,n) where b is a borrowed row-major buffer (e.g. weights
-// inside an mmap-ed checkpoint). Shares the packing + kernel path with
-// MatMul, so results are bit-identical to the owning overload.
-Matrix MatMulView(const Matrix& a, const double* b, size_t k, size_t n);
 Matrix MatMulTransA(const Matrix& a, const Matrix& b);    // aᵀ * b
 Matrix MatMulTransB(const Matrix& a, const Matrix& b);    // a * bᵀ
 Matrix Transpose(const Matrix& a);
@@ -38,9 +34,6 @@ void MulScalarInPlace(Matrix& a, double s);
 
 // ---- broadcast: b is 1 x a.cols() (row) or a.rows() x 1 (col) ----
 Matrix AddRowBroadcast(const Matrix& a, const Matrix& row);
-// Borrowed-buffer variant: `row` points at a.cols() doubles. Bit-identical
-// to AddRowBroadcast (same loop), for weights living in mapped checkpoints.
-Matrix AddRowBroadcastView(const Matrix& a, const double* row);
 Matrix MulRowBroadcast(const Matrix& a, const Matrix& row);
 Matrix AddColBroadcast(const Matrix& a, const Matrix& col);
 

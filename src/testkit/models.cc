@@ -36,11 +36,8 @@ Status TinyMlpModel::Fit(const Dataset& data) {
 }
 
 Matrix TinyMlpModel::Reconstruct(const Dataset& data) const {
-  Tape tape;
-  auto* self = const_cast<TinyMlpModel*>(this);
-  return self
-      ->ReconstructOnTape(tape, data.values(), data.mask(), /*train=*/false)
-      .value();
+  SCIS_CHECK_EQ(data.num_cols(), d_);
+  return mlp_->Infer(ConcatCols(data.values(), data.mask()));
 }
 
 Var TinyMlpModel::ReconstructOnTape(Tape& tape, const Matrix& x,

@@ -190,8 +190,10 @@ TEST(GradCheckTest, DeepChain) {
 }
 
 TEST(GradCheckTest, SparseMatMul) {
-  SparseMatrix sp(3, 3,
-                  {{0, 0, 1.0}, {0, 2, 2.0}, {1, 1, -1.0}, {2, 0, 0.5}});
+  auto sp = std::make_shared<const SparseMatrix>(
+      3, 3,
+      std::vector<Edge>{
+          {0, 0, 1.0}, {0, 2, 2.0}, {1, 1, -1.0}, {2, 0, 0.5}});
   Rng rng(9);
   Matrix x0 = rng.NormalMatrix(3, 2);
   CheckGradient(x0, [&](Tape&, Var x) {

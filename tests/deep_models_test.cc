@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "data/missingness.h"
 #include "data/normalizer.h"
@@ -274,6 +275,27 @@ TEST(GinnImputerTest, BatchLocalReconstructOnTape) {
     gnorm += Dot(g, g);
   }
   EXPECT_GT(gnorm, 0.0);
+}
+
+// Reconstruct and ReconstructOnTape at train=false run one GCN forward over
+// the same graph, so SSE may call either.
+TEST(GinnImputerTest, ReconstructMatchesTapeForwardBitExact) {
+  Bench b = MakeBench(96);
+  GinnImputerOptions o;
+  o.deep = FastDeep(2);
+  o.critic_steps = 1;
+  GinnImputer ginn(o);
+  ASSERT_TRUE(ginn.Fit(b.train).ok());
+  const Matrix direct = ginn.Reconstruct(b.train);
+  Tape tape;
+  const Matrix taped = ginn.ReconstructOnTape(tape, b.train.values(),
+                                              b.train.mask(), false)
+                           .value();
+  ginn.generator_params().DropBindings();
+  ASSERT_EQ(direct.size(), taped.size());
+  EXPECT_EQ(std::memcmp(direct.data(), taped.data(),
+                        direct.size() * sizeof(double)),
+            0);
 }
 
 TEST(DeepImputersTest, EmptyDatasetRejected) {

@@ -70,7 +70,9 @@ TEST(MsDivergenceTest, GradientZeroAtMaskedCells) {
   Matrix m = rng.BernoulliMatrix(6, 3, 0.5);
   DivergenceResult r = MsDivergence(xbar, x, m, Opts(0.4), true);
   for (size_t k = 0; k < m.size(); ++k) {
-    if (m.data()[k] == 0.0) EXPECT_DOUBLE_EQ(r.grad_xbar.data()[k], 0.0);
+    if (m.data()[k] == 0.0) {
+      EXPECT_DOUBLE_EQ(r.grad_xbar.data()[k], 0.0);
+    }
   }
 }
 

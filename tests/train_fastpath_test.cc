@@ -5,7 +5,7 @@
 //   * steady-state training steps serve every tape buffer from the pool
 //     (zero new misses after the first step);
 //   * FusedLinear is bit-identical to the unfused
-//     Apply(act, AddRowBroadcast(MatMul(x, w), b)) composition, forward and
+//     act(AddRowBroadcast(MatMul(x, w), b)) composition, forward and
 //     backward, for every activation and across thread counts;
 //   * its analytic gradients agree with central differences.
 #include <gtest/gtest.h>
