@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the kernels that dominate SCIS
 // runtime: Sinkhorn solves, the MS divergence + Prop.-1 gradient, autodiff
 // MLP steps, the GINN kNN graph build, and CART tree fitting. These back
-// the DESIGN.md ablation on log-domain Sinkhorn cost vs λ.
+// the DESIGN.md ablation on kernel-domain Sinkhorn cost vs λ.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -58,8 +58,8 @@ void BM_PairwiseDistances(benchmark::State& state) {
 BENCHMARK(BM_PairwiseDistances)->Arg(128)->Arg(512);
 
 // Sinkhorn iteration cost vs λ: large λ (the paper's 130) converges in a
-// couple of iterations; small λ needs many more — the log-domain solver
-// trades per-iteration cost for unconditional stability.
+// couple of iterations; small λ needs many more, and absorbs scalings into
+// log potentials (rebuilding the Gibbs kernel) once they leave range.
 void BM_Sinkhorn(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const double lambda = static_cast<double>(state.range(1)) / 100.0;

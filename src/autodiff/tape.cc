@@ -1,6 +1,7 @@
 #include "autodiff/tape.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "kernels/arena.h"
@@ -19,7 +20,7 @@ const Matrix& Var::grad() const { return tape_->grad(*this); }
 
 namespace {
 
-uint64_t g_next_tape_id = 1;
+std::atomic<uint64_t> g_next_tape_id{1};
 
 // Same floor as tensor/matrix_ops.cc Log().
 constexpr double kLogFloor = 1e-300;
@@ -162,9 +163,13 @@ kernels::Act ToKernelAct(Activation act) {
 
 }  // namespace
 
-Tape::Tape() : id_(g_next_tape_id++) {}
+Tape::Tape()
+    : generation_(std::make_shared<uint64_t>(g_next_tape_id++)) {}
 
-Tape::~Tape() { ReportPoolStats(); }
+Tape::~Tape() {
+  *generation_ = 0;
+  ReportPoolStats();
+}
 
 Tape::NodeRec& Tape::Push(Matrix value, const Matrix* value_ref,
                           bool requires_grad) {
@@ -305,7 +310,7 @@ void Tape::Clear() {
   nodes_.reserve(high_water_);
   // A cleared tape is a new tape as far as cached bindings are concerned
   // (ParamStore keys on id()).
-  id_ = g_next_tape_id++;
+  *generation_ = g_next_tape_id++;
   ReportPoolStats();
 }
 

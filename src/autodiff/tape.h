@@ -155,7 +155,14 @@ class Tape {
   // ParamStore bindings) must key on this, not the Tape address — stack
   // tapes are routinely destroyed and re-created at the same address, and
   // Clear() bumps the id so recycled tapes shed stale bindings too.
-  uint64_t id() const { return id_; }
+  uint64_t id() const { return *generation_; }
+
+  // The cell id() reads, shared with caches that outlive the tape: it holds
+  // the current id while the tape lives, a fresh one after each Clear(),
+  // and 0 once the tape is destroyed. A cache holding this cell and the id
+  // it recorded can tell a live binding from a stale one without touching
+  // the tape.
+  std::shared_ptr<const uint64_t> generation() const { return generation_; }
 
   // Differentiable leaf (model parameters, inputs we differentiate w.r.t.).
   Var Leaf(Matrix value);
@@ -229,7 +236,7 @@ class Tape {
   // Publishes pool hit/miss deltas to the tape.pool.* obs counters.
   void ReportPoolStats();
 
-  uint64_t id_;
+  std::shared_ptr<uint64_t> generation_;  // current id; 0 once destroyed
   std::vector<NodeRec> nodes_;
   size_t high_water_ = 0;        // node count at the last Clear()
   mutable TapePool pool_;        // mutable: grad() materializes lazily

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 
-#include "kernels/arena.h"
 #include "kernels/elementwise.h"
 #include "kernels/exp.h"
 #include "kernels/lane_reduce.h"
@@ -68,97 +67,6 @@ double SoftmaxRow(const double* __restrict v, size_t n,
   const double sum = LaneSum(acc);
   ScaleInPlace(softmax, 1.0 / sum, n);
   return mx + std::log(sum);
-}
-
-SCIS_KERNEL_CLONES
-double SinkhornDualUpdateRows(const double* __restrict cost, double cost_scale,
-                              const double* __restrict shift, double lam,
-                              size_t r0, size_t r1, size_t cols,
-                              double* __restrict pot) {
-  ScopedScratch scratch(cols);
-  double* __restrict z = scratch.data();
-  double dmax = 0.0;
-  for (size_t i = r0; i < r1; ++i) {
-    const double* __restrict crow = cost + i * cols;
-    // Pass 1: shifted scaled costs into scratch, tracking the lane max.
-    double mx[kLanes];
-    for (size_t l = 0; l < kLanes; ++l) mx[l] = kNegInf;
-    size_t j = 0;
-    for (; j + kLanes <= cols; j += kLanes) {
-      for (size_t l = 0; l < kLanes; ++l) {
-        const double v = shift[j + l] - cost_scale * crow[j + l];
-        z[j + l] = v;
-        mx[l] = mx[l] > v ? mx[l] : v;
-      }
-    }
-    for (size_t l = 0; j < cols; ++j, ++l) {
-      const double v = shift[j] - cost_scale * crow[j];
-      z[j] = v;
-      mx[l] = mx[l] > v ? mx[l] : v;
-    }
-    const double m = LaneMax(mx);
-    double lse;
-    if (!std::isfinite(m)) {
-      lse = m;
-    } else {
-      // Pass 2: max-shifted exp-accumulate out of the L1-hot scratch.
-      double acc[kLanes] = {};
-      j = 0;
-      for (; j + kLanes <= cols; j += kLanes) {
-        for (size_t l = 0; l < kLanes; ++l) acc[l] += ExpD(z[j + l] - m);
-      }
-      for (size_t l = 0; j < cols; ++j, ++l) acc[l] += ExpD(z[j] - m);
-      lse = m + std::log(LaneSum(acc));
-    }
-    const double fnew = -lam * lse;
-    const double d = std::abs(fnew - pot[i]);
-    dmax = dmax > d ? dmax : d;
-    pot[i] = fnew;
-  }
-  return dmax;
-}
-
-SCIS_KERNEL_CLONES
-void SinkhornPlanRows(const double* __restrict cost, double inv_lam,
-                      const double* __restrict fs, const double* __restrict gs,
-                      size_t r0, size_t r1, size_t cols,
-                      double* __restrict plan, double* cost_sum,
-                      double* entropy_sum) {
-  double csum = *cost_sum;
-  double esum = *entropy_sum;
-  for (size_t i = r0; i < r1; ++i) {
-    const double* __restrict crow = cost + i * cols;
-    double* __restrict prow = plan + i * cols;
-    const double fi = fs[i];
-    double cacc[kLanes] = {};
-    double eacc[kLanes] = {};
-    size_t j = 0;
-    for (; j + kLanes <= cols; j += kLanes) {
-      for (size_t l = 0; l < kLanes; ++l) {
-        const double c = crow[j + l];
-        const double zv = fi + gs[j + l] - inv_lam * c;
-        const double p = ExpD(zv);
-        prow[j + l] = p;
-        cacc[l] += p * c;
-        // P·log P with log P = z; the select keeps 0·(-huge) at exactly 0
-        // for plan entries that underflow, matching the historic p > 0
-        // guard.
-        eacc[l] += p > 0.0 ? p * zv : 0.0;
-      }
-    }
-    for (size_t l = 0; j < cols; ++j, ++l) {
-      const double c = crow[j];
-      const double zv = fi + gs[j] - inv_lam * c;
-      const double p = ExpD(zv);
-      prow[j] = p;
-      cacc[l] += p * c;
-      eacc[l] += p > 0.0 ? p * zv : 0.0;
-    }
-    csum += LaneSum(cacc);
-    esum += LaneSum(eacc);
-  }
-  *cost_sum = csum;
-  *entropy_sum = esum;
 }
 
 }  // namespace scis::kernels

@@ -1,23 +1,14 @@
-// Fused log-sum-exp kernels: the Sinkhorn dual update, plan recovery, and
-// the row-softmax used by the autodiff RowLogSumExp op.
+// Fixed-lane log-sum-exp kernels: the max, log-sum-exp and row-softmax
+// behind the autodiff RowLogSumExp op (the IWAE bound of the VAE family).
 //
-// The dual-update kernel is the Sinkhorn hot loop. Instead of the historic
-// per-row pattern (fill a std::vector with (f[i] − C(i,j))/λ + log a[i],
-// then a separate max pass and a scalar-exp sum pass), each row is handled
-// by two vectorized passes over contiguous data:
+// Each reduction makes two vectorized passes over contiguous data — a
+// fixed-lane max, then a max-shifted ExpD accumulate — so nothing calls
+// scalar libm in the inner loop.
 //
-//   pass 1:  z[j] = shift[j] − scale·C(i,j)   (stores z, tracks a lane max)
-//   pass 2:  acc += ExpD(z[j] − max)          (fixed-lane accumulate)
-//
-// with the division by λ replaced by one multiply by a precomputed 1/λ
-// (`scale`), the per-row scratch taken from the per-thread arena instead of
-// a fresh allocation, and the g-update running over a transposed copy of
-// the cost matrix so both updates stream rows contiguously.
-//
-// Determinism: lane association is fixed by the row length (see
-// kernels/elementwise.h), rows are independent, and every exp goes through
-// the single ExpD definition — so results are bit-identical at any thread
-// count as long as callers chunk the row range by shape-derived grains.
+// Determinism: lane association is fixed by the span length (see
+// kernels/elementwise.h) and every exp goes through the single ExpD
+// definition, so results are bit-identical at any thread count as long as
+// callers chunk row ranges by shape-derived grains.
 #ifndef SCIS_KERNELS_LSE_H_
 #define SCIS_KERNELS_LSE_H_
 
@@ -37,28 +28,6 @@ double LogSumExp(const double* v, size_t n);
 // Writes softmax(v) into `softmax[0..n)` and returns log Σ exp(v[j]).
 // Empty span: returns -inf, writes nothing.
 double SoftmaxRow(const double* v, size_t n, double* softmax);
-
-// One Sinkhorn dual update over rows [r0, r1) of a row-major `cost` matrix
-// with `cols` columns:
-//
-//   pot[i] = -lam · LSE_j( shift[j] − cost_scale·cost(i,j) )
-//
-// For the f-update pass `cost` is the original matrix, `cost_scale` = 1/λ,
-// and shift[j] = g[j]/λ + log b[j]; the g-update runs the same kernel over
-// the transposed cost with shift[i] = f[i]/λ + log a[i]. Returns
-// max_i |pot_new − pot_old| over the processed rows (the convergence
-// delta); callers fold per-chunk maxima via ParallelReduce.
-double SinkhornDualUpdateRows(const double* cost, double cost_scale,
-                              const double* shift, double lam, size_t r0,
-                              size_t r1, size_t cols, double* pot);
-
-// Plan recovery over rows [r0, r1): writes P(i,j) = ExpD(z) with
-// z = fs[i] + gs[j] − inv_lam·cost(i,j) into the row-major `plan`, and
-// accumulates Σ P·C into *cost_sum and Σ P·log P (computed as P·z) into
-// *entropy_sum. fs[i] = f[i]/λ + log a[i], gs[j] = g[j]/λ + log b[j].
-void SinkhornPlanRows(const double* cost, double inv_lam, const double* fs,
-                      const double* gs, size_t r0, size_t r1, size_t cols,
-                      double* plan, double* cost_sum, double* entropy_sum);
 
 }  // namespace scis::kernels
 

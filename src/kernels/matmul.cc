@@ -164,6 +164,50 @@ void MatMulTransBRows(const double* __restrict a, const double* __restrict b,
 }
 
 SCIS_KERNEL_CLONES
+void GramUpperRows(const double* __restrict a, double* __restrict out,
+                   size_t i0, size_t i1, size_t k, size_t n) {
+  size_t i = i0;
+  for (; i + kRowTile <= i1; i += kRowTile) {
+    const double* __restrict arows = a + i * k;
+    size_t j = i;
+    for (; j + kColTile <= n; j += kColTile) {
+      const double* __restrict brows = a + j * k;
+      double acc[kRowTile][kColTile] = {};
+      for (size_t p = 0; p < k; ++p) {
+        for (size_t r = 0; r < kRowTile; ++r) {
+          const double av = arows[r * k + p];
+          for (size_t c = 0; c < kColTile; ++c) {
+            acc[r][c] += av * brows[c * k + p];
+          }
+        }
+      }
+      for (size_t r = 0; r < kRowTile; ++r) {
+        double* __restrict orow = out + (i + r) * n + j;
+        for (size_t c = 0; c < kColTile; ++c) orow[c] = acc[r][c];
+      }
+    }
+    for (; j < n; ++j) {  // leftover columns: plain dots
+      const double* __restrict brow = a + j * k;
+      for (size_t r = 0; r < kRowTile; ++r) {
+        const double* __restrict arow = arows + r * k;
+        double s = 0.0;
+        for (size_t p = 0; p < k; ++p) s += arow[p] * brow[p];
+        out[(i + r) * n + j] = s;
+      }
+    }
+  }
+  for (; i < i1; ++i) {  // leftover rows
+    const double* __restrict arow = a + i * k;
+    for (size_t j = i; j < n; ++j) {
+      const double* __restrict brow = a + j * k;
+      double s = 0.0;
+      for (size_t p = 0; p < k; ++p) s += arow[p] * brow[p];
+      out[i * n + j] = s;
+    }
+  }
+}
+
+SCIS_KERNEL_CLONES
 void TransposeScaleRows(const double* __restrict src, size_t rows, size_t cols,
                         double s, double* __restrict dst, size_t r0,
                         size_t r1) {

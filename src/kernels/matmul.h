@@ -68,6 +68,15 @@ void MatMulTransARowsPacked(const double* a, size_t ma, const double* bp,
 void MatMulTransBRows(const double* a, const double* b, double* out, size_t i0,
                       size_t i1, size_t k, size_t n);
 
+// The a·aᵀ Gram product restricted to its upper triangle: out(i, j) for
+// rows [i0, i1) and columns j from the row's tile start on (the diagonal
+// tiles also fill a few entries below the diagonal). Each element is the
+// same sequential dot as MatMulTransBRows(a, a, ...), and dot(a_i, a_j) ==
+// dot(a_j, a_i) bit for bit, so mirroring the triangle reproduces the full
+// product exactly. i0 must be a kRowTile multiple.
+void GramUpperRows(const double* a, double* out, size_t i0, size_t i1,
+                   size_t k, size_t n);
+
 // dst(j, i) = s · src(i, j) for source rows [r0, r1), cache-blocked. Chunks
 // write disjoint dst columns, so the source-row range parallelizes.
 void TransposeScaleRows(const double* src, size_t rows, size_t cols, double s,

@@ -42,8 +42,9 @@ Status RrsiImputer::Fit(const Dataset& data) {
     std::vector<size_t> ib(idx.begin() + batch, idx.end());
     Matrix a = completed_.GatherRows(ia);
     Matrix b = completed_.GatherRows(ib);
-    DivergenceResult da = SinkhornDivergence(a, b, sopts, /*with_grad=*/true);
-    DivergenceResult db = SinkhornDivergence(b, a, sopts, /*with_grad=*/true);
+    // One call, three solves: the gradients in both batches.
+    const DivergenceResult div =
+        SinkhornDivergence(a, b, sopts, /*with_grad=*/true);
 
     const double bc1 = 1.0 - std::pow(b1, it);
     const double bc2 = 1.0 - std::pow(b2, it);
@@ -62,8 +63,8 @@ Status RrsiImputer::Fit(const Dataset& data) {
         }
       }
     };
-    apply(ia, da.grad_xbar);
-    apply(ib, db.grad_xbar);
+    apply(ia, div.grad_xbar);
+    apply(ib, div.grad_b);
   }
   return Status::OK();
 }

@@ -3,7 +3,7 @@
 namespace scis {
 
 ParamStore::ParamId ParamStore::Add(std::string name, Matrix init) {
-  params_.push_back(Entry{std::move(name), std::move(init), 0, Var()});
+  params_.push_back(Entry{std::move(name), std::move(init), nullptr, 0, Var()});
   return params_.size() - 1;
 }
 
@@ -13,7 +13,8 @@ Var ParamStore::Bind(Tape& tape, ParamId id) {
   // Re-binding on the same tape within one step returns the same leaf, so a
   // parameter shared by two sub-networks accumulates both gradients.
   // Tapes are identified by id, not address (stack tapes recycle addresses).
-  if (e.bound_tape_id == tape.id() && e.bound_var.valid()) return e.bound_var;
+  if (e.bound() && e.bound_tape_id == tape.id()) return e.bound_var;
+  e.bound_generation = tape.generation();
   e.bound_tape_id = tape.id();
   e.bound_var = tape.LeafRef(&e.value);
   return e.bound_var;
@@ -23,13 +24,12 @@ std::vector<Matrix> ParamStore::CollectGrads() {
   std::vector<Matrix> grads;
   grads.reserve(params_.size());
   for (Entry& e : params_) {
-    if (e.bound_tape_id != 0 && e.bound_var.valid()) {
+    if (e.bound()) {
       grads.push_back(e.bound_var.grad());
     } else {
       grads.push_back(Matrix(e.value.rows(), e.value.cols()));
     }
-    e.bound_tape_id = 0;
-    e.bound_var = Var();
+    e.Unbind();
   }
   return grads;
 }
@@ -38,21 +38,13 @@ void ParamStore::CollectGradsInto(std::vector<const Matrix*>* out) {
   out->clear();
   out->reserve(params_.size());
   for (Entry& e : params_) {
-    if (e.bound_tape_id != 0 && e.bound_var.valid()) {
-      out->push_back(&e.bound_var.grad());
-    } else {
-      out->push_back(nullptr);
-    }
-    e.bound_tape_id = 0;
-    e.bound_var = Var();
+    out->push_back(e.bound() ? &e.bound_var.grad() : nullptr);
+    e.Unbind();
   }
 }
 
 void ParamStore::DropBindings() {
-  for (Entry& e : params_) {
-    e.bound_tape_id = 0;
-    e.bound_var = Var();
-  }
+  for (Entry& e : params_) e.Unbind();
 }
 
 size_t ParamStore::NumScalars() const {

@@ -8,6 +8,8 @@
 #ifndef SCIS_NN_PARAM_STORE_H_
 #define SCIS_NN_PARAM_STORE_H_
 
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,7 +36,8 @@ class ParamStore {
   Var Bind(Tape& tape, ParamId id);
 
   // Gradients of all parameters w.r.t. the last Backward() on the bound
-  // tape, in registration order (zero matrices for unbound params).
+  // tape, in registration order (zero matrices for unbound params, and for
+  // bindings whose tape has since been cleared or destroyed).
   // Clears the bindings.
   std::vector<Matrix> CollectGrads();
 
@@ -61,8 +64,21 @@ class ParamStore {
   struct Entry {
     std::string name;
     Matrix value;
-    uint64_t bound_tape_id = 0;  // Tape::id(), 0 = unbound
+    // The binding: the tape's generation cell and the id it held at Bind().
+    // The binding is live only while the cell still holds that id, so one
+    // left behind by a cleared or destroyed tape reads as unbound.
+    std::shared_ptr<const uint64_t> bound_generation;
+    uint64_t bound_tape_id = 0;
     Var bound_var;
+
+    bool bound() const {
+      return bound_generation != nullptr && *bound_generation == bound_tape_id;
+    }
+    void Unbind() {
+      bound_generation.reset();
+      bound_tape_id = 0;
+      bound_var = Var();
+    }
   };
   std::vector<Entry> params_;
 };

@@ -9,10 +9,40 @@ namespace scis {
 
 namespace {
 
+// OT_λ^m solves over pre-projected rows (am = a⊙ma), so each projection is
+// formed once per call. A self term builds one triangle of its symmetric
+// cost (SelfSquaredDistances), bit-identical to MaskedCostMatrix(a, ma, a,
+// ma). Each cost build is one `ot.masked_cost` span.
+SinkhornSolution SolveCross(const Matrix& am, const Matrix& bm,
+                            const SinkhornOptions& opts) {
+  const Matrix cost = [&] {
+    SCIS_TRACE_SPAN("ot.masked_cost");
+    return PairwiseSquaredDistances(am, bm);
+  }();
+  return SolveSinkhorn(cost, opts);
+}
+
+SinkhornSolution SolveSelf(const Matrix& am, const SinkhornOptions& opts) {
+  const Matrix cost = [&] {
+    SCIS_TRACE_SPAN("ot.masked_cost");
+    return SelfSquaredDistances(am);
+  }();
+  return SolveSinkhorn(cost, opts);
+}
+
+// Envelope gradient of a self term OT_λ^m(A, A) in A, which is both the
+// source and the target measure.
+Matrix SelfGrad(const SinkhornSolution& aa, const Matrix& a,
+                const Matrix& ma) {
+  Matrix g = MaskedOtGradWrtA(aa.plan, a, ma, a, ma);
+  AddInPlace(g, MaskedOtGradWrtB(aa.plan, a, ma, a, ma));
+  return g;
+}
+
 // The X̄-dependent part of the MS divergence, 2·OT_λ^m(A, B) − OT_λ^m(A, A),
 // from the cross solve `ab` and the A self solve `aa`, with its Prop.-1
 // gradient in A when requested. The B self term is constant in A, so
-// MsDivergenceMasked subtracts only its value.
+// callers subtract only its value.
 DivergenceResult CrossMinusSelf(const SinkhornSolution& ab,
                                 const SinkhornSolution& aa, const Matrix& a,
                                 const Matrix& ma, const Matrix& b,
@@ -24,11 +54,35 @@ DivergenceResult CrossMinusSelf(const SinkhornSolution& ab,
     // Cross term: X̄ appears only as the source measure.
     Matrix g = MaskedOtGradWrtA(ab.plan, a, ma, b, mb);
     MulScalarInPlace(g, 2.0);
-    // Self term: X̄ is both source and target; subtract both envelope parts.
-    Matrix gs = MaskedOtGradWrtA(aa.plan, a, ma, a, ma);
-    AddInPlace(gs, MaskedOtGradWrtB(aa.plan, a, ma, a, ma));
-    SubInPlace(g, gs);
+    SubInPlace(g, SelfGrad(aa, a, ma));
     out.grad_xbar = std::move(g);
+  }
+  return out;
+}
+
+// The full divergence from its three solves, with the gradient in A and,
+// when `grad_b` is set, the gradient in B from the same plans: the cross
+// plan's B side and the B self plan.
+DivergenceResult FullDivergence(const Matrix& a, const Matrix& ma,
+                                const Matrix& b, const Matrix& mb,
+                                const SinkhornOptions& opts, bool grad_a,
+                                bool grad_b) {
+  SCIS_CHECK(a.SameShape(ma));
+  SCIS_CHECK(b.SameShape(mb));
+  SCIS_CHECK_EQ(a.cols(), b.cols());
+  const Matrix am = Mul(a, ma);
+  const Matrix bm = Mul(b, mb);
+  const SinkhornSolution ab = SolveCross(am, bm, opts);
+  const SinkhornSolution aa = SolveSelf(am, opts);
+  const SinkhornSolution bb = SolveSelf(bm, opts);
+  DivergenceResult out = CrossMinusSelf(ab, aa, a, ma, b, mb, grad_a);
+  out.value -= bb.reg_value;
+  if (grad_b) {
+    SCIS_TRACE_SPAN("ot.envelope_grad");
+    Matrix g = MaskedOtGradWrtB(ab.plan, a, ma, b, mb);
+    MulScalarInPlace(g, 2.0);
+    SubInPlace(g, SelfGrad(bb, b, mb));
+    out.grad_b = std::move(g);
   }
   return out;
 }
@@ -39,16 +93,7 @@ DivergenceResult MsDivergenceMasked(const Matrix& a, const Matrix& ma,
                                     const Matrix& b, const Matrix& mb,
                                     const SinkhornOptions& opts,
                                     bool with_grad) {
-  SCIS_CHECK(a.SameShape(ma));
-  SCIS_CHECK(b.SameShape(mb));
-  SCIS_CHECK_EQ(a.cols(), b.cols());
-
-  const SinkhornSolution ab = SolveSinkhornMasked(a, ma, b, mb, opts);
-  const SinkhornSolution aa = SolveSinkhornMasked(a, ma, a, ma, opts);
-  const SinkhornSolution bb = SolveSinkhornMasked(b, mb, b, mb, opts);
-  DivergenceResult out = CrossMinusSelf(ab, aa, a, ma, b, mb, with_grad);
-  out.value -= bb.reg_value;
-  return out;
+  return FullDivergence(a, ma, b, mb, opts, with_grad, /*grad_b=*/false);
 }
 
 DivergenceResult MsDivergence(const Matrix& xbar, const Matrix& x,
@@ -62,8 +107,9 @@ DivergenceResult MsDivergenceForTraining(const Matrix& xbar, const Matrix& x,
                                          const SinkhornOptions& opts) {
   SCIS_CHECK(xbar.SameShape(x));
   SCIS_CHECK(xbar.SameShape(m));
-  const SinkhornSolution ab = SolveSinkhornMasked(xbar, m, x, m, opts);
-  const SinkhornSolution aa = SolveSinkhornMasked(xbar, m, xbar, m, opts);
+  const Matrix xbar_m = Mul(xbar, m);
+  const SinkhornSolution ab = SolveCross(xbar_m, Mul(x, m), opts);
+  const SinkhornSolution aa = SolveSelf(xbar_m, opts);
   return CrossMinusSelf(ab, aa, xbar, m, x, m, /*with_grad=*/true);
 }
 
@@ -72,7 +118,7 @@ DivergenceResult SinkhornDivergence(const Matrix& a, const Matrix& b,
                                     bool with_grad) {
   const Matrix ones_a = Matrix::Ones(a.rows(), a.cols());
   const Matrix ones_b = Matrix::Ones(b.rows(), b.cols());
-  return MsDivergenceMasked(a, ones_a, b, ones_b, opts, with_grad);
+  return FullDivergence(a, ones_a, b, ones_b, opts, with_grad, with_grad);
 }
 
 }  // namespace scis

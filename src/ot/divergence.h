@@ -22,6 +22,7 @@ namespace scis {
 struct DivergenceResult {
   double value = 0.0;   // the divergence S (or plain Sinkhorn divergence)
   Matrix grad_xbar;     // dS/dX̄, same shape as X̄ (empty if not requested)
+  Matrix grad_b;        // dS/dB: SinkhornDivergence only, else empty
 };
 
 // MS divergence between the reconstruction X̄ (generated) and data X, both
@@ -39,7 +40,9 @@ DivergenceResult MsDivergenceMasked(const Matrix& a, const Matrix& ma,
                                     bool with_grad);
 
 // Plain (unmasked) Sinkhorn divergence S_λ(A, B) with squared-Euclidean
-// ground cost; gradient w.r.t. A when requested.
+// ground cost. With `with_grad` it returns the gradients in both A
+// (grad_xbar) and B (grad_b) from the same three solves — the DIM critic and
+// RRSI move both sides.
 DivergenceResult SinkhornDivergence(const Matrix& a, const Matrix& b,
                                     const SinkhornOptions& opts,
                                     bool with_grad);

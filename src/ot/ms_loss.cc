@@ -19,17 +19,15 @@ Var SinkhornLossBoth(Var a, Var b, const SinkhornOptions& opts) {
   const Matrix b_val = b.value();
   SCIS_CHECK_EQ(a_val.cols(), b_val.cols());
   const double inv_2n = 1.0 / (2.0 * static_cast<double>(a_val.rows()));
-  DivergenceResult ra =
+  DivergenceResult r =
       SinkhornDivergence(a_val, b_val, opts, /*with_grad=*/true);
-  DivergenceResult rb =
-      SinkhornDivergence(b_val, a_val, opts, /*with_grad=*/true);
-  Matrix ga = std::move(ra.grad_xbar);
-  Matrix gb = std::move(rb.grad_xbar);
+  Matrix ga = std::move(r.grad_xbar);
+  Matrix gb = std::move(r.grad_b);
   MulScalarInPlace(ga, inv_2n);
   MulScalarInPlace(gb, inv_2n);
   Tape* t = a.tape();
   Matrix out(1, 1);
-  out(0, 0) = ra.value * inv_2n;
+  out(0, 0) = r.value * inv_2n;
   return t->Node(std::move(out), {a, b},
                  [a, b, ga, gb](Tape& tape, Var, const Matrix& g) {
                    if (tape.requires_grad(a))
@@ -37,16 +35,6 @@ Var SinkhornLossBoth(Var a, Var b, const SinkhornOptions& opts) {
                    if (tape.requires_grad(b))
                      tape.AccumulateGrad(b, MulScalar(gb, g(0, 0)));
                  });
-}
-
-Var SinkhornLoss(Var a, const Matrix& b, const SinkhornOptions& opts) {
-  const Matrix a_val = a.value();
-  SCIS_CHECK_EQ(a_val.cols(), b.cols());
-  const double inv_2n = 1.0 / (2.0 * static_cast<double>(a_val.rows()));
-  DivergenceResult res = SinkhornDivergence(a_val, b, opts, /*with_grad=*/true);
-  Matrix grad = std::move(res.grad_xbar);
-  MulScalarInPlace(grad, inv_2n);
-  return CustomScalarOp(a, res.value * inv_2n, [grad]() { return grad; });
 }
 
 }  // namespace scis

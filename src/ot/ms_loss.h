@@ -22,13 +22,10 @@ namespace scis {
 Var MsLoss(Var xbar, const Matrix& x, const Matrix& m,
            const SinkhornOptions& opts);
 
-// Plain Sinkhorn-divergence loss between two Var batches (gradient flows
-// into `a` only); used by the RRSI baseline: S_λ(a, b) / (2n).
-Var SinkhornLoss(Var a, const Matrix& b, const SinkhornOptions& opts);
-
-// Sinkhorn-divergence loss with gradients into BOTH sides: S_λ(a, b)/(2n).
-// The DIM critic needs this — the discriminator ascends the divergence of
-// embedded batches while the generator descends it (§IV-B).
+// Sinkhorn-divergence loss with gradients into BOTH sides: S_λ(a, b)/(2n),
+// from one three-solve SinkhornDivergence call. The DIM critic needs this —
+// the discriminator ascends the divergence of embedded batches while the
+// generator descends it (§IV-B).
 Var SinkhornLossBoth(Var a, Var b, const SinkhornOptions& opts);
 
 }  // namespace scis

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/check.h"
 #include "common/stopwatch.h"
-#include "kernels/lse.h"
-#include "kernels/matmul.h"
+#include "kernels/sinkhorn_kernels.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "ot/masked_cost.h"
@@ -24,6 +24,7 @@ struct SinkhornMetrics {
   obs::Counter* solves;
   obs::Counter* iterations;
   obs::Counter* converged;
+  obs::Counter* absorptions;
   obs::Counter* plan_ns;
   obs::Histogram* iters_per_solve;
 
@@ -34,6 +35,7 @@ struct SinkhornMetrics {
           r.GetCounter("sinkhorn.solves"),
           r.GetCounter("sinkhorn.iterations"),
           r.GetCounter("sinkhorn.converged_solves"),
+          r.GetCounter("sinkhorn.absorptions"),
           r.GetCounter("sinkhorn.plan_recovery_ns"),
           r.GetHistogram("sinkhorn.iters_per_solve",
                          {1, 2, 4, 8, 16, 32, 64, 128, 256, 512}),
@@ -43,71 +45,268 @@ struct SinkhornMetrics {
   }
 };
 
-// Runs log-domain Sinkhorn iterations at weight `lam`, updating the dual
-// potentials f/g in place. Returns iterations used; sets `converged`.
-// `costT` is the transposed cost, built once per solve so the g-update
-// streams rows contiguously instead of walking the cost matrix
-// column-strided (an 8·m-byte stride — a TLB miss per element at the
-// paper's 1000×1000 scale).
-//
-// Both dual updates are embarrassingly parallel across their output index
-// (every g[j] reads all of f, every f[i] reads all of g, writes are
-// disjoint), so the row chunks run the fused log-sum-exp kernel from
-// src/kernels/lse.h under runtime::ParallelFor. The per-iteration division
-// by λ is folded into the kernel as a multiply by a precomputed 1/λ, and
-// the marginal shifts (g/λ + log b, f/λ + log a) are refreshed once per
-// half-iteration in O(n + m). Kernel association is fixed by the row length
-// and the convergence delta is a max-reduction (exact under any
-// association), so iterates — and therefore iteration counts — are
-// bit-identical to the serial path at any thread count.
-int RunIterations(const Matrix& cost, const Matrix& costT,
-                  const std::vector<double>& loga,
-                  const std::vector<double>& logb, double lam, int max_iters,
-                  double tol, std::vector<double>& f, std::vector<double>& g,
-                  bool* converged) {
-  SCIS_TRACE_SPAN("sinkhorn.iterate");
-  const size_t n = cost.rows(), m = cost.cols();
-  const double inv_lam = 1.0 / lam;
-  // Grains depend only on the matrix shape (determinism contract).
-  const size_t col_grain = runtime::GrainForWork(m, n);
-  const size_t row_grain = runtime::GrainForWork(n, m);
-  // Shift buffers, reused across iterations (the per-chunk scratch the old
-  // loops allocated now comes from the kernels' per-thread arena).
-  std::vector<double> sf(n), sg(m);
-  *converged = false;
-  int it = 0;
-  for (; it < max_iters; ++it) {
-    // g-update: enforce column marginals in the dual.
-    for (size_t i = 0; i < n; ++i) sf[i] = f[i] * inv_lam + loga[i];
-    runtime::ParallelFor(0, m, col_grain, [&](size_t jb, size_t je) {
-      kernels::SinkhornDualUpdateRows(costT.data(), inv_lam, sf.data(), lam,
-                                      jb, je, n, g.data());
-    });
-    // f-update: enforce row marginals, tracking the potential movement.
-    // Convergence is declared when the potentials stop moving (relative to
-    // λ) — equivalent to small marginal violation but O(1) to check, which
-    // matters since this solver runs three times per DIM training batch.
-    for (size_t j = 0; j < m; ++j) sg[j] = g[j] * inv_lam + logb[j];
-    const double delta = runtime::ParallelReduce(
-        0, n, row_grain, 0.0,
-        [&](size_t ib, size_t ie) {
-          return kernels::SinkhornDualUpdateRows(cost.data(), inv_lam,
-                                                 sg.data(), lam, ib, ie, m,
-                                                 f.data());
-        },
-        [](double a, double b) { return std::max(a, b); });
-    if (it > 0 && delta / lam < tol) {
-      *converged = true;
-      ++it;
-      break;
-    }
-  }
-  return it;
+// Scalings are kept within [1/kScalingBound, kScalingBound]. Entries of K
+// below exp(-708) flush to zero, so with both scalings in range a flushed
+// entry would have carried at most 1e100·1e-307 of plan mass.
+constexpr double kScalingBound = 1e50;
+
+// A mat-vec sum the next scaling may divide by: positive, normal, finite.
+// False for NaN as well.
+bool UsableSum(double s) {
+  return s >= std::numeric_limits<double>::min() &&
+         s <= std::numeric_limits<double>::max();
 }
 
-// The historic weighted solve, with marginal validation hoisted to the
-// public wrapper: SolveSinkhorn's internally-built uniform marginals need
-// not re-run the sum check (n·(1/n) is not exactly 1.0 in floating point
+bool AllUsable(const std::vector<double>& sums) {
+  for (const double s : sums) {
+    if (!UsableSum(s)) return false;
+  }
+  return true;
+}
+
+bool InRange(const std::vector<double>& scaling) {
+  for (const double x : scaling) {
+    if (!(x >= 1.0 / kScalingBound && x <= kScalingBound)) return false;
+  }
+  return true;
+}
+
+// One kernel-domain solve (Schmitzer 2019, "Stabilized sparse scaling
+// algorithms for entropy regularized transport problems"). The dual
+// potentials are split into absorbed log potentials and scalings,
+//
+//   f_i = λ·(fs_i + log u_i),   g_j = λ·(gs_j + log v_j),
+//
+// and `kern` always holds the stabilized Gibbs kernel
+// K_ij = exp(fs_i + gs_j − C_ij/λ), so P = diag(a⊙u)·K·diag(b⊙v). At the
+// DIM weight λ = 130 nothing is ever absorbed: fs = gs = 0, K is built by
+// one exp pass, and every iteration is two matrix–vector passes.
+//
+// Absorption folds the scalings into fs/gs and rebuilds K. It runs when a
+// scaling leaves [1/kScalingBound, kScalingBound] after an iteration, and
+// when a mat-vec sum underflows (or overflows) before it can be inverted.
+// In the second case the half-iteration is redone from a kernel whose
+// column (or row) maximum is exactly exp(0): the other side's scaling is
+// absorbed and this side's log potential is set to the c-transform
+// gs_j = min_i (C_ij/λ − fs_i), after which every sum is at least the
+// smallest marginal weight. That is the log-domain dual update, computed
+// once, so small λ degrades toward the log-domain cost instead of failing.
+//
+// Thread-count invariance: rows and columns are split by shape-derived
+// grains, every kernel output is independent of the split (see
+// kernels/sinkhorn_kernels.h), and the absorption decisions read only those
+// outputs.
+class KernelSolve {
+ public:
+  KernelSolve(const Matrix& cost, const std::vector<double>& a,
+              const std::vector<double>& b, double lam)
+      : cost_(cost),
+        a_(a),
+        b_(b),
+        n_(cost.rows()),
+        m_(cost.cols()),
+        lam_(lam),
+        inv_lam_(1.0 / lam),
+        row_grain_(runtime::GrainForWork(n_, m_)),
+        col_grain_(runtime::GrainForWork(m_, n_)),
+        fs_(n_, 0.0),
+        gs_(m_, 0.0),
+        u_(n_, 1.0),
+        v_(m_, 1.0),
+        au_(a),
+        bv_(m_),
+        row_sums_(n_),
+        col_sums_(m_),
+        kern_(n_, m_) {}
+
+  // Runs Sinkhorn iterations until the row potential moves by less than
+  // tol·λ in sup norm (checked from the second iteration on) or max_iters
+  // is reached. Returns the iterations run.
+  int Iterate(int max_iters, double tol, bool* converged) {
+    SCIS_TRACE_SPAN("sinkhorn.iterate");
+    BuildKernel();
+    // |Δ log u_i| < tol  ⟺  exp(−tol) < u_new/u_old < exp(tol); the
+    // comparisons are false for NaN, so a NaN never converges.
+    const double ratio_lo = std::exp(-tol), ratio_hi = std::exp(tol);
+    *converged = false;
+    int it = 0;
+    for (; it < max_iters; ++it) {
+      // v-update: v = 1 / Kᵀ(a⊙u).
+      for (size_t i = 0; i < n_; ++i) au_[i] = a_[i] * u_[i];
+      ColumnSums();
+      if (!AllUsable(col_sums_)) {
+        ++absorptions_;
+        AbsorbRows();
+        ShiftColumns();
+        BuildKernel();
+        au_ = a_;
+        ColumnSums();
+      }
+      for (size_t j = 0; j < m_; ++j) v_[j] = 1.0 / col_sums_[j];
+
+      // u-update: u = 1 / K(b⊙v), tracking the movement of log u.
+      for (size_t j = 0; j < m_; ++j) bv_[j] = b_[j] * v_[j];
+      RowSums();
+      bool moving = false;
+      if (AllUsable(row_sums_)) {
+        for (size_t i = 0; i < n_; ++i) {
+          const double un = 1.0 / row_sums_[i];
+          const double ratio = un / u_[i];
+          moving |= !(ratio > ratio_lo && ratio < ratio_hi);
+          u_[i] = un;
+        }
+      } else {
+        // f/λ before the update, in the representation about to change.
+        std::vector<double> prev(n_);
+        for (size_t i = 0; i < n_; ++i) prev[i] = fs_[i] + std::log(u_[i]);
+        ++absorptions_;
+        AbsorbColumns();
+        ShiftRows();
+        BuildKernel();
+        bv_ = b_;
+        RowSums();
+        for (size_t i = 0; i < n_; ++i) {
+          u_[i] = 1.0 / row_sums_[i];
+          moving |= !(std::abs(fs_[i] + std::log(u_[i]) - prev[i]) < tol);
+        }
+      }
+      if (it > 0 && !moving) {
+        *converged = true;
+        ++it;
+        break;
+      }
+      if (!InRange(u_) || !InRange(v_)) {
+        ++absorptions_;
+        AbsorbRows();
+        AbsorbColumns();
+        BuildKernel();
+      }
+    }
+    return it;
+  }
+
+  // Scales the kernel in place into the plan and fills the solution's plan,
+  // costs and dual potentials.
+  void RecoverPlan(SinkhornSolution* sol) {
+    SCIS_TRACE_SPAN("sinkhorn.plan");
+    // alpha_i = log(a_i u_i) + fs_i = log a_i + f_i/λ (likewise beta), so
+    // log P_ij = alpha_i + beta_j − C_ij/λ.
+    std::vector<double> alpha(n_), beta(m_);
+    sol->f.resize(n_);
+    sol->g.resize(m_);
+    for (size_t i = 0; i < n_; ++i) {
+      const double f_over_lam = fs_[i] + std::log(u_[i]);
+      sol->f[i] = lam_ * f_over_lam;
+      alpha[i] = std::log(a_[i]) + f_over_lam;
+      au_[i] = a_[i] * u_[i];
+    }
+    for (size_t j = 0; j < m_; ++j) {
+      const double g_over_lam = gs_[j] + std::log(v_[j]);
+      sol->g[j] = lam_ * g_over_lam;
+      beta[j] = std::log(b_[j]) + g_over_lam;
+      bv_[j] = b_[j] * v_[j];
+    }
+    struct PlanPartial {
+      double cost = 0.0;
+      double log = 0.0;  // Σ P·(alpha_i + beta_j)
+    };
+    const PlanPartial total = runtime::ParallelReduce(
+        0, n_, row_grain_, PlanPartial{},
+        [&](size_t ib, size_t ie) {
+          PlanPartial part;
+          kernels::PlanRows(cost_.data(), au_.data(), bv_.data(),
+                            alpha.data(), beta.data(), ib, ie, m_,
+                            kern_.data(), &part.cost, &part.log);
+          return part;
+        },
+        [](PlanPartial acc, const PlanPartial& part) {
+          acc.cost += part.cost;
+          acc.log += part.log;
+          return acc;
+        });
+    sol->transport_cost = total.cost;
+    sol->reg_value = total.cost + lam_ * (total.log - total.cost * inv_lam_);
+    sol->plan = std::move(kern_);
+  }
+
+  uint64_t absorptions() const { return absorptions_; }
+
+ private:
+  void BuildKernel() {
+    runtime::ParallelFor(0, n_, row_grain_, [&](size_t ib, size_t ie) {
+      kernels::GibbsKernelRows(cost_.data(), inv_lam_, fs_.data(),
+                               gs_.data(), ib, ie, m_, kern_.data());
+    });
+  }
+
+  void ColumnSums() {  // col_sums_ = Kᵀ(a⊙u)
+    runtime::ParallelFor(0, m_, col_grain_, [&](size_t jb, size_t je) {
+      kernels::KernelColumnSums(kern_.data(), au_.data(), n_, m_, jb, je,
+                                col_sums_.data());
+    });
+  }
+
+  void RowSums() {  // row_sums_ = K(b⊙v)
+    runtime::ParallelFor(0, n_, row_grain_, [&](size_t ib, size_t ie) {
+      kernels::KernelRowSums(kern_.data(), bv_.data(), ib, ie, m_,
+                             row_sums_.data());
+    });
+  }
+
+  // Fold u into fs (v into gs); the kernel must be rebuilt afterwards.
+  void AbsorbRows() {
+    for (size_t i = 0; i < n_; ++i) {
+      fs_[i] += std::log(u_[i]);
+      u_[i] = 1.0;
+    }
+  }
+  void AbsorbColumns() {
+    for (size_t j = 0; j < m_; ++j) {
+      gs_[j] += std::log(v_[j]);
+      v_[j] = 1.0;
+    }
+  }
+
+  // gs_j = min_i (C_ij/λ − fs_i): the rebuilt kernel's column maxima are 1.
+  void ShiftColumns() {
+    std::fill(gs_.begin(), gs_.end(), std::numeric_limits<double>::infinity());
+    for (size_t i = 0; i < n_; ++i) {
+      const double* crow = cost_.row_data(i);
+      for (size_t j = 0; j < m_; ++j) {
+        gs_[j] = std::min(gs_[j], inv_lam_ * crow[j] - fs_[i]);
+      }
+    }
+  }
+
+  // fs_i = min_j (C_ij/λ − gs_j): the rebuilt kernel's row maxima are 1.
+  void ShiftRows() {
+    for (size_t i = 0; i < n_; ++i) {
+      const double* crow = cost_.row_data(i);
+      double lo = std::numeric_limits<double>::infinity();
+      for (size_t j = 0; j < m_; ++j) {
+        lo = std::min(lo, inv_lam_ * crow[j] - gs_[j]);
+      }
+      fs_[i] = lo;
+    }
+  }
+
+  const Matrix& cost_;
+  const std::vector<double>& a_;
+  const std::vector<double>& b_;
+  const size_t n_, m_;
+  const double lam_, inv_lam_;
+  const size_t row_grain_, col_grain_;
+  std::vector<double> fs_, gs_;   // absorbed log potentials, divided by λ
+  std::vector<double> u_, v_;     // scalings
+  std::vector<double> au_, bv_;   // a⊙u, b⊙v: the mat-vec operands
+  std::vector<double> row_sums_, col_sums_;
+  Matrix kern_;                   // stabilized Gibbs kernel, then the plan
+  uint64_t absorptions_ = 0;
+};
+
+// The weighted solve, with marginal validation hoisted to the public
+// wrapper: SolveSinkhorn's internally-built uniform marginals need not
+// re-run the sum check (n·(1/n) is not exactly 1.0 in floating point
 // anyway; positivity is by construction).
 SinkhornSolution SolveSinkhornWeightedImpl(const Matrix& cost,
                                            const std::vector<double>& a,
@@ -121,70 +320,22 @@ SinkhornSolution SolveSinkhornWeightedImpl(const Matrix& cost,
   SCIS_CHECK_EQ(a.size(), n);
   SCIS_CHECK_EQ(b.size(), m);
   SCIS_CHECK_MSG(opts.lambda > 0, "Sinkhorn requires lambda > 0");
-  const double lam = opts.lambda;
+  for (const double w : a) SCIS_CHECK_GT(w, 0.0);
+  for (const double w : b) SCIS_CHECK_GT(w, 0.0);
 
-  std::vector<double> loga(n), logb(m);
-  for (size_t i = 0; i < n; ++i) {
-    SCIS_CHECK_GT(a[i], 0.0);
-    loga[i] = std::log(a[i]);
-  }
-  for (size_t j = 0; j < m; ++j) {
-    SCIS_CHECK_GT(b[j], 0.0);
-    logb[j] = std::log(b[j]);
-  }
-
-  // Dual potentials; P_ij = exp((f_i + g_j - C_ij)/λ + log a_i + log b_j).
-  std::vector<double> f(n, 0.0), g(m, 0.0);
-
-  // Transposed cost for the g-update, built once per solve.
-  Matrix costT(m, n);
-  runtime::ParallelFor(0, n, runtime::GrainForWork(n, m),
-                       [&](size_t r0, size_t r1) {
-    kernels::TransposeScaleRows(cost.data(), n, m, 1.0, costT.data(), r0, r1);
-  });
-
+  KernelSolve solve(cost, a, b, opts.lambda);
   SinkhornSolution sol;
-  sol.iters = RunIterations(cost, costT, loga, logb, lam, opts.max_iters,
-                            opts.tol, f, g, &sol.converged);
+  sol.iters = solve.Iterate(opts.max_iters, opts.tol, &sol.converged);
   metrics.solves->Add(1);
   metrics.iterations->Add(static_cast<uint64_t>(sol.iters));
   if (sol.converged) metrics.converged->Add(1);
+  metrics.absorptions->Add(solve.absorptions());
   metrics.iters_per_solve->Observe(static_cast<double>(sol.iters));
 
-  // Plan recovery: rows are independent; the transport-cost and entropy
-  // sums reduce over fixed row chunks combined in chunk order, so the
-  // result does not depend on the thread count.
-  SCIS_TRACE_SPAN("sinkhorn.plan");
   Stopwatch plan_watch;
-  sol.plan = Matrix(n, m);
-  const double inv_lam = 1.0 / lam;
-  std::vector<double> fs(n), gs(m);
-  for (size_t i = 0; i < n; ++i) fs[i] = f[i] * inv_lam + loga[i];
-  for (size_t j = 0; j < m; ++j) gs[j] = g[j] * inv_lam + logb[j];
-  struct PlanPartial {
-    double cost = 0.0;
-    double entropy = 0.0;
-  };
-  const PlanPartial total = runtime::ParallelReduce(
-      0, n, runtime::GrainForWork(n, m), PlanPartial{},
-      [&](size_t ib, size_t ie) {
-        PlanPartial part;
-        kernels::SinkhornPlanRows(cost.data(), inv_lam, fs.data(), gs.data(),
-                                  ib, ie, m, sol.plan.data(), &part.cost,
-                                  &part.entropy);
-        return part;
-      },
-      [](PlanPartial acc, const PlanPartial& part) {
-        acc.cost += part.cost;
-        acc.entropy += part.entropy;
-        return acc;
-      });
+  solve.RecoverPlan(&sol);
   metrics.plan_ns->Add(
       static_cast<uint64_t>(plan_watch.ElapsedSeconds() * 1e9));
-  sol.transport_cost = total.cost;
-  sol.reg_value = total.cost + lam * total.entropy;
-  sol.f = std::move(f);
-  sol.g = std::move(g);
   return sol;
 }
 

@@ -1,10 +1,19 @@
 // Entropy-regularized optimal transport via Sinkhorn's algorithm.
 //
 // Solves  min_{P ∈ Γ(a,b)} <P, C> + λ Σ_ij P_ij log P_ij   (Def. 3)
-// using log-domain (stabilized) Sinkhorn iterations, so small λ does not
-// underflow. The entropy convention matches the paper's Example 1: plain
-// entropy Σ P log P, not KL against the product measure (the two differ by
-// a constant given the marginals).
+// in the kernel domain: one exp pass builds the Gibbs kernel
+// K = exp(−C/λ), each iteration is the two matrix–vector scaling updates
+// v = 1/Kᵀ(a⊙u), u = 1/K(b⊙v), and the plan P = diag(a⊙u)·K·diag(b⊙v) is
+// K scaled in place. At the DIM weight λ = 130 with costs of at most d, K
+// lies in [exp(−d/λ), 1] and nothing more is needed.
+//
+// Small λ stays stable by absorption (Schmitzer 2019): when a scaling
+// leaves a fixed range, or a mat-vec sum underflows, the scalings are
+// folded into log potentials and K is rebuilt around them, so no entry the
+// plan needs can underflow. Absorptions are counted in the
+// `sinkhorn.absorptions` metric. The entropy convention matches the
+// paper's Example 1: plain entropy Σ P log P, not KL against the product
+// measure (the two differ by a constant given the marginals).
 //
 // The solver is dense and exact: O(n·m) per iteration over the
 // materialized cost matrix. DIM solves 128-row minibatches, where a
@@ -32,8 +41,9 @@ struct SinkhornSolution {
   Matrix plan;              // optimal transport plan P* (n x m)
   double transport_cost;    // <P*, C>
   double reg_value;         // <P*, C> + λ Σ P log P  (the OT_λ value)
-  std::vector<double> f;    // dual potential over rows
-  std::vector<double> g;    // dual potential over cols
+  // Dual potentials, P_ij = a_i b_j exp((f_i + g_j − C_ij)/λ).
+  std::vector<double> f;    // over rows
+  std::vector<double> g;    // over cols
   int iters = 0;            // iterations actually run
   bool converged = false;
 };

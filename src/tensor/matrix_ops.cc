@@ -354,22 +354,28 @@ Matrix ConcatRows(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-Matrix PairwiseSquaredDistances(const Matrix& a, const Matrix& b) {
-  SCIS_CHECK_EQ(a.cols(), b.cols());
-  const size_t n = a.rows(), m = b.rows(), d = a.cols();
-  std::vector<double> a2(n, 0.0), b2(m, 0.0);
+namespace {
+
+// |a_i|² per row.
+std::vector<double> RowSquaredNorms(const Matrix& a) {
+  const size_t n = a.rows(), d = a.cols();
+  std::vector<double> norms(n, 0.0);
   runtime::ParallelFor(0, n, runtime::GrainForWork(n, d),
                        [&](size_t ib, size_t ie) {
     for (size_t i = ib; i < ie; ++i) {
-      a2[i] = kernels::SquaredNorm(a.row_data(i), d);
+      norms[i] = kernels::SquaredNorm(a.row_data(i), d);
     }
   });
-  runtime::ParallelFor(0, m, runtime::GrainForWork(m, d),
-                       [&](size_t ib, size_t ie) {
-    for (size_t i = ib; i < ie; ++i) {
-      b2[i] = kernels::SquaredNorm(b.row_data(i), d);
-    }
-  });
+  return norms;
+}
+
+}  // namespace
+
+Matrix PairwiseSquaredDistances(const Matrix& a, const Matrix& b) {
+  SCIS_CHECK_EQ(a.cols(), b.cols());
+  const size_t n = a.rows(), m = b.rows();
+  const std::vector<double> a2 = RowSquaredNorms(a);
+  const std::vector<double> b2 = RowSquaredNorms(b);
   Matrix out = MatMulTransB(a, b);
   runtime::ParallelFor(0, n, runtime::GrainForWork(n, m),
                        [&](size_t ib, size_t ie) {
@@ -378,6 +384,35 @@ Matrix PairwiseSquaredDistances(const Matrix& a, const Matrix& b) {
       for (size_t j = 0; j < m; ++j) {
         p[j] = std::max(a2[i] + b2[j] - 2.0 * p[j], 0.0);
       }
+    }
+  });
+  return out;
+}
+
+Matrix SelfSquaredDistances(const Matrix& a) {
+  const size_t n = a.rows(), d = a.cols();
+  const std::vector<double> a2 = RowSquaredNorms(a);
+  Matrix out(n, n);
+  runtime::ParallelFor(
+      0, n, kernels::RowAlignedGrain(runtime::GrainForWork(n, d * n)),
+      [&](size_t i0, size_t i1) {
+        kernels::GramUpperRows(a.data(), out.data(), i0, i1, d, n);
+      });
+  // Upper triangle in place, then each row copies its lower part from the
+  // finished upper triangle (disjoint writes per row in both passes).
+  const size_t grain = runtime::GrainForWork(n, n);
+  runtime::ParallelFor(0, n, grain, [&](size_t ib, size_t ie) {
+    for (size_t i = ib; i < ie; ++i) {
+      double* p = out.row_data(i);
+      for (size_t j = i; j < n; ++j) {
+        p[j] = std::max(a2[i] + a2[j] - 2.0 * p[j], 0.0);
+      }
+    }
+  });
+  runtime::ParallelFor(0, n, grain, [&](size_t ib, size_t ie) {
+    for (size_t i = ib; i < ie; ++i) {
+      double* p = out.row_data(i);
+      for (size_t j = 0; j < i; ++j) p[j] = out(j, i);
     }
   });
   return out;

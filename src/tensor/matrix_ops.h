@@ -73,6 +73,11 @@ Matrix ConcatRows(const Matrix& a, const Matrix& b);
 // |x|² + |y|² − 2x·y expansion with a clamp at zero for numerical safety.
 Matrix PairwiseSquaredDistances(const Matrix& a, const Matrix& b);
 
+// PairwiseSquaredDistances(a, a), bit for bit, from one triangle: every
+// entry is a symmetric expression of its two rows (commutative adds and a
+// sequential dot), so the upper triangle is computed and mirrored.
+Matrix SelfSquaredDistances(const Matrix& a);
+
 }  // namespace scis
 
 #endif  // SCIS_TENSOR_MATRIX_OPS_H_

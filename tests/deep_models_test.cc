@@ -298,6 +298,28 @@ TEST(GinnImputerTest, ReconstructMatchesTapeForwardBitExact) {
             0);
 }
 
+// Reconstruct binds the generator on a tape local to the call and returns
+// without dropping the bindings. Reading gradients afterwards, without a
+// re-bind, must see every parameter as unbound rather than read the
+// destroyed tape.
+TEST(GinnImputerTest, CollectGradsAfterReconstructSeesNoStaleBinding) {
+  Bench b = MakeBench(96);
+  GinnImputerOptions o;
+  o.deep = FastDeep(1);
+  o.critic_steps = 1;
+  GinnImputer ginn(o);
+  ASSERT_TRUE(ginn.Fit(b.train).ok());
+  (void)ginn.Reconstruct(b.train);
+  const std::vector<Matrix> grads = ginn.generator_params().CollectGrads();
+  ASSERT_EQ(grads.size(), ginn.generator_params().size());
+  for (const Matrix& g : grads) EXPECT_EQ(FrobeniusNorm(g), 0.0);
+
+  (void)ginn.Reconstruct(b.train);
+  std::vector<const Matrix*> views;
+  ginn.generator_params().CollectGradsInto(&views);
+  for (const Matrix* v : views) EXPECT_EQ(v, nullptr);
+}
+
 TEST(DeepImputersTest, EmptyDatasetRejected) {
   Dataset empty("e", Matrix(0, 3), Matrix(0, 3), NumericColumns(3));
   MlpImputerOptions o;

@@ -148,6 +148,33 @@ TEST(SinkhornDivergenceTest, MatchesMsWithFullMask) {
   EXPECT_NEAR(s1, s2, 1e-9);
 }
 
+// Both gradients of S_λ(A, B) come from one call's three solves: A's from
+// the cross plan's source side, B's from its target side. Each must match
+// central differences at the MsGradientTest tolerance.
+class SinkhornBothGradientTest : public ::testing::TestWithParam<double> {};
+
+TEST_P(SinkhornBothGradientTest, AnalyticMatchesNumeric) {
+  const double lambda = GetParam();
+  Rng rng(15);
+  const Matrix a = rng.UniformMatrix(5, 2, 0, 1);
+  const Matrix b = rng.UniformMatrix(4, 2, 0, 1);
+  const DivergenceResult r =
+      SinkhornDivergence(a, b, Opts(lambda, 3000), true);
+  ASSERT_TRUE(r.grad_xbar.SameShape(a));
+  ASSERT_TRUE(r.grad_b.SameShape(b));
+  auto fa = [&](const Matrix& av) {
+    return SinkhornDivergence(av, b, Opts(lambda, 3000), false).value;
+  };
+  auto fb = [&](const Matrix& bv) {
+    return SinkhornDivergence(a, bv, Opts(lambda, 3000), false).value;
+  };
+  EXPECT_LT(MaxGradError(fa, a, r.grad_xbar, 1e-5), 2e-4);
+  EXPECT_LT(MaxGradError(fb, b, r.grad_b, 1e-5), 2e-4);
+}
+
+INSTANTIATE_TEST_SUITE_P(Lambdas, SinkhornBothGradientTest,
+                         ::testing::Values(0.1, 0.5, 2.0, 130.0));
+
 TEST(MsLossTest, ValueIsDivergenceOver2n) {
   Rng rng(9);
   Matrix x = rng.UniformMatrix(7, 2, 0, 1);

@@ -1,9 +1,9 @@
 // Differential tests of the src/kernels compute kernels against slow
 // references: the blocked matmuls vs the testkit schoolbook oracle, the
-// fused log-sum-exp and Sinkhorn kernels vs scalar std::exp re-derivations,
-// ExpD vs std::exp in ulps, plus the determinism contract — chunk-split
-// invariance at the kernel level and 1/2/4-thread bit-identity through the
-// public ops that now run on these kernels.
+// fused log-sum-exp and kernel-domain Sinkhorn passes vs scalar std::exp
+// re-derivations, ExpD vs std::exp in ulps, plus the determinism contract —
+// chunk-split invariance at the kernel level and 1/2/4-thread bit-identity
+// through the public ops that now run on these kernels.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +19,7 @@
 #include "kernels/exp.h"
 #include "kernels/lse.h"
 #include "kernels/masked_distance.h"
+#include "kernels/sinkhorn_kernels.h"
 #include "ot/sinkhorn.h"
 #include "runtime/runtime.h"
 #include "tensor/matrix_ops.h"
@@ -123,60 +124,74 @@ TEST(KernelsVsOracle, LogSumExpMatchesScalarReference) {
   });
 }
 
-TEST(KernelsVsOracle, SinkhornDualUpdateMatchesScalarReference) {
-  CHECK_PROPERTY("dual_update_vs_scalar_reference", [](uint64_t seed) {
+TEST(KernelsVsOracle, SinkhornKernelPassesMatchScalarReference) {
+  CHECK_PROPERTY("sinkhorn_kernel_passes_vs_scalar_reference",
+                 [](uint64_t seed) {
     Rng rng(seed);
     const size_t rows = 1 + rng.UniformIndex(12);
-    const size_t cols = 1 + rng.UniformIndex(40);
+    const size_t cols = 1 + rng.UniformIndex(40);  // crosses lane tails
     const double lam = 0.5 + rng.UniformMatrix(1, 1, 0.0, 4.0)(0, 0);
     const Matrix cost = rng.UniformMatrix(rows, cols, 0.0, 8.0);
-    const Matrix shift = rng.UniformMatrix(1, cols, -2.0, 2.0);
-    std::vector<double> pot(rows, 0.3), ref(rows, 0.3);
-    const double dmax = kernels::SinkhornDualUpdateRows(
-        cost.data(), 1.0 / lam, shift.data(), lam, 0, rows, cols, pot.data());
-    double ref_dmax = 0.0;
-    std::vector<double> z(cols);
+    const Matrix fs = rng.UniformMatrix(1, rows, -2.0, 2.0);
+    const Matrix gs = rng.UniformMatrix(1, cols, -2.0, 2.0);
+    const Matrix wr = rng.UniformMatrix(1, rows, 0.0, 3.0);
+    const Matrix wc = rng.UniformMatrix(1, cols, 0.0, 3.0);
+    Matrix kern(rows, cols);
+    kernels::GibbsKernelRows(cost.data(), 1.0 / lam, fs.data(), gs.data(), 0,
+                             rows, cols, kern.data());
+    std::vector<double> col_sums(cols), row_sums(rows);
+    kernels::KernelColumnSums(kern.data(), wr.data(), rows, cols, 0, cols,
+                              col_sums.data());
+    kernels::KernelRowSums(kern.data(), wc.data(), 0, rows, cols,
+                           row_sums.data());
+    std::vector<double> ref_col(cols, 0.0);
     for (size_t i = 0; i < rows; ++i) {
+      double ref_row = 0.0;
       for (size_t j = 0; j < cols; ++j) {
-        z[j] = shift(0, j) - cost(i, j) / lam;
+        const double k = std::exp(fs(0, i) + gs(0, j) - cost(i, j) / lam);
+        PROP_CHECK_NEAR(kern(i, j), k, 1e-12 * k);
+        ref_row += k * wc(0, j);
+        ref_col[j] += k * wr(0, i);
       }
-      const double fnew = -lam * ScalarLse(z.data(), cols);
-      ref_dmax = std::max(ref_dmax, std::abs(fnew - ref[i]));
-      ref[i] = fnew;
+      PROP_CHECK_NEAR(row_sums[i], ref_row, 1e-12 * (1.0 + ref_row));
     }
-    for (size_t i = 0; i < rows; ++i) {
-      PROP_CHECK_NEAR(pot[i], ref[i], 1e-10);
+    for (size_t j = 0; j < cols; ++j) {
+      PROP_CHECK_NEAR(col_sums[j], ref_col[j], 1e-12 * (1.0 + ref_col[j]));
     }
-    PROP_CHECK_NEAR(dmax, ref_dmax, 1e-9);
     return PropertyStatus::Pass();
   });
 }
 
-TEST(KernelsVsOracle, SinkhornPlanMatchesScalarReference) {
+TEST(KernelsVsOracle, PlanRowsMatchScalarReference) {
   CHECK_PROPERTY("plan_rows_vs_scalar_reference", [](uint64_t seed) {
     Rng rng(seed);
     const size_t rows = 1 + rng.UniformIndex(10);
     const size_t cols = 1 + rng.UniformIndex(30);
     const double lam = 1.0 + rng.UniformMatrix(1, 1, 0.0, 3.0)(0, 0);
     const Matrix cost = rng.UniformMatrix(rows, cols, 0.0, 6.0);
-    const Matrix fs = rng.UniformMatrix(1, rows, -8.0, 0.0);
-    const Matrix gs = rng.UniformMatrix(1, cols, -8.0, 0.0);
+    const Matrix su = rng.UniformMatrix(1, rows, 0.01, 0.2);
+    const Matrix sv = rng.UniformMatrix(1, cols, 0.01, 0.2);
+    const Matrix alpha = rng.UniformMatrix(1, rows, -8.0, 0.0);
+    const Matrix beta = rng.UniformMatrix(1, cols, -8.0, 0.0);
     Matrix plan(rows, cols);
-    double csum = 0.0, esum = 0.0;
-    kernels::SinkhornPlanRows(cost.data(), 1.0 / lam, fs.data(), gs.data(), 0,
-                              rows, cols, plan.data(), &csum, &esum);
-    double ref_c = 0.0, ref_e = 0.0;
+    for (size_t i = 0; i < rows; ++i)
+      for (size_t j = 0; j < cols; ++j)
+        plan(i, j) = std::exp(-cost(i, j) / lam);
+    const Matrix kern = plan;
+    double csum = 0.0, lsum = 0.0;
+    kernels::PlanRows(cost.data(), su.data(), sv.data(), alpha.data(),
+                      beta.data(), 0, rows, cols, plan.data(), &csum, &lsum);
+    double ref_c = 0.0, ref_l = 0.0;
     for (size_t i = 0; i < rows; ++i) {
       for (size_t j = 0; j < cols; ++j) {
-        const double z = fs(0, i) + gs(0, j) - cost(i, j) / lam;
-        const double p = std::exp(z);
-        PROP_CHECK_NEAR(plan(i, j), p, 1e-12);
+        const double p = su(0, i) * kern(i, j) * sv(0, j);
+        PROP_CHECK_NEAR(plan(i, j), p, 1e-15);
         ref_c += p * cost(i, j);
-        if (p > 0.0) ref_e += p * z;
+        ref_l += p * (alpha(0, i) + beta(0, j));
       }
     }
     PROP_CHECK_NEAR(csum, ref_c, 1e-9);
-    PROP_CHECK_NEAR(esum, ref_e, 1e-9);
+    PROP_CHECK_NEAR(lsum, ref_l, 1e-9);
     return PropertyStatus::Pass();
   });
 }
@@ -284,23 +299,53 @@ TEST(KernelsVsOracle, MaskedDistanceCoordinateMajorMatchesArrayKernel) {
 // at any positions gives bit-identical output to one full-range call. This
 // is the property that makes thread-count invariance automatic for every
 // ParallelFor caller.
-TEST(KernelsDeterminismTest, DualUpdateIsChunkSplitInvariant) {
+TEST(KernelsDeterminismTest, SinkhornKernelsAreChunkSplitInvariant) {
   Rng rng(7);
   const size_t rows = 23, cols = 57;
   const double lam = 1.7;
   const Matrix cost = rng.UniformMatrix(rows, cols, 0.0, 5.0);
-  const Matrix shift = rng.UniformMatrix(1, cols, -1.0, 1.0);
-  std::vector<double> whole(rows, 0.0);
-  kernels::SinkhornDualUpdateRows(cost.data(), 1.0 / lam, shift.data(), lam, 0,
-                                  rows, cols, whole.data());
+  const Matrix fs = rng.UniformMatrix(1, rows, -1.0, 1.0);
+  const Matrix gs = rng.UniformMatrix(1, cols, -1.0, 1.0);
+  const Matrix wr = rng.UniformMatrix(1, rows, 0.0, 1.0);
+  const Matrix wc = rng.UniformMatrix(1, cols, 0.0, 1.0);
+  Matrix kern(rows, cols);
+  kernels::GibbsKernelRows(cost.data(), 1.0 / lam, fs.data(), gs.data(), 0,
+                           rows, cols, kern.data());
+  std::vector<double> whole_rows(rows), whole_cols(cols);
+  kernels::KernelRowSums(kern.data(), wc.data(), 0, rows, cols,
+                         whole_rows.data());
+  kernels::KernelColumnSums(kern.data(), wr.data(), rows, cols, 0, cols,
+                            whole_cols.data());
+  Matrix whole_plan = kern;
+  double whole_c = 0.0, whole_l = 0.0;
+  kernels::PlanRows(cost.data(), wr.data(), wc.data(), fs.data(), gs.data(),
+                    0, rows, cols, whole_plan.data(), &whole_c, &whole_l);
   for (const size_t step : {1ul, 3ul, 8ul}) {
-    std::vector<double> split(rows, 0.0);
+    Matrix split_kern(rows, cols);
+    std::vector<double> split_rows(rows), split_cols(cols);
+    Matrix split_plan = kern;
+    double c = 0.0, l = 0.0;
     for (size_t r = 0; r < rows; r += step) {
-      kernels::SinkhornDualUpdateRows(cost.data(), 1.0 / lam, shift.data(),
-                                      lam, r, std::min(r + step, rows), cols,
-                                      split.data());
+      const size_t re = std::min(r + step, rows);
+      kernels::GibbsKernelRows(cost.data(), 1.0 / lam, fs.data(), gs.data(),
+                               r, re, cols, split_kern.data());
+      kernels::KernelRowSums(kern.data(), wc.data(), r, re, cols,
+                             split_rows.data());
+      kernels::PlanRows(cost.data(), wr.data(), wc.data(), fs.data(),
+                        gs.data(), r, re, cols, split_plan.data(), &c, &l);
     }
-    EXPECT_EQ(split, whole) << "split at step " << step;
+    for (size_t j = 0; j < cols; j += step) {
+      kernels::KernelColumnSums(kern.data(), wr.data(), rows, cols, j,
+                                std::min(j + step, cols), split_cols.data());
+    }
+    EXPECT_TRUE(split_kern == kern) << "kernel split at step " << step;
+    EXPECT_EQ(split_rows, whole_rows) << "row sums split at step " << step;
+    EXPECT_EQ(split_cols, whole_cols) << "column sums split at step " << step;
+    EXPECT_TRUE(split_plan == whole_plan) << "plan split at step " << step;
+    // The sums continue from the caller's running value row by row, so a
+    // split call sequence adds in the same order as one call.
+    EXPECT_EQ(c, whole_c) << "cost sum split at step " << step;
+    EXPECT_EQ(l, whole_l) << "log sum split at step " << step;
   }
 }
 

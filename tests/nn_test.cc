@@ -65,6 +65,34 @@ TEST(ParamStoreTest, UnboundParamsGetZeroGrads) {
   EXPECT_TRUE(grads[1].AllClose(Matrix(1, 2)));
 }
 
+// A binding records its tape's generation: once the tape is cleared or
+// destroyed, the parameter reads as unbound instead of dereferencing the
+// dead tape.
+TEST(ParamStoreTest, BindingsDieWithTheirTape) {
+  ParamStore store;
+  store.Add("w", Matrix{{2.0}});
+  {
+    Tape tape;
+    Var w = store.Bind(tape, 0);
+    tape.Backward(Sum(Square(w)));
+  }
+  EXPECT_TRUE(store.CollectGrads()[0].AllClose(Matrix(1, 1)));
+
+  Tape tape;
+  Var w = store.Bind(tape, 0);
+  tape.Backward(Sum(Square(w)));
+  tape.Clear();
+  std::vector<const Matrix*> views;
+  store.CollectGradsInto(&views);
+  ASSERT_EQ(views.size(), 1u);
+  EXPECT_EQ(views[0], nullptr);
+
+  // A live binding is unaffected.
+  Var w2 = store.Bind(tape, 0);
+  tape.Backward(Sum(Square(w2)));
+  EXPECT_DOUBLE_EQ(store.CollectGrads()[0](0, 0), 4.0);
+}
+
 TEST(InitTest, XavierWithinLimit) {
   Rng rng(1);
   Matrix w = InitWeight(InitKind::kXavierUniform, 30, 50, rng);

@@ -178,6 +178,36 @@ TEST(DeterminismTest, SinkhornBitIdenticalAcrossThreadCounts) {
   }
 }
 
+// 1000×1000 splits every Sinkhorn pass into many row and column chunks
+// (the 96×96 case above fits in one grain). λ = 1 runs the plain kernel
+// iterations; λ = 0.01 also runs the absorption path.
+TEST(DeterminismTest, SinkhornMultiChunkBitIdenticalAcrossThreadCounts) {
+  ThreadsGuard guard;
+  Rng rng(3);
+  const Matrix a = rng.UniformMatrix(1000, 4, 0, 1);
+  const Matrix b = rng.UniformMatrix(1000, 4, 0, 1);
+  const Matrix cost = PairwiseSquaredDistances(a, b);
+  for (const double lambda : {1.0, 0.01}) {
+    SinkhornOptions opts;
+    opts.lambda = lambda;
+    opts.max_iters = 12;
+    opts.tol = 1e-9;
+    runtime::SetNumThreads(1);
+    const SinkhornSolution serial = SolveSinkhorn(cost, opts);
+    for (int threads : {2, 4}) {
+      runtime::SetNumThreads(threads);
+      const SinkhornSolution parallel = SolveSinkhorn(cost, opts);
+      EXPECT_EQ(serial.reg_value, parallel.reg_value)
+          << "lambda=" << lambda << " threads=" << threads;
+      EXPECT_EQ(serial.transport_cost, parallel.transport_cost);
+      EXPECT_EQ(serial.iters, parallel.iters);
+      EXPECT_EQ(serial.f, parallel.f);
+      EXPECT_EQ(serial.g, parallel.g);
+      EXPECT_TRUE(serial.plan == parallel.plan);
+    }
+  }
+}
+
 TEST(DeterminismTest, MatMulBitIdenticalAcrossThreadCounts) {
   ThreadsGuard guard;
   for (uint64_t seed : {3u, 11u}) {

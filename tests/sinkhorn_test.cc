@@ -2,10 +2,12 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -194,6 +196,134 @@ TEST(MaskedCostTest, MaskedCoordinatesIgnored) {
   a(0, 1) = -1234.0;
   Matrix c2 = MaskedCostMatrix(a, ma, b, mb);
   EXPECT_NEAR(c1(0, 0), c2(0, 0), 1e-12);
+}
+
+// The self cost of a training step is built from one triangle and
+// mirrored; it must equal the full MaskedCostMatrix byte for byte, at the
+// DIM shapes, at shapes with leftover tile rows, and at 1/2/4 threads.
+TEST(MaskedCostTest, SelfCostTriangleMatchesFullMatrixBitExact) {
+  const int saved_threads = runtime::NumThreads();
+  Rng rng(12);
+  for (const auto& [n, d] : std::vector<std::pair<size_t, size_t>>{
+           {128, 9}, {128, 64}, {7, 3}, {130, 5}, {1, 4}}) {
+    const Matrix x = rng.UniformMatrix(n, d, -2.0, 2.0);
+    const Matrix m = rng.BernoulliMatrix(n, d, 0.7);
+    runtime::SetNumThreads(1);
+    const Matrix full = MaskedCostMatrix(x, m, x, m);
+    for (const int threads : {1, 2, 4}) {
+      runtime::SetNumThreads(threads);
+      const Matrix self = SelfSquaredDistances(Mul(x, m));
+      ASSERT_TRUE(self.SameShape(full));
+      EXPECT_EQ(std::memcmp(self.data(), full.data(),
+                            full.size() * sizeof(double)),
+                0)
+          << n << "x" << d << " at " << threads << " threads";
+    }
+  }
+  runtime::SetNumThreads(saved_threads);
+}
+
+uint64_t Absorptions() {
+  return obs::Registry::Global().Snapshot().CounterOr("sinkhorn.absorptions");
+}
+
+// Row and column sums of `plan` against uniform marginals.
+void ExpectUniformMarginals(const Matrix& plan, double tol) {
+  const size_t n = plan.rows(), m = plan.cols();
+  for (size_t i = 0; i < n; ++i) {
+    double row = 0.0;
+    for (size_t j = 0; j < m; ++j) row += plan(i, j);
+    EXPECT_NEAR(row, 1.0 / n, tol) << "row " << i;
+  }
+  for (size_t j = 0; j < m; ++j) {
+    double col = 0.0;
+    for (size_t i = 0; i < n; ++i) col += plan(i, j);
+    EXPECT_NEAR(col, 1.0 / m, tol) << "col " << j;
+  }
+}
+
+// At the DIM weight λ = 130 on a 128-row masked batch, the Gibbs kernel
+// lies in [exp(-d/λ), 1]: the solve needs no absorption and converges in
+// two iterations.
+TEST(SinkhornAbsorptionTest, NoneAtDimShape) {
+  Rng rng(13);
+  for (const size_t d : {9u, 64u}) {
+    const Matrix x = rng.UniformMatrix(128, d, 0.0, 1.0);
+    const Matrix xbar = rng.UniformMatrix(128, d, 0.0, 1.0);
+    const Matrix m = rng.BernoulliMatrix(128, d, 0.8);
+    SinkhornOptions opts;
+    opts.lambda = 130.0;
+    opts.max_iters = 100;
+    opts.tol = 1e-7;
+    const uint64_t before = Absorptions();
+    const SinkhornSolution s = SolveSinkhornMasked(xbar, m, x, m, opts);
+    EXPECT_EQ(Absorptions() - before, 0u) << "d=" << d;
+    EXPECT_EQ(s.iters, 2) << "d=" << d;
+    EXPECT_TRUE(s.converged);
+  }
+}
+
+// Small λ: once costs/λ pass exp's range the solve must absorb scalings
+// into the log potentials. Adding a constant k to every cost leaves the
+// plan unchanged and moves OT_λ by exactly k (the plan has mass 1), while
+// it scales every Gibbs-kernel entry by exp(-k/λ); with k/λ in the
+// thousands only absorption can solve the shifted problem, and it must
+// reproduce the unshifted solve.
+void ExpectShiftInvariantWithAbsorption(const Matrix& cost, double shift,
+                                        const SinkhornOptions& opts) {
+  const SinkhornSolution base = SolveSinkhorn(cost, opts);
+  const uint64_t before = Absorptions();
+  const SinkhornSolution s = SolveSinkhorn(AddScalar(cost, shift), opts);
+  EXPECT_GT(Absorptions() - before, 0u);
+  ASSERT_TRUE(base.converged);
+  EXPECT_TRUE(s.converged);
+  EXPECT_TRUE(std::isfinite(s.reg_value));
+  for (const double f : s.f) EXPECT_TRUE(std::isfinite(f));
+  for (const double g : s.g) EXPECT_TRUE(std::isfinite(g));
+  ExpectUniformMarginals(s.plan, 1e-8);
+  EXPECT_TRUE(s.plan.AllClose(base.plan, 1e-12));
+  EXPECT_NEAR(s.reg_value, base.reg_value + shift, 1e-9 * (1.0 + shift));
+}
+
+// λ = 1e-3 on the masked 10×3 batch of
+// RobustnessTest.MsDivergenceTinyLambdaStaysFinite.
+TEST(SinkhornAbsorptionTest, FiresAtTinyLambdaAndKeepsMarginals) {
+  Rng rng(8);
+  const Matrix x = rng.UniformMatrix(10, 3, 0, 1);
+  const Matrix xbar = rng.UniformMatrix(10, 3, 0, 1);
+  const Matrix m = rng.BernoulliMatrix(10, 3, 0.7);
+  SinkhornOptions opts;
+  opts.lambda = 1e-3;
+  opts.max_iters = 500;
+  // The cross solve itself absorbs; it stays finite with exact row sums
+  // (it needs far more than 500 iterations to meet the column marginals).
+  const uint64_t before = Absorptions();
+  const SinkhornSolution cross = SolveSinkhornMasked(xbar, m, x, m, opts);
+  EXPECT_GT(Absorptions() - before, 0u);
+  EXPECT_TRUE(std::isfinite(cross.reg_value));
+  for (size_t i = 0; i < 10; ++i) {
+    double row = 0.0;
+    for (size_t j = 0; j < 10; ++j) row += cross.plan(i, j);
+    EXPECT_NEAR(row, 0.1, 1e-9 * 1.1);
+  }
+  ExpectShiftInvariantWithAbsorption(MaskedCostMatrix(xbar, m, xbar, m), 3.0,
+                                     opts);
+}
+
+// The RRSI weight λ = 0.05 on a 128×64 cost with entries up to 64: 64
+// points and, for each, two noisy copies among the 128, shifted by 40.
+TEST(SinkhornAbsorptionTest, FiresAtRrsiLambdaAndKeepsMarginals) {
+  Rng rng(14);
+  const Matrix b = rng.UniformMatrix(64, 64, 0.0, 1.0);
+  Matrix a(128, 64);
+  for (size_t i = 0; i < 128; ++i) {
+    for (size_t k = 0; k < 64; ++k) {
+      a(i, k) = b(i % 64, k) + rng.Normal(0.0, 0.01);
+    }
+  }
+  const Matrix cost = PairwiseSquaredDistances(a, b);
+  EXPECT_LT(MaxValue(AddScalar(cost, 40.0)), 64.0);
+  ExpectShiftInvariantWithAbsorption(cost, 40.0, Opts(0.05, 2000));
 }
 
 // Occurrences of a span name in a Chrome trace written by obs::WriteTrace.
