@@ -26,6 +26,7 @@
 #include "nn/layers.h"
 #include "nn/optimizer.h"
 #include "ot/divergence.h"
+#include "ot/masked_cost.h"
 #include "ot/sinkhorn.h"
 #include "runtime/runtime.h"
 #include "tensor/matrix_ops.h"
@@ -317,6 +318,29 @@ int RunKernelBenchJson(const std::string& path, bool quick) {
   Matrix p = rng.UniformMatrix(1, vec_n, 0.0, 1.0);
   Matrix y = rng.UniformMatrix(1, vec_n, 0.0, 1.0);
   Matrix acc = Matrix::Ones(1, vec_n);
+  // One DIM minibatch's envelope gradient (both plan sides) at the Weather
+  // (d = 9) and Search (d = 64) widths, on a converged λ = 130 plan.
+  struct GradCase {
+    Matrix a, ma, b, mb, plan;
+  };
+  auto grad_case = [&](size_t d) {
+    GradCase g;
+    g.a = rng.UniformMatrix(128, d, 0, 1);
+    g.ma = rng.BernoulliMatrix(128, d, 0.8);
+    g.b = rng.UniformMatrix(128, d, 0, 1);
+    g.mb = rng.BernoulliMatrix(128, d, 0.8);
+    SinkhornOptions grad_opts;
+    grad_opts.lambda = 130.0;
+    g.plan = SolveSinkhorn(MaskedCostMatrix(g.a, g.ma, g.b, g.mb), grad_opts)
+                 .plan;
+    return g;
+  };
+  const GradCase g9 = grad_case(9);
+  const GradCase g64 = grad_case(64);
+  auto grad_op = [](const GradCase& g) {
+    benchmark::DoNotOptimize(MaskedOtGradWrtA(g.plan, g.a, g.ma, g.b, g.mb));
+    benchmark::DoNotOptimize(MaskedOtGradWrtB(g.plan, g.a, g.ma, g.b, g.mb));
+  };
 
   const std::vector<BenchCase> cases = {
       {"sinkhorn_solve_" + std::to_string(sink_n),
@@ -344,6 +368,8 @@ int RunKernelBenchJson(const std::string& path, bool quick) {
        }},
       {"axpy_" + std::to_string(vec_n),
        [&] { AxpyInPlace(acc, 1e-9, p); }},
+      {"masked_ot_grad_128_d9", [&] { grad_op(g9); }},
+      {"masked_ot_grad_128_d64", [&] { grad_op(g64); }},
   };
 
   const int thread_arms[] = {1, 2, 4, 8};

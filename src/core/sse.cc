@@ -15,10 +15,10 @@ namespace {
 
 // Cached handles; updates are relaxed atomics (see obs/metrics.h).
 struct SseMetrics {
-  obs::Counter* probes;       // ProbabilityAt evaluations
-  obs::Counter* model_evals;  // k parameter-pair distance evaluations
+  obs::Counter* probes;       // candidate sizes probed
+  obs::Counter* model_evals;  // parameter-pair distance evaluations
   obs::Gauge* candidate_n;    // n probed most recently
-  obs::Gauge* confidence;     // empirical P(D <= eps) at that n
+  obs::Gauge* confidence;     // P(D <= eps) from the last full count
   obs::Gauge* n_star;         // final binary-search answer
 
   static const SseMetrics& Get() {
@@ -33,6 +33,12 @@ struct SseMetrics {
     return m;
   }
 };
+
+// The search's test on a pair count: the empirical P(D ≤ ε) = pass/k
+// reaches the Prop.-2 threshold.
+bool Accepts(int pass, int k, double threshold) {
+  return static_cast<double>(pass) / static_cast<double>(k) >= threshold;
+}
 
 }  // namespace
 
@@ -207,9 +213,9 @@ double SseEstimator::OutputDistance(GenerativeImputer& model,
   return cnt ? std::sqrt(acc / static_cast<double>(cnt)) : 0.0;
 }
 
-double SseEstimator::ProbabilityAt(GenerativeImputer& model,
-                                   const Dataset& validation, size_t n0,
-                                   size_t n, size_t data_size) {
+int SseEstimator::CountPasses(
+    GenerativeImputer& model, const Dataset& validation, size_t n0, size_t n,
+    size_t data_size, const double* threshold) {
   SCIS_TRACE_SPAN("sse.probe");
   const SseMetrics& metrics = SseMetrics::Get();
   SCIS_CHECK_MSG(prepared_, "Prepare() must run before ProbabilityAt()");
@@ -239,10 +245,16 @@ double SseEstimator::ProbabilityAt(GenerativeImputer& model,
     }
     return x;
   };
-
   std::vector<double> theta_n(p), theta_N(p);
-  int pass = 0;
+  int pass = 0, evaluated = 0;
   for (int i = 0; i < opts_.k; ++i) {
+    // The final count lies in [pass, pass + k − i] and the test is
+    // monotone in it, so once both ends agree the rest cannot change it.
+    if (threshold != nullptr &&
+        (Accepts(pass, opts_.k, *threshold) ||
+         !Accepts(pass + opts_.k - i, opts_.k, *threshold))) {
+      break;
+    }
     const std::vector<double> d1 = direction(z1_[i]);
     const std::vector<double> d2 = direction(z2_[i]);
     for (size_t j = 0; j < p; ++j) {
@@ -251,14 +263,23 @@ double SseEstimator::ProbabilityAt(GenerativeImputer& model,
     }
     const double dist = OutputDistance(model, validation, theta_n, theta_N);
     if (dist <= opts_.epsilon) ++pass;
+    ++evaluated;
   }
   // Restore θ0.
   model.generator_params().FromFlat(theta0_);
-  const double prob = static_cast<double>(pass) / static_cast<double>(opts_.k);
   metrics.probes->Add(1);
-  metrics.model_evals->Add(static_cast<uint64_t>(opts_.k));
+  metrics.model_evals->Add(static_cast<uint64_t>(evaluated));
   metrics.candidate_n->Set(static_cast<double>(n));
-  metrics.confidence->Set(prob);
+  return pass;
+}
+
+double SseEstimator::ProbabilityAt(GenerativeImputer& model,
+                                   const Dataset& validation, size_t n0,
+                                   size_t n, size_t data_size) {
+  const int pass =
+      CountPasses(model, validation, n0, n, data_size, /*threshold=*/nullptr);
+  const double prob = static_cast<double>(pass) / static_cast<double>(opts_.k);
+  SseMetrics::Get().confidence->Set(prob);
   return prob;
 }
 
@@ -280,11 +301,13 @@ Result<SseResult> SseEstimator::EstimateMinimumSize(GenerativeImputer& model,
   res.threshold = SseThreshold(opts_.alpha, opts_.beta, opts_.k);
 
   // P(n) is monotone in n under common random numbers: binary search the
-  // smallest satisfying size.
+  // smallest satisfying size. A step needs only the decision, so its pair
+  // loop stops once the count settles it; n* keeps its full count below.
   auto satisfied = [&](size_t n) {
     ++res.search_steps;
-    return ProbabilityAt(model, validation, n0, n, data_size) >=
-           res.threshold;
+    return Accepts(
+        CountPasses(model, validation, n0, n, data_size, &res.threshold),
+        opts_.k, res.threshold);
   };
   size_t lo = n0, hi = data_size;
   if (satisfied(lo)) {

@@ -107,6 +107,14 @@ class SseEstimator {
   const Matrix& h_chol() const { return h_chol_; }
 
  private:
+  // Number of the k CRN parameter pairs at candidate n whose distance is
+  // within ε, evaluated in pair order. With a threshold, the loop stops as
+  // soon as pass/k ≥ threshold is settled either way, and the count it
+  // returns then gives the same answer to that test as the full count.
+  int CountPasses(GenerativeImputer& model, const Dataset& validation,
+                  size_t n0, size_t n, size_t data_size,
+                  const double* threshold);
+
   // Masked RMS output difference (Eq. 4) between two parameter vectors.
   double OutputDistance(GenerativeImputer& model, const Dataset& validation,
                         const std::vector<double>& theta_a,

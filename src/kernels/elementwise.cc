@@ -29,6 +29,34 @@ double Sum(const double* __restrict v, size_t n) {
 }
 
 SCIS_KERNEL_CLONES
+void ColumnSums(const double* __restrict mat, size_t rows, size_t cols,
+                size_t c0, size_t c1, double* __restrict out) {
+  // Blocks of kBlock columns; acc[l] holds lane l of every column in the
+  // block, fed row by row in ascending order like Sum's lanes.
+  constexpr size_t kBlock = 4;
+  for (size_t c = c0; c < c1; c += kBlock) {
+    const size_t w = c1 - c < kBlock ? c1 - c : kBlock;
+    double acc[kLanes][kBlock] = {};
+    size_t i = 0;
+    for (; i + kLanes <= rows; i += kLanes) {
+      for (size_t l = 0; l < kLanes; ++l) {
+        const double* __restrict row = mat + (i + l) * cols + c;
+        for (size_t t = 0; t < w; ++t) acc[l][t] += row[t];
+      }
+    }
+    for (size_t l = 0; i < rows; ++i, ++l) {
+      const double* __restrict row = mat + i * cols + c;
+      for (size_t t = 0; t < w; ++t) acc[l][t] += row[t];
+    }
+    for (size_t t = 0; t < w; ++t) {
+      double lanes[kLanes];
+      for (size_t l = 0; l < kLanes; ++l) lanes[l] = acc[l][t];
+      out[c + t] = LaneSum(lanes);
+    }
+  }
+}
+
+SCIS_KERNEL_CLONES
 double Dot(const double* __restrict a, const double* __restrict b, size_t n) {
   double acc[kLanes] = {};
   size_t i = 0;
@@ -54,13 +82,6 @@ SCIS_KERNEL_CLONES
 void Axpy(double alpha, const double* __restrict x, double* __restrict y,
           size_t n) {
   for (size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
-}
-
-SCIS_KERNEL_CLONES
-void ScaledMulAdd(double alpha, const double* __restrict x,
-                  const double* __restrict y, double* __restrict out,
-                  size_t n) {
-  for (size_t i = 0; i < n; ++i) out[i] += alpha * x[i] * y[i];
 }
 
 SCIS_KERNEL_CLONES

@@ -29,6 +29,14 @@ inline constexpr size_t kLanes = 8;
 // Σ v[i]. Fixed-lane association (see file comment).
 double Sum(const double* v, size_t n);
 
+// out[c] = Σ_i mat(i,c) over the `rows` rows of the row-major rows×cols
+// `mat`, for columns [c0, c1). Each column is associated exactly as Sum
+// associates a contiguous span (lane = i mod kLanes, then the lane tree), so
+// out[c] equals Sum over a copy of column c bit for bit, whatever column
+// range a caller passes.
+void ColumnSums(const double* mat, size_t rows, size_t cols, size_t c0,
+                size_t c1, double* out);
+
 // Σ a[i]·b[i].
 double Dot(const double* a, const double* b, size_t n);
 
@@ -37,10 +45,6 @@ double SquaredNorm(const double* v, size_t n);
 
 // y[i] += alpha · x[i].
 void Axpy(double alpha, const double* x, double* y, size_t n);
-
-// out[i] += alpha · x[i] · y[i]  (fused masked rank-1 accumulation).
-void ScaledMulAdd(double alpha, const double* x, const double* y, double* out,
-                  size_t n);
 
 // v[i] *= s.
 void ScaleInPlace(double* v, double s, size_t n);

@@ -1,4 +1,5 @@
-// Kernel-domain Sinkhorn passes over a dense n×m Gibbs kernel.
+// Kernel-domain Sinkhorn passes over a dense n×m Gibbs kernel, and the
+// envelope gradient the solved plan feeds (MaskedGradRows, at the end).
 //
 // The solver (ot/sinkhorn.cc) builds K(i,j) = exp(fs[i] + gs[j] − C(i,j)/λ)
 // once per solve, where fs/gs are the log potentials absorbed so far
@@ -52,6 +53,36 @@ void KernelRowSums(const double* kernel, const double* w, size_t r0,
 void PlanRows(const double* cost, const double* su, const double* sv,
               const double* alpha, const double* beta, size_t r0, size_t r1,
               size_t cols, double* plan, double* cost_sum, double* log_sum);
+
+// Envelope gradient rows of the masked OT cost (ot/masked_cost.cc), before
+// the closing MaskedGradFinish step: for output rows i in [r0, r1) of the
+// row-major n×d `grad`,
+//
+//   grad(i,k) = Σ_j (−P(i,j)·mb(j,k))·b(j,k),   j = 0 … m−1,
+//
+// where P(i,j) = plan[i·row_stride + j·col_stride] and mb, b are m×d. The
+// strides let one kernel serve both sides: the A side reads plan rows
+// (row_stride = cols, col_stride = 1), the B side reads plan columns in
+// place (row_stride = 1, col_stride = cols).
+//
+// Exactness: each element equals, bit for bit, the scalar loop that starts
+// at g = +0.0 and adds `(−P(i,j)·mb(j,k))·b(j,k)` for ascending j, skipping
+// P(i,j) == 0 (tests/kernels_test.cc keeps it as the reference).
+//   * Order kept: a register tile of up to 4 rows × 12 coordinates shares
+//     each loaded mb/b row, but every accumulator still takes its own terms
+//     one at a time in ascending j, with the same two multiplies.
+//   * +0.0 masking: where P(i,j) == 0 the term is replaced by +0.0 (a
+//     select, so ±inf or NaN in b there never reaches the sum). Adding +0.0
+//     leaves every value but −0.0 unchanged, and an accumulator that starts
+//     at +0.0 can never become −0.0 (x + y is −0.0 only when both are).
+//   * A row's arithmetic does not depend on the tile it lands in, so any
+//     split of [r0, r1) gives the same bits.
+// The row totals Σ_j P(i,j) are kernels::Sum over a plan row on the A side
+// and kernels::ColumnSums over a plan column on the B side (same lane
+// association, so the B side's totals match a transposed row's bits).
+void MaskedGradRows(const double* plan, size_t row_stride, size_t col_stride,
+                    const double* mb, const double* b, size_t m, size_t d,
+                    size_t r0, size_t r1, double* grad);
 
 }  // namespace scis::kernels
 

@@ -1,7 +1,10 @@
 #include "ot/masked_cost.h"
 
+#include <vector>
+
 #include "common/check.h"
 #include "kernels/elementwise.h"
+#include "kernels/sinkhorn_kernels.h"
 #include "runtime/parallel_for.h"
 #include "tensor/matrix_ops.h"
 
@@ -15,38 +18,53 @@ Matrix MaskedCostMatrix(const Matrix& a, const Matrix& ma, const Matrix& b,
   return PairwiseSquaredDistances(Mul(a, ma), Mul(b, mb));
 }
 
-Matrix MaskedOtGradWrtA(const Matrix& plan, const Matrix& a, const Matrix& ma,
-                        const Matrix& b, const Matrix& mb) {
-  SCIS_CHECK_EQ(plan.rows(), a.rows());
-  SCIS_CHECK_EQ(plan.cols(), b.rows());
-  const size_t n = a.rows(), m = b.rows(), d = a.cols();
+namespace {
+
+// The envelope gradient in the rows of x against the rows of y, whose
+// plan entry for the pair (i, j) sits at plan[i·rs + j·cs]. Each gradient
+// row depends only on its own plan line, so the row loop parallelizes with
+// disjoint writes and bit-identical per-row arithmetic.
+Matrix EnvelopeGrad(const Matrix& plan, bool by_columns, const Matrix& x,
+                    const Matrix& mx, const Matrix& y, const Matrix& my) {
+  const size_t n = x.rows(), m = y.rows(), d = x.cols();
+  const size_t rs = by_columns ? 1 : plan.cols();
+  const size_t cs = by_columns ? plan.cols() : 1;
   Matrix grad(n, d);
-  // Each gradient row depends only on plan row i — disjoint writes, so the
-  // row loop parallelizes with bit-identical per-row arithmetic.
+  std::vector<double> totals(n);
   runtime::ParallelFor(0, n, runtime::GrainForWork(n, m * d),
                        [&](size_t rb, size_t re) {
-    for (size_t i = rb; i < re; ++i) {
-      const double* ai = a.row_data(i);
-      const double* mi = ma.row_data(i);
-      const double* pi = plan.row_data(i);
-      double* gi = grad.row_data(i);
-      // Σ_j P_ij, to factor the m_i⊙a_i term out of the j-loop.
-      const double prow = kernels::Sum(pi, m);
-      for (size_t j = 0; j < m; ++j) {
-        const double pij = pi[j];
-        if (pij == 0.0) continue;
-        kernels::ScaledMulAdd(-pij, mb.row_data(j), b.row_data(j), gi, d);
+    kernels::MaskedGradRows(plan.data(), rs, cs, my.data(), y.data(), m, d,
+                            rb, re, grad.data());
+    // Σ_j P_ij, to factor the m_i⊙x_i term out of the j-sum.
+    if (by_columns) {
+      kernels::ColumnSums(plan.data(), m, n, rb, re, totals.data());
+    } else {
+      for (size_t i = rb; i < re; ++i) {
+        totals[i] = kernels::Sum(plan.row_data(i), m);
       }
-      kernels::MaskedGradFinish(mi, ai, prow, gi, d);
+    }
+    for (size_t i = rb; i < re; ++i) {
+      kernels::MaskedGradFinish(mx.row_data(i), x.row_data(i), totals[i],
+                                grad.row_data(i), d);
     }
   });
   return grad;
 }
 
+}  // namespace
+
+Matrix MaskedOtGradWrtA(const Matrix& plan, const Matrix& a, const Matrix& ma,
+                        const Matrix& b, const Matrix& mb) {
+  SCIS_CHECK_EQ(plan.rows(), a.rows());
+  SCIS_CHECK_EQ(plan.cols(), b.rows());
+  return EnvelopeGrad(plan, /*by_columns=*/false, a, ma, b, mb);
+}
+
 Matrix MaskedOtGradWrtB(const Matrix& plan, const Matrix& a, const Matrix& ma,
                         const Matrix& b, const Matrix& mb) {
-  // Reuse the A-side kernel on the transposed problem.
-  return MaskedOtGradWrtA(Transpose(plan), b, mb, a, ma);
+  SCIS_CHECK_EQ(plan.rows(), a.rows());
+  SCIS_CHECK_EQ(plan.cols(), b.rows());
+  return EnvelopeGrad(plan, /*by_columns=*/true, b, mb, a, ma);
 }
 
 }  // namespace scis

@@ -20,6 +20,7 @@
 #include "kernels/lse.h"
 #include "kernels/masked_distance.h"
 #include "kernels/sinkhorn_kernels.h"
+#include "ot/masked_cost.h"
 #include "ot/sinkhorn.h"
 #include "runtime/runtime.h"
 #include "tensor/matrix_ops.h"
@@ -196,6 +197,103 @@ TEST(KernelsVsOracle, PlanRowsMatchScalarReference) {
   });
 }
 
+// The envelope gradient as it was computed entry by entry before the tiled
+// kernel: a fused `g += (−P_ij·mb_j)⊙b_j` per nonzero plan entry, then the
+// row total and the closing MaskedGradFinish.
+Matrix PerEntryGradWrtA(const Matrix& plan, const Matrix& a, const Matrix& ma,
+                        const Matrix& b, const Matrix& mb) {
+  const size_t n = a.rows(), m = b.rows(), d = a.cols();
+  Matrix grad(n, d);
+  for (size_t i = 0; i < n; ++i) {
+    const double* pi = plan.row_data(i);
+    double* gi = grad.row_data(i);
+    const double prow = kernels::Sum(pi, m);
+    for (size_t j = 0; j < m; ++j) {
+      const double pij = pi[j];
+      if (pij == 0.0) continue;
+      const double alpha = -pij;
+      const double* x = mb.row_data(j);
+      const double* y = b.row_data(j);
+      for (size_t k = 0; k < d; ++k) gi[k] += alpha * x[k] * y[k];
+    }
+    kernels::MaskedGradFinish(ma.row_data(i), a.row_data(i), prow, gi, d);
+  }
+  return grad;
+}
+
+bool SameBytes(const Matrix& x, const Matrix& y) {
+  return x.SameShape(y) &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+}
+
+// Both sides of the tiled envelope gradient against the per-entry loop,
+// byte for byte, over tile remainders in n and m and chunk overlaps in d.
+// Plans carry exact zeros, including whole zero rows and columns whose
+// rows of a and b hold ±inf and NaN: a zero-plan term must not reach the
+// sum, whatever b holds there.
+TEST(KernelsVsOracle, MaskedGradMatchesPerEntryLoop) {
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double specials[] = {kInf, -kInf, kNaN};
+  Rng rng(23);
+  for (size_t n : {1, 3, 5, 128, 131}) {
+    for (size_t m : {1, 3, 5, 128, 131}) {
+      for (size_t d : {1, 3, 4, 5, 8, 9, 64}) {
+        SCOPED_TRACE(testing::Message() << n << "x" << m << " d=" << d);
+        Matrix a = rng.UniformMatrix(n, d, -1.0, 1.0);
+        Matrix b = rng.UniformMatrix(m, d, -1.0, 1.0);
+        // Non-binary mask values, so that a reassociated product
+        // (−P·(mb·b) for (−P·mb)·b) changes bits.
+        const Matrix ma = Mul(rng.BernoulliMatrix(n, d, 0.7),
+                              rng.UniformMatrix(n, d, 0.5, 1.5));
+        const Matrix mb = Mul(rng.BernoulliMatrix(m, d, 0.7),
+                              rng.UniformMatrix(m, d, 0.5, 1.5));
+        Matrix plan = rng.UniformMatrix(n, m, 0.0, 1e-2);
+        for (size_t t = 0; t < plan.size(); ++t) {
+          if (rng.Bernoulli(0.3)) plan.data()[t] = 0.0;
+        }
+        // Every third column and fifth row of the plan is zero; the matching
+        // rows of b and a hold non-finite values.
+        for (size_t j = 1; j < m; j += 3) {
+          for (size_t i = 0; i < n; ++i) plan(i, j) = 0.0;
+          for (size_t k = 0; k < d; ++k) b(j, k) = specials[(j + k) % 3];
+        }
+        for (size_t i = 2; i < n; i += 5) {
+          for (size_t j = 0; j < m; ++j) plan(i, j) = 0.0;
+          for (size_t k = 0; k < d; ++k) a(i, k) = specials[(i + k) % 3];
+        }
+        const Matrix grad_a = MaskedOtGradWrtA(plan, a, ma, b, mb);
+        const Matrix grad_b = MaskedOtGradWrtB(plan, a, ma, b, mb);
+        EXPECT_TRUE(SameBytes(grad_a, PerEntryGradWrtA(plan, a, ma, b, mb)));
+        const Matrix plan_t = Transpose(plan);
+        EXPECT_TRUE(
+            SameBytes(grad_b, PerEntryGradWrtA(plan_t, b, mb, a, ma)));
+        // The B side's old definition: the A side on the transposed plan.
+        EXPECT_TRUE(
+            SameBytes(grad_b, MaskedOtGradWrtA(plan_t, b, mb, a, ma)));
+      }
+    }
+  }
+}
+
+// ColumnSums is Sum over a column copy.
+TEST(KernelsVsOracle, ColumnSumsMatchSumOverColumnCopies) {
+  Rng rng(31);
+  for (size_t rows : {1, 7, 8, 9, 131}) {
+    for (size_t cols : {1, 3, 5, 130}) {
+      const Matrix mat = rng.NormalMatrix(rows, cols);
+      std::vector<double> got(cols);
+      kernels::ColumnSums(mat.data(), rows, cols, 0, cols, got.data());
+      for (size_t c = 0; c < cols; ++c) {
+        std::vector<double> column(rows);
+        for (size_t i = 0; i < rows; ++i) column[i] = mat(i, c);
+        EXPECT_EQ(std::bit_cast<uint64_t>(got[c]),
+                  std::bit_cast<uint64_t>(kernels::Sum(column.data(), rows)))
+            << rows << "x" << cols << " column " << c;
+      }
+    }
+  }
+}
+
 TEST(KernelsVsOracle, BlockedMatMulsMatchNaiveOracle) {
   CHECK_PROPERTY("blocked_matmuls_vs_naive_oracle", [](uint64_t seed) {
     Rng rng(seed);
@@ -320,6 +418,20 @@ TEST(KernelsDeterminismTest, SinkhornKernelsAreChunkSplitInvariant) {
   double whole_c = 0.0, whole_l = 0.0;
   kernels::PlanRows(cost.data(), wr.data(), wc.data(), fs.data(), gs.data(),
                     0, rows, cols, whole_plan.data(), &whole_c, &whole_l);
+  // Envelope gradient rows of `kern` as a plan, over its rows (stride cols,
+  // 1) and over its columns (stride 1, cols), and its column totals.
+  const size_t d = 9;
+  const Matrix by = rng.UniformMatrix(cols, d, -1.0, 1.0);
+  const Matrix my = rng.BernoulliMatrix(cols, d, 0.5);
+  const Matrix bx = rng.UniformMatrix(rows, d, -1.0, 1.0);
+  const Matrix mx = rng.BernoulliMatrix(rows, d, 0.5);
+  Matrix whole_grad_rows(rows, d), whole_grad_cols(cols, d);
+  kernels::MaskedGradRows(kern.data(), cols, 1, my.data(), by.data(), cols, d,
+                          0, rows, whole_grad_rows.data());
+  kernels::MaskedGradRows(kern.data(), 1, cols, mx.data(), bx.data(), rows, d,
+                          0, cols, whole_grad_cols.data());
+  std::vector<double> whole_totals(cols);
+  kernels::ColumnSums(kern.data(), rows, cols, 0, cols, whole_totals.data());
   for (const size_t step : {1ul, 3ul, 8ul}) {
     Matrix split_kern(rows, cols);
     std::vector<double> split_rows(rows), split_cols(cols);
@@ -334,14 +446,29 @@ TEST(KernelsDeterminismTest, SinkhornKernelsAreChunkSplitInvariant) {
       kernels::PlanRows(cost.data(), wr.data(), wc.data(), fs.data(),
                         gs.data(), r, re, cols, split_plan.data(), &c, &l);
     }
+    Matrix split_grad_rows(rows, d), split_grad_cols(cols, d);
+    std::vector<double> split_totals(cols);
+    for (size_t r = 0; r < rows; r += step) {
+      kernels::MaskedGradRows(kern.data(), cols, 1, my.data(), by.data(),
+                              cols, d, r, std::min(r + step, rows),
+                              split_grad_rows.data());
+    }
     for (size_t j = 0; j < cols; j += step) {
-      kernels::KernelColumnSums(kern.data(), wr.data(), rows, cols, j,
-                                std::min(j + step, cols), split_cols.data());
+      const size_t je = std::min(j + step, cols);
+      kernels::KernelColumnSums(kern.data(), wr.data(), rows, cols, j, je,
+                                split_cols.data());
+      kernels::MaskedGradRows(kern.data(), 1, cols, mx.data(), bx.data(),
+                              rows, d, j, je, split_grad_cols.data());
+      kernels::ColumnSums(kern.data(), rows, cols, j, je,
+                          split_totals.data());
     }
     EXPECT_TRUE(split_kern == kern) << "kernel split at step " << step;
     EXPECT_EQ(split_rows, whole_rows) << "row sums split at step " << step;
     EXPECT_EQ(split_cols, whole_cols) << "column sums split at step " << step;
     EXPECT_TRUE(split_plan == whole_plan) << "plan split at step " << step;
+    EXPECT_TRUE(split_grad_rows == whole_grad_rows) << "step " << step;
+    EXPECT_TRUE(split_grad_cols == whole_grad_cols) << "step " << step;
+    EXPECT_EQ(split_totals, whole_totals) << "step " << step;
     // The sums continue from the caller's running value row by row, so a
     // split call sequence adds in the same order as one call.
     EXPECT_EQ(c, whole_c) << "cost sum split at step " << step;

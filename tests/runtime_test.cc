@@ -226,17 +226,34 @@ TEST(DeterminismTest, MatMulBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(DeterminismTest, MaskedCostGradBitIdenticalAcrossThreadCounts) {
+  // Shapes large enough that GrainForWork splits both sides into many row
+  // chunks (5 rows of A and 3 of B per chunk at d = 9, one row at d = 64),
+  // most of them not a multiple of the kernel's 4-row tile.
   ThreadsGuard guard;
   Rng rng(5);
-  Matrix a = rng.UniformMatrix(60, 5, 0, 1);
-  Matrix b = rng.UniformMatrix(50, 5, 0, 1);
-  Matrix ma = rng.BernoulliMatrix(60, 5, 0.7);
-  Matrix mb = rng.BernoulliMatrix(50, 5, 0.7);
-  Matrix plan = rng.UniformMatrix(60, 50, 0, 1e-3);
-  runtime::SetNumThreads(1);
-  const Matrix serial = MaskedOtGradWrtA(plan, a, ma, b, mb);
-  runtime::SetNumThreads(4);
-  EXPECT_TRUE(serial == MaskedOtGradWrtA(plan, a, ma, b, mb));
+  for (size_t d : {9, 64}) {
+    Matrix a = rng.UniformMatrix(1000, d, 0, 1);
+    Matrix b = rng.UniformMatrix(700, d, 0, 1);
+    Matrix ma = rng.BernoulliMatrix(1000, d, 0.7);
+    Matrix mb = rng.BernoulliMatrix(700, d, 0.7);
+    Matrix plan = rng.UniformMatrix(1000, 700, 0, 1e-3);
+    ASSERT_GT(runtime::internal::NumChunks(
+                  0, 1000, runtime::GrainForWork(1000, 700 * d)),
+              4u);
+    ASSERT_GT(runtime::internal::NumChunks(
+                  0, 700, runtime::GrainForWork(700, 1000 * d)),
+              4u);
+    runtime::SetNumThreads(1);
+    const Matrix serial_a = MaskedOtGradWrtA(plan, a, ma, b, mb);
+    const Matrix serial_b = MaskedOtGradWrtB(plan, a, ma, b, mb);
+    for (int threads : {2, 4}) {
+      runtime::SetNumThreads(threads);
+      EXPECT_TRUE(serial_a == MaskedOtGradWrtA(plan, a, ma, b, mb))
+          << "d=" << d << " threads=" << threads;
+      EXPECT_TRUE(serial_b == MaskedOtGradWrtB(plan, a, ma, b, mb))
+          << "d=" << d << " threads=" << threads;
+    }
+  }
 }
 
 TEST(DeterminismTest, RandomForestIdenticalAcrossThreadCounts) {

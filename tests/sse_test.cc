@@ -7,6 +7,7 @@
 #include "data/normalizer.h"
 #include "data/sampler.h"
 #include "models/gain_imputer.h"
+#include "obs/metrics.h"
 
 namespace scis {
 namespace {
@@ -204,6 +205,95 @@ TEST(SseTest, InvalidN0Rejected) {
   Dataset validation = data.GatherRows({0, 1, 2});
   EXPECT_FALSE(sse.EstimateMinimumSize(*model, 600, validation, 0).ok());
   EXPECT_FALSE(sse.EstimateMinimumSize(*model, 600, validation, 601).ok());
+}
+
+// The search as it ran before probes could stop early: full counts from the
+// public ProbabilityAt, the same bisection, the same final full count.
+SseResult ReferenceSearch(SseEstimator& sse, GenerativeImputer& model,
+                          size_t data_size, const Dataset& validation,
+                          size_t n0, double threshold) {
+  SseResult res;
+  auto satisfied = [&](size_t n) {
+    ++res.search_steps;
+    return sse.ProbabilityAt(model, validation, n0, n, data_size) >=
+           threshold;
+  };
+  size_t lo = n0, hi = data_size;
+  if (satisfied(lo)) {
+    res.n_star = lo;
+  } else {
+    while (hi - lo > std::max<size_t>(1, data_size / 1024)) {
+      const size_t mid = lo + (hi - lo) / 2;
+      if (satisfied(mid)) {
+        hi = mid;
+      } else {
+        lo = mid;
+      }
+    }
+    res.n_star = hi;
+  }
+  res.probability_at_n_star =
+      sse.ProbabilityAt(model, validation, n0, res.n_star, data_size);
+  return res;
+}
+
+// Early decisions change how many pairs a probe evaluates, never what the
+// search decides: the result equals the full-count reference search, at the
+// §VI threshold (clamped to 1) and at one below 1.
+TEST(SseTest, EarlyDecisionsMatchFullCountSearch) {
+  Dataset data = MakeData(1500);
+  Rng rng(5);
+  Dataset initial = data.GatherRows(rng.SampleWithoutReplacement(1500, 200));
+  Dataset validation =
+      data.GatherRows(rng.SampleWithoutReplacement(1500, 120));
+  auto model = TrainedModel(initial);
+  obs::Registry& reg = obs::Registry::Global();
+  obs::Counter* evals = reg.GetCounter("sse.model_evals");
+  obs::Counter* probes = reg.GetCounter("sse.probes");
+
+  // ε and η put n* well inside (n0, N), so the search takes both accepting
+  // and rejecting steps.
+  SseOptions at_one = FastSse();
+  at_one.epsilon = 0.1;
+  at_one.eta_scale = 1e-4;
+  SseOptions below_one = at_one;
+  below_one.k = 24;
+  below_one.alpha = 0.6;
+  below_one.beta = 0.5;
+  for (const SseOptions& o : {at_one, below_one}) {
+    const double threshold = SseThreshold(o.alpha, o.beta, o.k);
+    SseEstimator fast(o), ref(o);
+    ASSERT_TRUE(fast.Prepare(*model, initial).ok());
+    ASSERT_TRUE(ref.Prepare(*model, initial).ok());
+
+    const uint64_t evals0 = evals->value(), probes0 = probes->value();
+    Result<SseResult> res =
+        fast.EstimateMinimumSize(*model, 1500, validation, 200);
+    ASSERT_TRUE(res.ok());
+    const uint64_t fast_evals = evals->value() - evals0;
+    const uint64_t fast_probes = probes->value() - probes0;
+    EXPECT_EQ(reg.GetGauge("sse.confidence")->value(),
+              res->probability_at_n_star);
+
+    const uint64_t evals1 = evals->value();
+    const SseResult want =
+        ReferenceSearch(ref, *model, 1500, validation, 200, threshold);
+    const uint64_t ref_evals = evals->value() - evals1;
+
+    SCOPED_TRACE(threshold);
+    EXPECT_EQ(res->threshold, threshold);
+    EXPECT_EQ(res->n_star, want.n_star);
+    EXPECT_EQ(res->search_steps, want.search_steps);
+    EXPECT_EQ(res->probability_at_n_star, want.probability_at_n_star);
+    EXPECT_GT(res->n_star, 400u);
+    EXPECT_LT(res->n_star, 1200u);
+    // Every probe counts once, and the final full count evaluates all k.
+    EXPECT_EQ(fast_probes, static_cast<uint64_t>(res->search_steps) + 1);
+    EXPECT_EQ(ref_evals, fast_probes * static_cast<uint64_t>(o.k));
+    EXPECT_LT(fast_evals, ref_evals);
+  }
+  EXPECT_EQ(SseThreshold(at_one.alpha, at_one.beta, at_one.k), 1.0);
+  EXPECT_LT(SseThreshold(below_one.alpha, below_one.beta, below_one.k), 1.0);
 }
 
 }  // namespace
