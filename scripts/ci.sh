@@ -15,6 +15,14 @@ JOBS="${JOBS:-$(nproc)}"
 
 case "$MODE" in
   tier1)
+    # Lint: Reconstruct is const and imputes without touching training
+    # state, so no model may cast its constness away.
+    if grep -rn const_cast src/models; then
+      echo "const_cast in src/models (see above)" >&2
+      exit 1
+    fi
+    echo "lint: OK (no const_cast in src/models)"
+
     cmake --preset default >/dev/null
     cmake --build --preset default -j "$JOBS"
     ctest --preset tier1 -j "$JOBS"

@@ -58,7 +58,7 @@ DownstreamResult EvaluateDownstream(const Matrix& imputed,
       }
       Tape tape;
       Var xin = tape.Constant(std::move(x));
-      Var pred = net.ForwardDropout(tape, xin, opts.dropout, true, rng);
+      Var pred = net.ForwardDropout(tape, xin, opts.dropout, rng);
       Var target = tape.Constant(std::move(y));
       Var ones = tape.Constant(Matrix::Ones(batch.size(), 1));
       Var loss = task == TaskKind::kClassification

@@ -20,15 +20,20 @@ std::vector<double> ObservedColumnMeans(const Dataset& data) {
   return sum;
 }
 
-Matrix FillMissing(const Dataset& data, const std::vector<double>& fill) {
-  SCIS_CHECK_EQ(fill.size(), data.num_cols());
-  Matrix out = data.values();
+Matrix FillMissing(const Matrix& values, const Matrix& mask,
+                   const std::vector<double>& fill) {
+  SCIS_CHECK_EQ(fill.size(), values.cols());
+  Matrix out = values;
   for (size_t i = 0; i < out.rows(); ++i) {
     for (size_t j = 0; j < out.cols(); ++j) {
-      if (!data.IsObserved(i, j)) out(i, j) = fill[j];
+      if (mask(i, j) != 1.0) out(i, j) = fill[j];
     }
   }
   return out;
+}
+
+Matrix FillMissing(const Dataset& data, const std::vector<double>& fill) {
+  return FillMissing(data.values(), data.mask(), fill);
 }
 
 Matrix MeanFill(const Dataset& data) {

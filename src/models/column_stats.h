@@ -12,7 +12,9 @@ namespace scis {
 // Mean of observed entries per column (0 for fully-missing columns).
 std::vector<double> ObservedColumnMeans(const Dataset& data);
 
-// Replaces missing cells with the given per-column fill values.
+// Replaces missing cells (mask != 1) with the given per-column fill values.
+Matrix FillMissing(const Matrix& values, const Matrix& mask,
+                   const std::vector<double>& fill);
 Matrix FillMissing(const Dataset& data, const std::vector<double>& fill);
 
 // Mean-fills missing cells: the canonical initialization.

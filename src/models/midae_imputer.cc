@@ -11,32 +11,24 @@ void MidaeImputer::BuildModel(size_t d) {
       Activation::kRelu, Activation::kSigmoid, rng_);
 }
 
-Var MidaeImputer::Forward(Tape& tape, const Matrix& filled, bool train) {
-  Var xin = tape.Constant(filled);
-  // The input-layer dropout is the denoising corruption.
-  Var corrupted = Dropout(xin, opts_.dropout, train, rng_);
-  return net_->ForwardDropout(tape, corrupted, opts_.dropout, train, rng_);
-}
-
 Var MidaeImputer::BuildLoss(Tape& tape, const Matrix& x, const Matrix& m) {
-  // Mean-fill the batch with the training means before corruption.
-  Matrix filled = x;
-  for (size_t i = 0; i < filled.rows(); ++i)
-    for (size_t j = 0; j < filled.cols(); ++j)
-      if (m(i, j) != 1.0) filled(i, j) = train_means_[j];
-  Var pred = Forward(tape, filled, /*train=*/true);
+  // Mean-fill the batch with the training means; the input-layer dropout
+  // is the denoising corruption.
+  Var xin = tape.Constant(FillMissing(x, m, train_means_));
+  Var corrupted = Dropout(xin, opts_.dropout, rng_);
+  Var pred = net_->ForwardDropout(tape, corrupted, opts_.dropout, rng_);
   return WeightedMseLoss(pred, tape.Constant(x), tape.Constant(m));
 }
 
 Matrix MidaeImputer::Reconstruct(const Dataset& data) const {
   SCIS_CHECK_MSG(built_, "Reconstruct before Fit");
-  auto* self = const_cast<MidaeImputer*>(this);
   Matrix filled = FillMissing(data, train_means_);
   Matrix acc(data.num_rows(), data.num_cols());
-  // Multiple imputation: average dropout-on stochastic reconstructions.
+  // Multiple imputation: average dropout-on stochastic reconstructions,
+  // drawn from a copy of the model's stream so every call agrees.
+  Rng rng = rng_;
   for (int s = 0; s < mopts_.num_imputations; ++s) {
-    Tape tape;
-    AddInPlace(acc, self->Forward(tape, filled, /*train=*/true).value());
+    AddInPlace(acc, net_->InferDropout(filled, opts_.dropout, rng));
   }
   MulScalarInPlace(acc, 1.0 / static_cast<double>(mopts_.num_imputations));
   return acc;

@@ -28,8 +28,6 @@ class MidaeImputer final : public DeepImputerBase {
   Var BuildLoss(Tape& tape, const Matrix& x, const Matrix& m) override;
 
  private:
-  Var Forward(Tape& tape, const Matrix& filled, bool train);
-
   MidaeImputerOptions mopts_;
   std::unique_ptr<Mlp> net_;
 };

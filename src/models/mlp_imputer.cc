@@ -14,8 +14,7 @@ void MlpImputer::BuildModel(size_t d) {
 
 Var MlpImputer::BuildLoss(Tape& tape, const Matrix& x, const Matrix& m) {
   Var xin = tape.Constant(ConcatCols(x, m));
-  Var pred =
-      net_->ForwardDropout(tape, xin, opts_.dropout, /*train=*/true, rng_);
+  Var pred = net_->ForwardDropout(tape, xin, opts_.dropout, rng_);
   Var target = tape.Constant(x);
   Var weight = tape.Constant(m);
   return WeightedMseLoss(pred, target, weight);
@@ -23,7 +22,7 @@ Var MlpImputer::BuildLoss(Tape& tape, const Matrix& x, const Matrix& m) {
 
 Matrix MlpImputer::Reconstruct(const Dataset& data) const {
   SCIS_CHECK_MSG(built_, "Reconstruct before Fit");
-  // Forward at train=false (dropout is the identity), without the tape.
+  // Forward with dropout off, without the tape.
   return net_->Infer(ConcatCols(data.values(), data.mask()));
 }
 

@@ -6,34 +6,15 @@
 
 namespace scis {
 
-namespace {
-
-// Mean-fills a raw batch with the training means.
-Matrix FillBatch(const Matrix& x, const Matrix& m,
-                 const std::vector<double>& means) {
-  Matrix filled = x;
-  for (size_t i = 0; i < filled.rows(); ++i)
-    for (size_t j = 0; j < filled.cols(); ++j)
-      if (m(i, j) != 1.0) filled(i, j) = means[j];
-  return filled;
-}
-
-}  // namespace
-
 VaeCore::VaeCore(ParamStore* store, const std::string& name, size_t in_dim,
                  const std::vector<size_t>& enc_hidden, size_t latent,
                  const std::vector<size_t>& dec_hidden, size_t out_dim,
-                 Rng& rng)
-    : latent_(latent) {
+                 Rng& rng) {
   std::vector<size_t> enc_dims{in_dim};
   enc_dims.insert(enc_dims.end(), enc_hidden.begin(), enc_hidden.end());
-  SCIS_CHECK_GE(enc_dims.size(), 1u);
   const size_t trunk_out = enc_dims.back();
-  if (enc_dims.size() > 1) {
-    enc_trunk_ = std::make_unique<Mlp>(store, name + ".enc", enc_dims,
-                                       Activation::kRelu, Activation::kRelu,
-                                       rng);
-  }
+  enc_trunk_ = std::make_unique<Mlp>(store, name + ".enc", enc_dims,
+                                     Activation::kRelu, Activation::kRelu, rng);
   mu_head_ = std::make_unique<Linear>(store, name + ".mu", trunk_out, latent,
                                       Activation::kNone, rng);
   logvar_head_ = std::make_unique<Linear>(store, name + ".logvar", trunk_out,
@@ -46,25 +27,34 @@ VaeCore::VaeCore(ParamStore* store, const std::string& name, size_t in_dim,
                                    rng);
 }
 
-VaeCore::Encoded VaeCore::Encode(Tape& tape, Var x, bool sample,
-                                 Rng& rng) const {
-  Var h = enc_trunk_ ? enc_trunk_->Forward(tape, x) : x;
+VaeCore::Encoded VaeCore::Encode(Tape& tape, Var x, Rng& rng) const {
+  Var h = enc_trunk_->Forward(tape, x);
   Encoded out;
   out.mu = mu_head_->Forward(tape, h);
   out.logvar = logvar_head_->Forward(tape, h);
-  if (sample) {
-    Var eps = tape.Constant(
-        rng.NormalMatrix(out.mu.rows(), out.mu.cols(), 0.0, 1.0));
-    Var stddev = Exp(MulScalar(out.logvar, 0.5));
-    out.z = Add(out.mu, Mul(stddev, eps));
-  } else {
-    out.z = out.mu;
-  }
+  Var eps =
+      tape.Constant(rng.NormalMatrix(out.mu.rows(), out.mu.cols(), 0.0, 1.0));
+  Var stddev = Exp(MulScalar(out.logvar, 0.5));
+  out.z = Add(out.mu, Mul(stddev, eps));
   return out;
 }
 
 Var VaeCore::Decode(Tape& tape, Var z) const {
   return decoder_->Forward(tape, z);
+}
+
+Matrix VaeCore::InferPosterior(const Matrix& x, Matrix* logvar) const {
+  const Matrix h = enc_trunk_->Infer(x);
+  if (logvar) *logvar = InferForward({logvar_head_->View()}, h);
+  return InferForward({mu_head_->View()}, h);
+}
+
+Matrix VaeCore::InferDecode(const Matrix& z) const {
+  return decoder_->Infer(z);
+}
+
+Matrix VaeCore::DecodeMean(const Matrix& x) const {
+  return InferDecode(InferPosterior(x));
 }
 
 Var VaeCore::KlLoss(Var mu, Var logvar) {
@@ -84,8 +74,8 @@ void VaeiImputer::BuildModel(size_t d) {
 }
 
 Var VaeiImputer::BuildLoss(Tape& tape, const Matrix& x, const Matrix& m) {
-  Var xin = tape.Constant(FillBatch(x, m, train_means_));
-  VaeCore::Encoded enc = core_->Encode(tape, xin, /*sample=*/true, rng_);
+  Var xin = tape.Constant(FillMissing(x, m, train_means_));
+  VaeCore::Encoded enc = core_->Encode(tape, xin, rng_);
   Var recon = core_->Decode(tape, enc.z);
   Var mse = WeightedMseLoss(recon, tape.Constant(x), tape.Constant(m));
   Var kl = VaeCore::KlLoss(enc.mu, enc.logvar);
@@ -94,12 +84,7 @@ Var VaeiImputer::BuildLoss(Tape& tape, const Matrix& x, const Matrix& m) {
 
 Matrix VaeiImputer::Reconstruct(const Dataset& data) const {
   SCIS_CHECK_MSG(built_, "Reconstruct before Fit");
-  Tape tape;
-  Var xin = tape.Constant(FillMissing(data, train_means_));
-  auto* self = const_cast<VaeiImputer*>(this);
-  VaeCore::Encoded enc =
-      core_->Encode(tape, xin, /*sample=*/false, self->rng_);
-  return core_->Decode(tape, enc.z).value();
+  return core_->DecodeMean(FillMissing(data, train_means_));
 }
 
 // ---------------- MIWAE ----------------
@@ -111,25 +96,10 @@ void MiwaeImputer::BuildModel(size_t d) {
 }
 
 Var MiwaeImputer::BuildLoss(Tape& tape, const Matrix& x, const Matrix& m) {
-  Var xin = tape.Constant(ConcatCols(FillBatch(x, m, train_means_), m));
-  VaeCore::Encoded enc = core_->Encode(tape, xin, /*sample=*/true, rng_);
+  Var xin = tape.Constant(ConcatCols(FillMissing(x, m, train_means_), m));
+  VaeCore::Encoded enc = core_->Encode(tape, xin, rng_);
   Var target = tape.Constant(x);
   Var weight = tape.Constant(m);
-
-  if (!wopts_.exact_iwae) {
-    // Averaged-ELBO surrogate (ablation mode).
-    Var total = WeightedMseLoss(core_->Decode(tape, enc.z), target, weight);
-    for (int k = 1; k < wopts_.importance_samples; ++k) {
-      Var eps = tape.Constant(
-          rng_.NormalMatrix(enc.mu.rows(), enc.mu.cols(), 0.0, 1.0));
-      Var z = Add(enc.mu, Mul(Exp(MulScalar(enc.logvar, 0.5)), eps));
-      total =
-          Add(total, WeightedMseLoss(core_->Decode(tape, z), target, weight));
-    }
-    Var recon = MulScalar(total, 1.0 / wopts_.importance_samples);
-    return Add(recon, MulScalar(VaeCore::KlLoss(enc.mu, enc.logvar),
-                                wopts_.kl_weight));
-  }
 
   // Exact K-sample IWAE bound. Per sample k the per-row log weight is
   //   log w_k = log p(x_obs|z_k) + log p(z_k) − log q(z_k|x)
@@ -170,27 +140,24 @@ Var MiwaeImputer::BuildLoss(Tape& tape, const Matrix& x, const Matrix& m) {
 
 Matrix MiwaeImputer::Reconstruct(const Dataset& data) const {
   SCIS_CHECK_MSG(built_, "Reconstruct before Fit");
-  auto* self = const_cast<MiwaeImputer*>(this);
   const size_t n = data.num_rows(), d = data.num_cols();
-  Matrix filled = FillMissing(data, train_means_);
-  Tape tape;
-  Var xin = tape.Constant(ConcatCols(filled, data.mask()));
-  VaeCore::Encoded enc = core_->Encode(tape, xin, /*sample=*/false, self->rng_);
-  const Matrix& mu = enc.mu.value();
-  const Matrix& logvar = enc.logvar.value();
+  Matrix logvar;
+  const Matrix mu = core_->InferPosterior(
+      ConcatCols(FillMissing(data, train_means_), data.mask()), &logvar);
 
   // Self-normalized importance sampling: weight each decoded sample by the
   // Gaussian likelihood of the observed cells.
   Matrix acc(n, d);
   Matrix wsum(n, 1);
   const double inv_2var = 1.0 / (2.0 * wopts_.obs_stddev * wopts_.obs_stddev);
+  // The noise comes from a copy of the model's stream, so every call agrees.
+  Rng rng = rng_;
   for (int k = 0; k < wopts_.importance_samples; ++k) {
     Matrix z = mu;
     for (size_t i = 0; i < z.rows(); ++i)
       for (size_t j = 0; j < z.cols(); ++j)
-        z(i, j) += std::exp(0.5 * logvar(i, j)) * self->rng_.Normal();
-    Tape t2;
-    Matrix dec = core_->Decode(t2, t2.Constant(z)).value();
+        z(i, j) += std::exp(0.5 * logvar(i, j)) * rng.Normal();
+    const Matrix dec = core_->InferDecode(z);
     for (size_t i = 0; i < n; ++i) {
       double loglik = 0.0;
       for (size_t j = 0; j < d; ++j) {
@@ -222,7 +189,7 @@ void EddiImputer::BuildModel(size_t d) {
 
 Var EddiImputer::BuildLoss(Tape& tape, const Matrix& x, const Matrix& m) {
   Var xin = tape.Constant(ConcatCols(x, m));  // x already has missing = 0
-  VaeCore::Encoded enc = core_->Encode(tape, xin, /*sample=*/true, rng_);
+  VaeCore::Encoded enc = core_->Encode(tape, xin, rng_);
   Var recon = core_->Decode(tape, enc.z);
   Var mse = WeightedMseLoss(recon, tape.Constant(x), tape.Constant(m));
   return Add(mse, MulScalar(VaeCore::KlLoss(enc.mu, enc.logvar),
@@ -231,11 +198,7 @@ Var EddiImputer::BuildLoss(Tape& tape, const Matrix& x, const Matrix& m) {
 
 Matrix EddiImputer::Reconstruct(const Dataset& data) const {
   SCIS_CHECK_MSG(built_, "Reconstruct before Fit");
-  auto* self = const_cast<EddiImputer*>(this);
-  Tape tape;
-  Var xin = tape.Constant(ConcatCols(data.values(), data.mask()));
-  VaeCore::Encoded enc = core_->Encode(tape, xin, /*sample=*/false, self->rng_);
-  return core_->Decode(tape, enc.z).value();
+  return core_->DecodeMean(ConcatCols(data.values(), data.mask()));
 }
 
 // ---------------- HIVAE ----------------
@@ -247,8 +210,8 @@ void HivaeImputer::BuildModel(size_t d) {
 }
 
 Var HivaeImputer::BuildLoss(Tape& tape, const Matrix& x, const Matrix& m) {
-  Var xin = tape.Constant(ConcatCols(FillBatch(x, m, train_means_), m));
-  VaeCore::Encoded enc = core_->Encode(tape, xin, /*sample=*/true, rng_);
+  Var xin = tape.Constant(ConcatCols(FillMissing(x, m, train_means_), m));
+  VaeCore::Encoded enc = core_->Encode(tape, xin, rng_);
   Var recon = core_->Decode(tape, enc.z);
   Var mse = WeightedMseLoss(recon, tape.Constant(x), tape.Constant(m));
   return Add(mse, MulScalar(VaeCore::KlLoss(enc.mu, enc.logvar),
@@ -257,12 +220,8 @@ Var HivaeImputer::BuildLoss(Tape& tape, const Matrix& x, const Matrix& m) {
 
 Matrix HivaeImputer::Reconstruct(const Dataset& data) const {
   SCIS_CHECK_MSG(built_, "Reconstruct before Fit");
-  auto* self = const_cast<HivaeImputer*>(this);
-  Tape tape;
-  Var xin = tape.Constant(
+  return core_->DecodeMean(
       ConcatCols(FillMissing(data, train_means_), data.mask()));
-  VaeCore::Encoded enc = core_->Encode(tape, xin, /*sample=*/false, self->rng_);
-  return core_->Decode(tape, enc.z).value();
 }
 
 }  // namespace scis

@@ -1,15 +1,17 @@
 // The autoencoder-based imputers of §II-A / §VI, built on one shared
-// Gaussian-VAE core:
-//   VAEI  — plain VAE on the mean-filled row (2x20 hidden, latent 10).
-//   MIWAE — multi-sample VAE; imputation uses self-normalized importance
-//           weighting over K decoder samples at inference (the training
-//           bound is the K-sample average ELBO — simplification noted in
-//           DESIGN.md).
+// Gaussian-VAE core. Training runs on the tape; Reconstruct runs tape-free
+// over the current parameters.
+//   VAEI  — plain VAE on the mean-filled row (2x20 hidden, latent 10);
+//           imputes with the mean decode (z = mu).
+//   MIWAE — multi-sample VAE trained on the exact K-sample IWAE bound;
+//           imputation uses self-normalized importance weighting over K
+//           decoder samples, with noise from a copy of the model's stream.
 //   EDDI  — partial-VAE: the encoder sees [x ⊙ m, m], i.e. only observed
 //           evidence (the paper's set-encoder is replaced by the masked
-//           fixed-order encoding).
+//           fixed-order encoding); imputes with the mean decode.
 //   HIVAE — heterogeneous-data VAE reduced to its §VI configuration: one
-//           dense layer of 10 units for encoder and decoder.
+//           dense layer of 10 units for encoder and decoder; imputes with
+//           the mean decode.
 #ifndef SCIS_MODELS_VAE_IMPUTERS_H_
 #define SCIS_MODELS_VAE_IMPUTERS_H_
 
@@ -17,7 +19,8 @@
 
 namespace scis {
 
-// Encoder trunk -> (mu, logvar) heads -> reparameterized z -> decoder.
+// Encoder trunk (at least one hidden layer) -> (mu, logvar) heads ->
+// reparameterized z -> decoder.
 class VaeCore {
  public:
   VaeCore(ParamStore* store, const std::string& name, size_t in_dim,
@@ -27,18 +30,22 @@ class VaeCore {
   struct Encoded {
     Var mu;
     Var logvar;
-    Var z;  // mu + exp(logvar/2) * eps  (eps ~ N(0,1) when sampling)
+    Var z;  // mu + exp(logvar/2) * eps, eps ~ N(0,1) drawn from the rng
   };
-  Encoded Encode(Tape& tape, Var x, bool sample, Rng& rng) const;
+  Encoded Encode(Tape& tape, Var x, Rng& rng) const;
   Var Decode(Tape& tape, Var z) const;
+
+  // Tape-free inference through Mlp::Infer and InferForward, equal to the
+  // tape forward bit for bit. InferPosterior returns mu(x) and, when
+  // `logvar` is set, fills it with logvar(x); DecodeMean decodes z = mu(x).
+  Matrix InferPosterior(const Matrix& x, Matrix* logvar = nullptr) const;
+  Matrix InferDecode(const Matrix& z) const;
+  Matrix DecodeMean(const Matrix& x) const;
 
   // Mean KL(q(z|x) || N(0,I)) per batch row.
   static Var KlLoss(Var mu, Var logvar);
 
-  size_t latent_dim() const { return latent_; }
-
  private:
-  size_t latent_;
   std::unique_ptr<Mlp> enc_trunk_;
   std::unique_ptr<Linear> mu_head_, logvar_head_;
   std::unique_ptr<Mlp> decoder_;
@@ -49,7 +56,6 @@ struct VaeImputerOptions {
   size_t hidden = 20;     // §VI: two hidden layers, 20 neurons
   size_t latent = 10;     // §VI: 10-dimensional latent space
   double kl_weight = 1e-2;
-  int decode_samples = 1;  // forward passes averaged at inference
 };
 
 class VaeiImputer final : public DeepImputerBase {
@@ -76,11 +82,9 @@ struct MiwaeImputerOptions {
   double kl_weight = 1e-2;
   int importance_samples = 5;  // K
   double obs_stddev = 0.1;     // Gaussian observation model
-  // true (default): the exact K-sample IWAE bound
+  // Training minimizes the exact K-sample IWAE bound
   //   −E_x[ log (1/K) Σ_k p(x_obs|z_k) p(z_k) / q(z_k|x) ]
-  // via RowLogSumExp. false: the cheaper averaged-ELBO surrogate (the
-  // simplification earlier revisions used; kept for ablation).
-  bool exact_iwae = true;
+  // via RowLogSumExp.
 };
 
 class MiwaeImputer final : public DeepImputerBase {

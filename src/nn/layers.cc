@@ -34,14 +34,17 @@ LayerView Linear::View() const {
   return {store_->value(w_).data(), store_->value(b_).data(), in_, out_, act_};
 }
 
-Var Dropout(Var x, double rate, bool train, Rng& rng) {
-  if (!train || rate <= 0.0) return x;
+Matrix DropoutMask(size_t rows, size_t cols, double rate, Rng& rng) {
   SCIS_CHECK_LT(rate, 1.0);
   const double keep = 1.0 - rate;
-  Matrix mask = rng.BernoulliMatrix(x.rows(), x.cols(), keep);
+  Matrix mask = rng.BernoulliMatrix(rows, cols, keep);
   MulScalarInPlace(mask, 1.0 / keep);
-  Var m = x.tape()->Constant(std::move(mask));
-  return Mul(x, m);
+  return mask;
+}
+
+Var Dropout(Var x, double rate, Rng& rng) {
+  if (rate <= 0.0) return x;
+  return Mul(x, x.tape()->Constant(DropoutMask(x.rows(), x.cols(), rate, rng)));
 }
 
 Mlp::Mlp(ParamStore* store, const std::string& name,
@@ -72,12 +75,24 @@ Matrix Mlp::Infer(const Matrix& x) const {
   return InferForward(views, x);
 }
 
-Var Mlp::ForwardDropout(Tape& tape, Var x, double rate, bool train,
-                        Rng& rng) const {
+Var Mlp::ForwardDropout(Tape& tape, Var x, double rate, Rng& rng) const {
   Var h = x;
   for (size_t i = 0; i < layers_.size(); ++i) {
     h = layers_[i].Forward(tape, h);
-    if (i + 1 < layers_.size()) h = Dropout(h, rate, train, rng);
+    if (i + 1 < layers_.size()) h = Dropout(h, rate, rng);
+  }
+  return h;
+}
+
+Matrix Mlp::InferDropout(const Matrix& x, double rate, Rng& rng) const {
+  auto drop = [&](Matrix& h) {
+    if (rate > 0.0) MulInPlace(h, DropoutMask(h.rows(), h.cols(), rate, rng));
+  };
+  Matrix h = x;
+  drop(h);
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    h = InferForward({layers_[i].View()}, h);
+    if (i + 1 < layers_.size()) drop(h);
   }
   return h;
 }

@@ -55,10 +55,14 @@ class Linear {
   ParamStore::ParamId w_, b_;
 };
 
-// Inverted dropout: active only when `train` is true; scales kept units by
-// 1/(1-rate) so inference needs no rescaling. The paper trains all deep
-// baselines with dropout rate 0.5.
-Var Dropout(Var x, double rate, bool train, Rng& rng);
+// Inverted-dropout mask for a rows × cols activation: each entry is
+// 1/(1-rate) with probability 1-rate and 0 otherwise, so kept units need no
+// rescaling at inference. Dropout and Mlp::InferDropout both draw here.
+Matrix DropoutMask(size_t rows, size_t cols, double rate, Rng& rng);
+
+// Inverted dropout x · DropoutMask; the identity (and no draw) at rate 0.
+// The paper trains all deep baselines with dropout rate 0.5.
+Var Dropout(Var x, double rate, Rng& rng);
 
 // Stack of Linear layers: hidden layers use `hidden_act`, the final layer
 // `out_act`.
@@ -70,12 +74,16 @@ class Mlp {
       Activation out_act, Rng& rng);
 
   Var Forward(Tape& tape, Var x) const;
-  // Forward with dropout `rate` after each hidden activation when training.
-  Var ForwardDropout(Tape& tape, Var x, double rate, bool train,
-                     Rng& rng) const;
+  // Forward with dropout `rate` after each hidden activation.
+  Var ForwardDropout(Tape& tape, Var x, double rate, Rng& rng) const;
   // Tape-free Forward over the current parameters (dropout off), through
   // InferForward.
   Matrix Infer(const Matrix& x) const;
+  // Tape-free stochastic forward with dropout on the input and after each
+  // hidden activation: draws its masks in the order Dropout on the input
+  // and then ForwardDropout draw them and takes the same products, so it
+  // equals that tape forward bit for bit.
+  Matrix InferDropout(const Matrix& x, double rate, Rng& rng) const;
 
   size_t in_dim() const { return layers_.front().in_dim(); }
   size_t out_dim() const { return layers_.back().out_dim(); }

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "data/missingness.h"
 #include "data/normalizer.h"
@@ -13,6 +18,7 @@
 #include "models/mlp_imputer.h"
 #include "models/rrsi_imputer.h"
 #include "models/vae_imputers.h"
+#include "obs/metrics.h"
 #include "tensor/matrix_ops.h"
 
 namespace scis {
@@ -318,6 +324,74 @@ TEST(GinnImputerTest, CollectGradsAfterReconstructSeesNoStaleBinding) {
   std::vector<const Matrix*> views;
   ginn.generator_params().CollectGradsInto(&views);
   for (const Matrix* v : views) EXPECT_EQ(v, nullptr);
+}
+
+// FNV-1a 64 over the bit patterns of `m`.
+uint64_t FnvDigest(const Matrix& m) {
+  uint64_t h = 14695981039346656037ull;
+  for (size_t i = 0; i < m.size(); ++i) {
+    const uint64_t bits = std::bit_cast<uint64_t>(m.data()[i]);
+    for (int b = 0; b < 64; b += 8) {
+      h = (h ^ ((bits >> b) & 0xFF)) * 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+// The first Reconstruct after Fit of each autoencoder baseline is pinned
+// byte for byte on a small fixed fixture (the goldens cover GAIN only), and
+// imputing runs without a tape: the pool-miss counter does not move.
+TEST(DeepModelsTest, AutoencoderReconstructIsPinnedAndTapeFree) {
+  const Bench b = MakeBench(96);
+  const DeepOptions deep = FastDeep(2);
+  struct Case {
+    std::unique_ptr<DeepImputerBase> imp;
+    uint64_t digest;
+  };
+  std::vector<Case> cases;
+  {
+    VaeImputerOptions o;
+    o.deep = deep;
+    cases.push_back({std::make_unique<VaeiImputer>(o),
+                     0xbb3207b9348bdbeaull});
+  }
+  {
+    MiwaeImputerOptions o;
+    o.deep = deep;
+    o.importance_samples = 3;
+    cases.push_back({std::make_unique<MiwaeImputer>(o),
+                     0x0d04052fb597bb8aull});
+  }
+  {
+    EddiImputerOptions o;
+    o.deep = deep;
+    cases.push_back({std::make_unique<EddiImputer>(o),
+                     0xbd41a7a7c0bc6dcaull});
+  }
+  {
+    HivaeImputerOptions o;
+    o.deep = deep;
+    cases.push_back({std::make_unique<HivaeImputer>(o),
+                     0x935baf3d5c656386ull});
+  }
+  {
+    MidaeImputerOptions o;
+    o.deep = deep;
+    o.num_imputations = 3;
+    cases.push_back({std::make_unique<MidaeImputer>(o),
+                     0x295ce2b8a6a03755ull});
+  }
+  for (Case& c : cases) {
+    ASSERT_TRUE(c.imp->Fit(b.train).ok()) << c.imp->name();
+    const obs::MetricsSnapshot before = obs::Registry::Global().Snapshot();
+    const Matrix rec = c.imp->Reconstruct(b.train);
+    const obs::MetricsSnapshot after = obs::Registry::Global().Snapshot();
+    EXPECT_EQ(FnvDigest(rec), c.digest)
+        << c.imp->name() << " digest 0x" << std::hex << FnvDigest(rec);
+    EXPECT_EQ(after.CounterOr("tape.pool.misses"),
+              before.CounterOr("tape.pool.misses"))
+        << c.imp->name();
+  }
 }
 
 TEST(DeepImputersTest, EmptyDatasetRejected) {

@@ -102,7 +102,6 @@ TEST(MiwaeExactTest, IwaeBoundTrainsAndImputes) {
   MiwaeImputerOptions o;
   o.deep.epochs = 25;
   o.deep.batch_size = 64;
-  o.exact_iwae = true;
   o.importance_samples = 4;
   MiwaeImputer imp(o);
   ASSERT_TRUE(imp.Fit(data).ok());

@@ -141,19 +141,22 @@ TEST(MlpTest, DimsAndActivation) {
   }
 }
 
-TEST(DropoutTest, InferencePassThrough) {
+// At rate 0 dropout is the identity and draws nothing from the stream.
+TEST(DropoutTest, RateZeroPassesThrough) {
   Tape tape;
   Rng rng(5);
   Var x = tape.Constant(Matrix::Ones(3, 3));
-  Var y = Dropout(x, 0.5, /*train=*/false, rng);
-  EXPECT_TRUE(y.value().AllClose(Matrix::Ones(3, 3)));
+  Var y = Dropout(x, 0.0, rng);
+  EXPECT_EQ(y.index(), x.index());
+  Rng fresh(5);
+  EXPECT_EQ(rng.NextU64(), fresh.NextU64());
 }
 
 TEST(DropoutTest, TrainKeepsExpectation) {
   Tape tape;
   Rng rng(6);
   Var x = tape.Constant(Matrix::Ones(100, 100));
-  Var y = Dropout(x, 0.5, /*train=*/true, rng);
+  Var y = Dropout(x, 0.5, rng);
   // Inverted dropout: E[y] = 1; entries are 0 or 2.
   EXPECT_NEAR(Mean(y.value()), 1.0, 0.05);
   for (size_t k = 0; k < y.value().size(); ++k) {
