@@ -29,10 +29,6 @@ void GinnImputer::EnsureBuilt(size_t d) {
 
 Var GinnImputer::GcnForward(Tape& tape, const Matrix& x, const Matrix& m,
                             std::shared_ptr<const SparseMatrix> graph) const {
-  if (!graph) {
-    graph = std::make_shared<const SparseMatrix>(
-        index::BuildKnnGraphAuto(x, m, opts_.graph_k, opts_.graph));
-  }
   Var xin = tape.Constant(ConcatCols(x, m));
   // Layer 1: relu(Â X W1 + b1); Linear applies W then we propagate with Â.
   Var h = Relu(SparseMatMul(graph, gcn1_->Forward(tape, xin)));
@@ -42,7 +38,9 @@ Var GinnImputer::GcnForward(Tape& tape, const Matrix& x, const Matrix& m,
 Var GinnImputer::ReconstructOnTape(Tape& tape, const Matrix& x,
                                    const Matrix& m, bool /*train*/) {
   EnsureBuilt(x.cols());
-  return GcnForward(tape, x, m);  // batch-local graph
+  auto graph = std::make_shared<const SparseMatrix>(  // batch-local graph
+      index::BuildKnnGraphAuto(x, m, opts_.graph_k, opts_.graph));
+  return GcnForward(tape, x, m, std::move(graph));
 }
 
 Status GinnImputer::Fit(const Dataset& data) {
@@ -99,8 +97,15 @@ Status GinnImputer::Fit(const Dataset& data) {
 
 Matrix GinnImputer::Reconstruct(const Dataset& data) const {
   SCIS_CHECK_MSG(built_, "Reconstruct before Fit");
-  Tape tape;
-  return GcnForward(tape, data.values(), data.mask()).value();
+  // GcnForward without a tape: the same fused-linear forward, sparse
+  // propagation and activations, so the result equals it bit for bit.
+  const Matrix& x = data.values();
+  const Matrix& m = data.mask();
+  const SparseMatrix graph =
+      index::BuildKnnGraphAuto(x, m, opts_.graph_k, opts_.graph);
+  const Matrix h =
+      Relu(graph.MatMulDense(InferForward({gcn1_->View()}, ConcatCols(x, m))));
+  return Sigmoid(graph.MatMulDense(InferForward({gcn2_->View()}, h)));
 }
 
 std::unique_ptr<GenerativeImputer> GinnImputer::CloneArchitecture(

@@ -12,7 +12,9 @@
 // the exact brute-force path for small n and switches to the hierarchical
 // k-means index above a threshold. ReconstructOnTape() builds a batch-local
 // graph instead, which is what lets SCIS-GINN (mini-batch DIM training)
-// run where plain GINN cannot.
+// run where plain GINN cannot. Reconstruct() runs the same GCN over the
+// graph of its input without a tape (InferForward and
+// SparseMatrix::MatMulDense), equal to ReconstructOnTape bit for bit.
 #ifndef SCIS_MODELS_GINN_IMPUTER_H_
 #define SCIS_MODELS_GINN_IMPUTER_H_
 
@@ -54,10 +56,9 @@ class GinnImputer final : public GenerativeImputer {
 
  private:
   void EnsureBuilt(size_t d);
-  // GCN forward over `graph` (which the tape's backward closures share),
-  // or over the kNN graph of (x, m) when none is given.
+  // GCN forward over `graph` (which the tape's backward closures share).
   Var GcnForward(Tape& tape, const Matrix& x, const Matrix& m,
-                 std::shared_ptr<const SparseMatrix> graph = nullptr) const;
+                 std::shared_ptr<const SparseMatrix> graph) const;
 
   GinnImputerOptions opts_;
   Rng rng_;

@@ -27,16 +27,16 @@ VaeCore::VaeCore(ParamStore* store, const std::string& name, size_t in_dim,
                                    rng);
 }
 
-VaeCore::Encoded VaeCore::Encode(Tape& tape, Var x, Rng& rng) const {
+VaeCore::Posterior VaeCore::Encode(Tape& tape, Var x) const {
   Var h = enc_trunk_->Forward(tape, x);
-  Encoded out;
-  out.mu = mu_head_->Forward(tape, h);
-  out.logvar = logvar_head_->Forward(tape, h);
-  Var eps =
-      tape.Constant(rng.NormalMatrix(out.mu.rows(), out.mu.cols(), 0.0, 1.0));
-  Var stddev = Exp(MulScalar(out.logvar, 0.5));
-  out.z = Add(out.mu, Mul(stddev, eps));
-  return out;
+  return {mu_head_->Forward(tape, h), logvar_head_->Forward(tape, h)};
+}
+
+Var VaeCore::Sample(const Posterior& q, Rng& rng) {
+  Var eps = q.mu.tape()->Constant(
+      rng.NormalMatrix(q.mu.rows(), q.mu.cols(), 0.0, 1.0));
+  Var stddev = Exp(MulScalar(q.logvar, 0.5));
+  return Add(q.mu, Mul(stddev, eps));
 }
 
 Var VaeCore::Decode(Tape& tape, Var z) const {
@@ -75,8 +75,8 @@ void VaeiImputer::BuildModel(size_t d) {
 
 Var VaeiImputer::BuildLoss(Tape& tape, const Matrix& x, const Matrix& m) {
   Var xin = tape.Constant(FillMissing(x, m, train_means_));
-  VaeCore::Encoded enc = core_->Encode(tape, xin, rng_);
-  Var recon = core_->Decode(tape, enc.z);
+  VaeCore::Posterior enc = core_->Encode(tape, xin);
+  Var recon = core_->Decode(tape, VaeCore::Sample(enc, rng_));
   Var mse = WeightedMseLoss(recon, tape.Constant(x), tape.Constant(m));
   Var kl = VaeCore::KlLoss(enc.mu, enc.logvar);
   return Add(mse, MulScalar(kl, vopts_.kl_weight));
@@ -97,7 +97,7 @@ void MiwaeImputer::BuildModel(size_t d) {
 
 Var MiwaeImputer::BuildLoss(Tape& tape, const Matrix& x, const Matrix& m) {
   Var xin = tape.Constant(ConcatCols(FillMissing(x, m, train_means_), m));
-  VaeCore::Encoded enc = core_->Encode(tape, xin, rng_);
+  VaeCore::Posterior enc = core_->Encode(tape, xin);
   Var target = tape.Constant(x);
   Var weight = tape.Constant(m);
 
@@ -189,8 +189,8 @@ void EddiImputer::BuildModel(size_t d) {
 
 Var EddiImputer::BuildLoss(Tape& tape, const Matrix& x, const Matrix& m) {
   Var xin = tape.Constant(ConcatCols(x, m));  // x already has missing = 0
-  VaeCore::Encoded enc = core_->Encode(tape, xin, rng_);
-  Var recon = core_->Decode(tape, enc.z);
+  VaeCore::Posterior enc = core_->Encode(tape, xin);
+  Var recon = core_->Decode(tape, VaeCore::Sample(enc, rng_));
   Var mse = WeightedMseLoss(recon, tape.Constant(x), tape.Constant(m));
   return Add(mse, MulScalar(VaeCore::KlLoss(enc.mu, enc.logvar),
                             eopts_.kl_weight));
@@ -211,8 +211,8 @@ void HivaeImputer::BuildModel(size_t d) {
 
 Var HivaeImputer::BuildLoss(Tape& tape, const Matrix& x, const Matrix& m) {
   Var xin = tape.Constant(ConcatCols(FillMissing(x, m, train_means_), m));
-  VaeCore::Encoded enc = core_->Encode(tape, xin, rng_);
-  Var recon = core_->Decode(tape, enc.z);
+  VaeCore::Posterior enc = core_->Encode(tape, xin);
+  Var recon = core_->Decode(tape, VaeCore::Sample(enc, rng_));
   Var mse = WeightedMseLoss(recon, tape.Constant(x), tape.Constant(m));
   return Add(mse, MulScalar(VaeCore::KlLoss(enc.mu, enc.logvar),
                             hopts_.kl_weight));

@@ -27,12 +27,15 @@ class VaeCore {
           const std::vector<size_t>& enc_hidden, size_t latent,
           const std::vector<size_t>& dec_hidden, size_t out_dim, Rng& rng);
 
-  struct Encoded {
+  // The posterior q(z|x) = N(mu, exp(logvar)), on the tape.
+  struct Posterior {
     Var mu;
     Var logvar;
-    Var z;  // mu + exp(logvar/2) * eps, eps ~ N(0,1) drawn from the rng
   };
-  Encoded Encode(Tape& tape, Var x, Rng& rng) const;
+  Posterior Encode(Tape& tape, Var x) const;
+  // One reparameterized draw z = mu + exp(logvar/2) * eps, eps ~ N(0,1)
+  // drawn from `rng`.
+  static Var Sample(const Posterior& q, Rng& rng);
   Var Decode(Tape& tape, Var z) const;
 
   // Tape-free inference through Mlp::Infer and InferForward, equal to the

@@ -1,6 +1,7 @@
 #include "testkit/golden.h"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <cstdlib>
 #include <fstream>
@@ -203,6 +204,16 @@ std::string JsonShape(const std::string& json) {
   std::ostringstream oss;
   for (const std::string& p : parser.paths) oss << p << "\n";
   return oss.str();
+}
+
+uint64_t MatrixDigest(const Matrix& m, uint64_t h) {
+  for (size_t i = 0; i < m.size(); ++i) {
+    const uint64_t bits = std::bit_cast<uint64_t>(m.data()[i]);
+    for (int b = 0; b < 64; b += 8) {
+      h = (h ^ ((bits >> b) & 0xFF)) * 1099511628211ull;
+    }
+  }
+  return h;
 }
 
 }  // namespace scis::testkit

@@ -6,11 +6,16 @@
 //
 // Also provides JsonShape(), which reduces a JSON document to its sorted
 // key-path/type skeleton ("config.epochs:number") so structural regressions
-// in run reports are caught without pinning volatile values.
+// in run reports are caught without pinning volatile values, and
+// MatrixDigest(), the FNV-1a digest that pins a matrix's exact bits in a
+// committed constant.
 #ifndef SCIS_TESTKIT_GOLDEN_H_
 #define SCIS_TESTKIT_GOLDEN_H_
 
+#include <cstdint>
 #include <string>
+
+#include "tensor/matrix.h"
 
 namespace scis::testkit {
 
@@ -36,6 +41,13 @@ GoldenMatch MatchGolden(const std::string& name, const std::string& content);
 // malformed input. Handles the subset emitted by obs::RunReport / the
 // metrics registry (objects, arrays, strings, numbers, bools, null).
 std::string JsonShape(const std::string& json);
+
+inline constexpr uint64_t kFnvOffset = 14695981039346656037ull;
+
+// FNV-1a 64 over the little-endian bytes of each double of `m`, chained
+// from `h`: digesting two matrices in turn equals digesting their
+// concatenated bytes.
+uint64_t MatrixDigest(const Matrix& m, uint64_t h = kFnvOffset);
 
 }  // namespace scis::testkit
 

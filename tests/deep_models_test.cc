@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -20,6 +19,7 @@
 #include "models/vae_imputers.h"
 #include "obs/metrics.h"
 #include "tensor/matrix_ops.h"
+#include "testkit/golden.h"
 
 namespace scis {
 namespace {
@@ -304,10 +304,9 @@ TEST(GinnImputerTest, ReconstructMatchesTapeForwardBitExact) {
             0);
 }
 
-// Reconstruct binds the generator on a tape local to the call and returns
-// without dropping the bindings. Reading gradients afterwards, without a
-// re-bind, must see every parameter as unbound rather than read the
-// destroyed tape.
+// Reconstruct runs without a tape and leaves no binding behind: reading
+// gradients afterwards, without a re-bind, must see every parameter as
+// unbound.
 TEST(GinnImputerTest, CollectGradsAfterReconstructSeesNoStaleBinding) {
   Bench b = MakeBench(96);
   GinnImputerOptions o;
@@ -326,26 +325,15 @@ TEST(GinnImputerTest, CollectGradsAfterReconstructSeesNoStaleBinding) {
   for (const Matrix* v : views) EXPECT_EQ(v, nullptr);
 }
 
-// FNV-1a 64 over the bit patterns of `m`.
-uint64_t FnvDigest(const Matrix& m) {
-  uint64_t h = 14695981039346656037ull;
-  for (size_t i = 0; i < m.size(); ++i) {
-    const uint64_t bits = std::bit_cast<uint64_t>(m.data()[i]);
-    for (int b = 0; b < 64; b += 8) {
-      h = (h ^ ((bits >> b) & 0xFF)) * 1099511628211ull;
-    }
-  }
-  return h;
-}
-
-// The first Reconstruct after Fit of each autoencoder baseline is pinned
-// byte for byte on a small fixed fixture (the goldens cover GAIN only), and
-// imputing runs without a tape: the pool-miss counter does not move.
+// The first Reconstruct after Fit of each autoencoder baseline and of GINN
+// is pinned byte for byte on a small fixed fixture (the goldens cover GAIN
+// only), and imputing runs without a tape: the pool-miss counter does not
+// move.
 TEST(DeepModelsTest, AutoencoderReconstructIsPinnedAndTapeFree) {
   const Bench b = MakeBench(96);
   const DeepOptions deep = FastDeep(2);
   struct Case {
-    std::unique_ptr<DeepImputerBase> imp;
+    std::unique_ptr<Imputer> imp;
     uint64_t digest;
   };
   std::vector<Case> cases;
@@ -360,7 +348,7 @@ TEST(DeepModelsTest, AutoencoderReconstructIsPinnedAndTapeFree) {
     o.deep = deep;
     o.importance_samples = 3;
     cases.push_back({std::make_unique<MiwaeImputer>(o),
-                     0x0d04052fb597bb8aull});
+                     0xe9dff477c1ab79ecull});
   }
   {
     EddiImputerOptions o;
@@ -381,13 +369,21 @@ TEST(DeepModelsTest, AutoencoderReconstructIsPinnedAndTapeFree) {
     cases.push_back({std::make_unique<MidaeImputer>(o),
                      0x295ce2b8a6a03755ull});
   }
+  {
+    GinnImputerOptions o;
+    o.deep = deep;
+    o.critic_steps = 1;
+    cases.push_back({std::make_unique<GinnImputer>(o),
+                     0xbb38177a9a5125e4ull});
+  }
   for (Case& c : cases) {
     ASSERT_TRUE(c.imp->Fit(b.train).ok()) << c.imp->name();
     const obs::MetricsSnapshot before = obs::Registry::Global().Snapshot();
     const Matrix rec = c.imp->Reconstruct(b.train);
     const obs::MetricsSnapshot after = obs::Registry::Global().Snapshot();
-    EXPECT_EQ(FnvDigest(rec), c.digest)
-        << c.imp->name() << " digest 0x" << std::hex << FnvDigest(rec);
+    const uint64_t digest = testkit::MatrixDigest(rec);
+    EXPECT_EQ(digest, c.digest)
+        << c.imp->name() << " digest 0x" << std::hex << digest;
     EXPECT_EQ(after.CounterOr("tape.pool.misses"),
               before.CounterOr("tape.pool.misses"))
         << c.imp->name();

@@ -10,7 +10,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <string>
@@ -26,6 +25,7 @@
 #include "serve/client.h"
 #include "serve/server.h"
 #include "tensor/rng.h"
+#include "testkit/golden.h"
 
 namespace scis {
 namespace {
@@ -72,18 +72,6 @@ CheckpointMeta MakeMeta(const Dataset& raw, const MinMaxNormalizer& norm) {
   meta.norm_lo = norm.lo();
   meta.norm_hi = norm.hi();
   return meta;
-}
-
-uint64_t FnvMix(uint64_t h, const Matrix& m) {
-  for (size_t k = 0; k < m.size(); ++k) {
-    uint64_t bits;
-    std::memcpy(&bits, &m.data()[k], sizeof(bits));
-    for (int b = 0; b < 8; ++b) {
-      h ^= (bits >> (8 * b)) & 0xFFu;
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
 }
 
 struct LoopDigest {
@@ -217,7 +205,7 @@ void RunLoop(int threads, const std::string& dir, LoopDigest* digest_out) {
   Rng probe_rng(1234);
   Result<Matrix> served = (*feeder)->Impute(TrafficRows(probe_rng, 8, 0.5, 8.0));
   ASSERT_TRUE(served.ok());
-  out.served_digest = FnvMix(14695981039346656037ull, *served);
+  out.served_digest = testkit::MatrixDigest(*served);
   Result<lifecycle::DriftController::CheckOutcome> c3 = (*mgr)->RunCheck();
   join_hammer();
   ASSERT_TRUE(c3.ok()) << c3.status().ToString();
@@ -226,11 +214,11 @@ void RunLoop(int threads, const std::string& dir, LoopDigest* digest_out) {
   out.conf_after = c3->confidence;
 
   EXPECT_EQ((*mgr)->tap().dropped_rows(), 0u);
-  uint64_t digest = 14695981039346656037ull;
+  uint64_t digest = testkit::kFnvOffset;
   EXPECT_TRUE((*mgr)
                   ->store()
                   .Replay([&](const Matrix& rec) {
-                    digest = FnvMix(digest, rec);
+                    digest = testkit::MatrixDigest(rec, digest);
                   })
                   .ok());
   out.store_digest = digest;

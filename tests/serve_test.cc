@@ -32,6 +32,7 @@
 #include "serve/wire.h"
 #include "tensor/matrix_ops.h"
 #include "tensor/rng.h"
+#include "testkit/golden.h"
 #include "testkit/gtest_glue.h"
 
 namespace scis::serve {
@@ -616,17 +617,6 @@ TEST(ServeEngineTest, LoadRejectsCorruptIndexFiles) {
   std::remove(bad.c_str());
 }
 
-// FNV-1a 64 over the bit patterns of `m`, chained from `h`.
-uint64_t FnvMatrix(uint64_t h, const Matrix& m) {
-  for (size_t i = 0; i < m.size(); ++i) {
-    const uint64_t bits = std::bit_cast<uint64_t>(m.data()[i]);
-    for (int b = 0; b < 64; b += 8) {
-      h = (h ^ ((bits >> b) & 0xFF)) * 1099511628211ull;
-    }
-  }
-  return h;
-}
-
 // Served retrieval bytes are pinned by a golden digest: a Search-shaped
 // pool (d = 64, 81% missing, 1,000 indexed rows, default RetrievalOptions)
 // whose sparse queries take the full scan, plus a mixed-density pool whose
@@ -678,7 +668,7 @@ TEST(ServeEngineTest, RetrievalServingMatchesGolden) {
                      : 0;
     }
     out << pool.name << ": blended_cells=" << blended << " output_fnv1a="
-        << std::hex << FnvMatrix(14695981039346656037ull, *served) << std::dec
+        << std::hex << testkit::MatrixDigest(*served) << std::dec
         << "\n";
     out.precision(std::numeric_limits<double>::max_digits10);
     for (size_t i = 0; i < 2; ++i) {

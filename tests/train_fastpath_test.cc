@@ -7,9 +7,12 @@
 //   * FusedLinear is bit-identical to the unfused
 //     act(AddRowBroadcast(MatMul(x, w), b)) composition, forward and
 //     backward, for every activation and across thread counts;
-//   * its analytic gradients agree with central differences.
+//   * its analytic gradients agree with central differences;
+//   * the full training step trains to committed weight digests, the same
+//     at 1/2/4 threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -23,6 +26,7 @@
 #include "nn/optimizer.h"
 #include "obs/metrics.h"
 #include "runtime/runtime.h"
+#include "testkit/golden.h"
 
 namespace scis {
 namespace {
@@ -303,41 +307,94 @@ TEST(FusedLinearTest, GradientMatchesCentralDifference) {
   }
 }
 
+// One GAIN-shaped training config (§VI: 2-layer nets of width d on input
+// 2d, at Table-II-like widths and DIM-trainer batch sizes).
+struct TrainCase {
+  const char* name;
+  std::vector<size_t> dims;  // {in, hidden, out}
+  size_t batch;
+  bool bce;         // GAIN-style weighted BCE vs weighted MSE reconstruction
+  uint64_t digest;  // testkit::MatrixDigest of the trained weights
+};
+
+struct TrainRun {
+  Matrix weights;  // store.ToFlat() as one row
+  uint64_t misses_after_warmup = 0;
+};
+
+// The full fast-path training loop (fused layers, pooled tape, gradient
+// views, kernel Adam) on one fixed batch: 5 warm-up steps, then 30 more
+// that must be served from the tape pool.
+TrainRun TrainFastPath(const TrainCase& c, int threads) {
+  constexpr int kWarmup = 5, kSteps = 30;
+  runtime::SetNumThreads(threads);
+  Rng rng(20260808);
+  ParamStore store;
+  Mlp mlp(&store, "net", c.dims, Activation::kRelu, Activation::kSigmoid,
+          rng);
+  Adam adam(1e-3);
+  const size_t out = c.dims.back();
+  const Matrix x = rng.UniformMatrix(c.batch, c.dims.front(), 0.0, 1.0);
+  Matrix y, w;
+  if (c.bce) {
+    y = rng.BernoulliMatrix(c.batch, out, 0.5);
+    w = Matrix::Ones(c.batch, out);
+  } else {
+    y = rng.UniformMatrix(c.batch, out, 0.0, 1.0);
+    w = rng.BernoulliMatrix(c.batch, out, 0.8);
+  }
+
+  Tape tape;
+  std::vector<const Matrix*> views;
+  uint64_t misses_at_warmup = 0;
+  for (int step = 0; step < kWarmup + kSteps; ++step) {
+    if (step == kWarmup) misses_at_warmup = tape.pool_stats().misses;
+    Var pred = mlp.Forward(tape, tape.ConstantRef(&x));
+    Var loss = c.bce ? WeightedBceLoss(pred, tape.ConstantRef(&y),
+                                       tape.ConstantRef(&w))
+                     : WeightedMseLoss(pred, tape.ConstantRef(&y),
+                                       tape.ConstantRef(&w));
+    tape.Backward(loss);
+    store.CollectGradsInto(&views);
+    adam.Step(store, views);
+    tape.Clear();
+  }
+  const std::vector<double> flat = store.ToFlat();
+  TrainRun run;
+  run.weights = Matrix(1, flat.size());
+  std::copy(flat.begin(), flat.end(), run.weights.data());
+  run.misses_after_warmup = tape.pool_stats().misses - misses_at_warmup;
+  return run;
+}
+
 TEST(FusedLinearTest, TrainingBitIdenticalAcrossThreadCounts) {
-  // Full fast-path training loop (fused layers, pooled tape, gradient
-  // views, kernel Adam) must produce bit-identical weights at 1/2/4
-  // threads — the runtime determinism contract extended to training.
-  auto train = [](int threads) {
-    runtime::SetNumThreads(threads);
-    Rng rng(5);
-    ParamStore store;
-    Mlp mlp(&store, "t", std::vector<size_t>{18, 9, 9}, Activation::kRelu,
-            Activation::kSigmoid, rng);
-    Adam adam(1e-3);
-    Tape tape;
-    std::vector<const Matrix*> views;
-    const Matrix x = RandMatrix(rng, 32, 18, 0.0, 1.0);
-    const Matrix y = RandMatrix(rng, 32, 9, 0.0, 1.0);
-    const Matrix mask = rng.BernoulliMatrix(32, 9, 0.7);
-    for (int step = 0; step < 5; ++step) {
-      Var out = mlp.Forward(tape, tape.ConstantRef(&x));
-      Var loss = WeightedMseLoss(out, tape.ConstantRef(&y),
-                                 tape.ConstantRef(&mask));
-      tape.Backward(loss);
-      store.CollectGradsInto(&views);
-      adam.Step(store, views);
-      tape.Clear();
-    }
-    return store.ToFlat();
+  // The fast-path training step lands on committed weights, the same at
+  // 1/2/4 threads, with no tape allocation after warm-up. The digests were
+  // recorded where the pre-fast-path engine (fresh tape per step, unfused
+  // MatMul/AddRowBroadcast/activation ops, copied gradients, scalar Adam)
+  // trained every config to the same bits, so they pin that agreement too.
+  const TrainCase cases[] = {
+      {"d9_b32", {18, 9, 9}, 32, false, 0x15efe43b6eb115b5ull},
+      {"d9_b128", {18, 9, 9}, 128, false, 0x38327d8b6ecebb65ull},
+      {"d9_b256", {18, 9, 9}, 256, false, 0xc4a0a12ee5eba521ull},
+      {"d16_b128", {32, 16, 16}, 128, false, 0xdadf28c708e5f732ull},
+      {"d25_b256", {50, 25, 25}, 256, false, 0x52d05b69f9ad3d18ull},
+      {"d57_b256", {114, 57, 57}, 256, false, 0xccf91f97cbb9e664ull},
+      {"d9_b512_bce", {18, 9, 9}, 512, true, 0x667c9ba224a387acull},
   };
-  const std::vector<double> w1 = train(1);
-  const std::vector<double> w2 = train(2);
-  const std::vector<double> w4 = train(4);
+  for (const TrainCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    const TrainRun serial = TrainFastPath(c, 1);
+    const uint64_t digest = testkit::MatrixDigest(serial.weights);
+    EXPECT_EQ(digest, c.digest) << "digest 0x" << std::hex << digest;
+    EXPECT_EQ(serial.misses_after_warmup, 0u);
+    for (const int threads : {2, 4}) {
+      const TrainRun parallel = TrainFastPath(c, threads);
+      ExpectBitEqual(parallel.weights, serial.weights, "weights vs 1 thread");
+      EXPECT_EQ(parallel.misses_after_warmup, 0u);
+    }
+  }
   runtime::SetNumThreads(0);  // restore the env/hardware default
-  ASSERT_EQ(w1.size(), w2.size());
-  ASSERT_EQ(w1.size(), w4.size());
-  EXPECT_EQ(std::memcmp(w1.data(), w2.data(), w1.size() * sizeof(double)), 0);
-  EXPECT_EQ(std::memcmp(w1.data(), w4.data(), w1.size() * sizeof(double)), 0);
 }
 
 }  // namespace
