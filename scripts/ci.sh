@@ -27,7 +27,15 @@ case "$MODE" in
       echo "local Tape in src/models (see above)" >&2
       exit 1
     fi
-    echo "lint: OK (no const_cast and no local Tape in src/models)"
+    # Lint: linear.cc is compiled with the very-cheap vectorizer cost model
+    # (src/kernels/CMakeLists.txt), which leaves a per-element activation
+    # scalar; activations belong in the elementwise.cc pass (ActInPlace).
+    if grep -nE 'SigmoidD|ExpD|tanh|Act::' src/kernels/linear.cc; then
+      echo "activation code in src/kernels/linear.cc (see above)" >&2
+      exit 1
+    fi
+    echo "lint: OK (no const_cast and no local Tape in src/models," \
+      "no activation in src/kernels/linear.cc)"
 
     cmake --preset default >/dev/null
     cmake --build --preset default -j "$JOBS"

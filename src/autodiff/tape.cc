@@ -784,7 +784,7 @@ void FusedLinearForward(const Matrix& x, const double* w, const double* b,
                         Activation act, Matrix* out) {
   const size_t m = x.rows(), k = x.cols(), n = out->cols();
   SCIS_CHECK(out->rows() == m);
-  // Softplus has no fused form (see kernels/linear.h): an identity pass,
+  // Softplus has no fused form (see kernels/act.h): an identity pass,
   // then the Softplus op's own map, as the tape composes it.
   const bool softplus = act == Activation::kSoftplus;
   const kernels::Act ka =
@@ -792,11 +792,17 @@ void FusedLinearForward(const Matrix& x, const double* w, const double* b,
   double* y = out->data();
   const size_t grain =
       kernels::RowAlignedGrain(runtime::GrainForWork(m, k * n));
+  // Each chunk's rows [i0, i1) are contiguous in y, so the activation is one
+  // vectorized pass over them while they are still in cache.
+  const auto act_rows = [&](size_t i0, size_t i1) {
+    kernels::ActInPlace(ka, y + i0 * n, (i1 - i0) * n);
+  };
   if (n <= kernels::kSmallNMax) {
     // Narrow layer: the direct kernel reads W row-major — no pack pass, no
     // padded panel columns, bit-identical accumulation order.
     runtime::ParallelFor(0, m, grain, [&](size_t i0, size_t i1) {
-      kernels::LinearForwardRowsSmallN(x.data(), w, b, y, i0, i1, k, n, ka);
+      kernels::LinearForwardRowsSmallN(x.data(), w, b, y, i0, i1, k, n);
+      act_rows(i0, i1);
     });
   } else {
     kernels::ScopedScratch wp(kernels::PackedSize(k, n));
@@ -807,7 +813,8 @@ void FusedLinearForward(const Matrix& x, const double* w, const double* b,
                            kernels::PackPanels(w, k, n, t0, t1, wp.data());
                          });
     runtime::ParallelFor(0, m, grain, [&](size_t i0, size_t i1) {
-      kernels::LinearForwardRows(x.data(), wp.data(), b, y, i0, i1, k, n, ka);
+      kernels::LinearForwardRows(x.data(), wp.data(), b, y, i0, i1, k, n);
+      act_rows(i0, i1);
     });
   }
   if (softplus) SoftplusInto(*out, out);

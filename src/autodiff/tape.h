@@ -272,10 +272,11 @@ Var RowLogSumExp(Var a);
 
 // Fused linear layer: act(x·w + b) as ONE node (the issue's `Linear` tape
 // op; named FusedLinear because nn/layers.h already has a Linear class).
-// Forward is a single register-tiled pass over the packed matmul kernel
-// with the bias add and activation applied at the tile store; backward
-// produces dX, dW, db in one sweep from the saved output. Bit-identical to
-// the unfused act(AddRowBroadcast(MatMul(x, w), b)) composition.
+// Forward is one register-tiled pass over the packed matmul kernel with the
+// bias add at the tile store, then one vectorized activation pass over the
+// same chunk of output rows; backward produces dX, dW, db in one sweep from
+// the saved output. Bit-identical to the unfused
+// act(AddRowBroadcast(MatMul(x, w), b)) composition.
 // kSoftplus falls back to an unfused activation (its derivative needs the
 // pre-activation, which the fused node does not keep).
 Var FusedLinear(Var x, Var w, Var b, Activation act);

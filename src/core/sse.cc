@@ -213,7 +213,7 @@ double SseEstimator::OutputDistance(GenerativeImputer& model,
   return cnt ? std::sqrt(acc / static_cast<double>(cnt)) : 0.0;
 }
 
-int SseEstimator::CountPasses(
+SseEstimator::PassCount SseEstimator::CountPasses(
     GenerativeImputer& model, const Dataset& validation, size_t n0, size_t n,
     size_t data_size, const double* threshold) {
   SCIS_TRACE_SPAN("sse.probe");
@@ -270,17 +270,21 @@ int SseEstimator::CountPasses(
   metrics.probes->Add(1);
   metrics.model_evals->Add(static_cast<uint64_t>(evaluated));
   metrics.candidate_n->Set(static_cast<double>(n));
-  return pass;
+  return {pass, evaluated == opts_.k};
+}
+
+double SseEstimator::Confidence(int pass) const {
+  const double prob = static_cast<double>(pass) / static_cast<double>(opts_.k);
+  SseMetrics::Get().confidence->Set(prob);
+  return prob;
 }
 
 double SseEstimator::ProbabilityAt(GenerativeImputer& model,
                                    const Dataset& validation, size_t n0,
                                    size_t n, size_t data_size) {
-  const int pass =
-      CountPasses(model, validation, n0, n, data_size, /*threshold=*/nullptr);
-  const double prob = static_cast<double>(pass) / static_cast<double>(opts_.k);
-  SseMetrics::Get().confidence->Set(prob);
-  return prob;
+  return Confidence(
+      CountPasses(model, validation, n0, n, data_size, /*threshold=*/nullptr)
+          .pass);
 }
 
 Result<SseResult> SseEstimator::EstimateMinimumSize(GenerativeImputer& model,
@@ -303,11 +307,21 @@ Result<SseResult> SseEstimator::EstimateMinimumSize(GenerativeImputer& model,
   // P(n) is monotone in n under common random numbers: binary search the
   // smallest satisfying size. A step needs only the decision, so its pair
   // loop stops once the count settles it; n* keeps its full count below.
+  // Accepting steps probe strictly decreasing sizes and n* is the last one
+  // (or N, never probed), so the last accepting full count is n*'s when its
+  // size matches.
+  size_t full_n = 0;  // 0: no accepting step has evaluated all k pairs
+  int full_pass = 0;
   auto satisfied = [&](size_t n) {
     ++res.search_steps;
-    return Accepts(
-        CountPasses(model, validation, n0, n, data_size, &res.threshold),
-        opts_.k, res.threshold);
+    const PassCount c =
+        CountPasses(model, validation, n0, n, data_size, &res.threshold);
+    const bool ok = Accepts(c.pass, opts_.k, res.threshold);
+    if (ok && c.full) {
+      full_n = n;
+      full_pass = c.pass;
+    }
+    return ok;
   };
   size_t lo = n0, hi = data_size;
   if (satisfied(lo)) {
@@ -325,7 +339,9 @@ Result<SseResult> SseEstimator::EstimateMinimumSize(GenerativeImputer& model,
     res.n_star = hi;
   }
   res.probability_at_n_star =
-      ProbabilityAt(model, validation, n0, res.n_star, data_size);
+      full_n == res.n_star
+          ? Confidence(full_pass)
+          : ProbabilityAt(model, validation, n0, res.n_star, data_size);
   res.sse_seconds = watch.ElapsedSeconds();
   SseMetrics::Get().n_star->Set(static_cast<double>(res.n_star));
   return res;

@@ -111,9 +111,17 @@ class SseEstimator {
   // within ε, evaluated in pair order. With a threshold, the loop stops as
   // soon as pass/k ≥ threshold is settled either way, and the count it
   // returns then gives the same answer to that test as the full count.
-  int CountPasses(GenerativeImputer& model, const Dataset& validation,
-                  size_t n0, size_t n, size_t data_size,
-                  const double* threshold);
+  // `full` says the loop evaluated all k pairs, so `pass` is the full count.
+  struct PassCount {
+    int pass = 0;
+    bool full = false;
+  };
+  PassCount CountPasses(GenerativeImputer& model, const Dataset& validation,
+                        size_t n0, size_t n, size_t data_size,
+                        const double* threshold);
+
+  // pass/k, published as the sse.confidence gauge.
+  double Confidence(int pass) const;
 
   // Masked RMS output difference (Eq. 4) between two parameter vectors.
   double OutputDistance(GenerativeImputer& model, const Dataset& validation,

@@ -1,10 +1,12 @@
-// Shared scalar activation forms for the kernel layer.
+// Activation kinds and shared scalar activation forms for the kernel layer.
 //
-// The fused linear kernel (kernels/linear.cc) and the elementwise sigmoid
-// (kernels/elementwise.cc) must produce bit-identical values for the same
-// input, so the scalar expressions live here once and both translation
-// units inline them. ExpD is pure straight-line arithmetic (kernels/exp.h),
-// so the result does not depend on which clone or TU evaluated it.
+// The fused linear layer is two kernels: the register-tiled product
+// x·W + b (kernels/linear.h) and one in-place activation pass over the
+// rows it wrote (ActInPlace, kernels/elementwise.h). The activation pass
+// and the elementwise sigmoid must produce bit-identical values for the
+// same input, so the scalar expressions live here once and every loop
+// inlines them. ExpD is pure straight-line arithmetic (kernels/exp.h), so
+// the result does not depend on which clone or TU evaluated it.
 #ifndef SCIS_KERNELS_ACT_H_
 #define SCIS_KERNELS_ACT_H_
 
@@ -13,6 +15,11 @@
 #include "kernels/exp.h"
 
 namespace scis::kernels {
+
+// Activation of a fused linear layer. Softplus is absent by design: its
+// derivative needs the pre-activation, which a fused node does not keep
+// (the tape falls back to an unfused softplus on top of kIdentity).
+enum class Act { kIdentity, kSigmoid, kRelu, kTanh };
 
 // Sign-split sigmoid, selected branch-free: e = exp(-|x|), then 1/(1+e) for
 // x >= 0 or e/(1+e) otherwise. Matches SigmoidArray element-for-element.

@@ -97,9 +97,67 @@ void ExpArray(const double* __restrict in, double* __restrict out, size_t n) {
 SCIS_KERNEL_CLONES
 void SigmoidArray(const double* __restrict in, double* __restrict out,
                   size_t n) {
-  // The scalar form lives in kernels/act.h so the fused linear kernel
-  // evaluates the exact same expressions.
+  // The scalar form lives in kernels/act.h so the fused layer's activation
+  // pass evaluates the exact same expressions.
   for (size_t i = 0; i < n; ++i) out[i] = SigmoidD(in[i]);
+}
+
+SCIS_KERNEL_CLONES
+void ActInPlace(Act act, double* __restrict y, size_t n) {
+  // One straight loop per kind: sigmoid and relu vectorize here (this file
+  // has the dynamic cost model); tanh stays a libm call per element.
+  switch (act) {
+    case Act::kIdentity:
+      break;
+    case Act::kSigmoid:
+      for (size_t i = 0; i < n; ++i) y[i] = SigmoidD(y[i]);
+      break;
+    case Act::kRelu:
+      for (size_t i = 0; i < n; ++i) y[i] = y[i] > 0 ? y[i] : 0.0;
+      break;
+    case Act::kTanh:
+      for (size_t i = 0; i < n; ++i) y[i] = std::tanh(y[i]);
+      break;
+  }
+}
+
+SCIS_KERNEL_CLONES
+void ActBackwardArray(Act act, const double* __restrict g,
+                      const double* __restrict y, double* __restrict dz,
+                      size_t n) {
+  // Per-element grouping mirrors the historic unfused backward: the local
+  // derivative d is formed first, then multiplied by the incoming gradient.
+  switch (act) {
+    case Act::kIdentity:
+      for (size_t i = 0; i < n; ++i) dz[i] = g[i];
+      break;
+    case Act::kSigmoid:
+      for (size_t i = 0; i < n; ++i) {
+        const double d = y[i] * (1.0 - y[i]);
+        dz[i] = g[i] * d;
+      }
+      break;
+    case Act::kRelu:
+      for (size_t i = 0; i < n; ++i) {
+        dz[i] = g[i] * (y[i] > 0 ? 1.0 : 0.0);
+      }
+      break;
+    case Act::kTanh:
+      for (size_t i = 0; i < n; ++i) {
+        const double d = 1.0 - y[i] * y[i];
+        dz[i] = g[i] * d;
+      }
+      break;
+  }
+}
+
+SCIS_KERNEL_CLONES
+void ColSumAcc(const double* __restrict a, size_t rows, size_t cols,
+               double* __restrict out) {
+  for (size_t i = 0; i < rows; ++i) {
+    const double* __restrict row = a + i * cols;
+    for (size_t j = 0; j < cols; ++j) out[j] += row[j];
+  }
 }
 
 SCIS_KERNEL_CLONES

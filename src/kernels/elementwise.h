@@ -19,6 +19,8 @@
 
 #include <cstddef>
 
+#include "kernels/act.h"
+
 namespace scis::kernels {
 
 // Lane count for every fixed-lane reduction in src/kernels. 8 doubles = one
@@ -55,6 +57,21 @@ void ExpArray(const double* in, double* out, size_t n);
 // out[i] = sigmoid(in[i]), computed with the same sign-split as the scalar
 // form (1/(1+e^-x) for x ≥ 0, e^x/(1+e^x) otherwise) but branch-free.
 void SigmoidArray(const double* in, double* out, size_t n);
+
+// y[i] = act(y[i]) in place — the activation half of a fused linear layer,
+// run over the output rows the product kernel (kernels/linear.h) just
+// wrote. Sigmoid is SigmoidD (kernels/act.h), relu `y > 0 ? y : 0`, tanh
+// std::tanh; kIdentity leaves y untouched.
+void ActInPlace(Act act, double* y, size_t n);
+
+// dz[i] = g[i] · act'(y[i]) where y is the saved forward output — the
+// activation backward for every Act (kIdentity copies g).
+void ActBackwardArray(Act act, const double* g, const double* y, double* dz,
+                      size_t n);
+
+// out[j] += Σ_i a(i, j) over all rows, row-major a (rows × cols), serial in
+// row order — the bias gradient, association-identical to ColSum.
+void ColSumAcc(const double* a, size_t rows, size_t cols, double* out);
 
 // Σ w[i]·(p[i] − y[i])²  — the fused weighted-SSE forward pass.
 double WeightedSse(const double* w, const double* p, const double* y,

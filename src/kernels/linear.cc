@@ -1,8 +1,5 @@
 #include "kernels/linear.h"
 
-#include <cmath>
-
-#include "kernels/act.h"
 #include "kernels/dispatch.h"
 #include "kernels/matmul.h"
 
@@ -10,25 +7,11 @@ namespace scis::kernels {
 
 namespace {
 
-inline double ApplyAct(Act act, double z) {
-  switch (act) {
-    case Act::kIdentity:
-      return z;
-    case Act::kSigmoid:
-      return SigmoidD(z);
-    case Act::kRelu:
-      return z > 0 ? z : 0.0;
-    case Act::kTanh:
-      return std::tanh(z);
-  }
-  return z;
-}
-
-// Bias + activation at the tile store; w < kColTile only on the last panel.
-inline void StoreActTileRow(Act act, const double* __restrict acc,
-                            const double* __restrict bias,
-                            double* __restrict orow, size_t w) {
-  for (size_t c = 0; c < w; ++c) orow[c] = ApplyAct(act, acc[c] + bias[c]);
+// Bias add at the tile store; w < kColTile only on the last panel.
+inline void StoreBiasTileRow(const double* __restrict acc,
+                             const double* __restrict bias,
+                             double* __restrict orow, size_t w) {
+  for (size_t c = 0; c < w; ++c) orow[c] = acc[c] + bias[c];
 }
 
 }  // namespace
@@ -36,7 +19,7 @@ inline void StoreActTileRow(Act act, const double* __restrict acc,
 SCIS_KERNEL_CLONES
 void LinearForwardRows(const double* __restrict x, const double* __restrict wp,
                        const double* __restrict bias, double* __restrict y,
-                       size_t i0, size_t i1, size_t k, size_t n, Act act) {
+                       size_t i0, size_t i1, size_t k, size_t n) {
   // Same tile walk as MatMulRowsPacked (kernels/matmul.cc); only the store
   // differs, so every accumulator keeps the historic ascending-p association.
   const size_t panels = NumPanels(n);
@@ -56,7 +39,7 @@ void LinearForwardRows(const double* __restrict x, const double* __restrict wp,
       const size_t j0 = t * kColTile;
       const size_t w = n - j0 < kColTile ? n - j0 : kColTile;
       for (size_t r = 0; r < kRowTile; ++r) {
-        StoreActTileRow(act, acc[r], bias + j0, y + (i + r) * n + j0, w);
+        StoreBiasTileRow(acc[r], bias + j0, y + (i + r) * n + j0, w);
       }
     }
   }
@@ -72,7 +55,7 @@ void LinearForwardRows(const double* __restrict x, const double* __restrict wp,
       }
       const size_t j0 = t * kColTile;
       const size_t w = n - j0 < kColTile ? n - j0 : kColTile;
-      StoreActTileRow(act, acc, bias + j0, y + i * n + j0, w);
+      StoreBiasTileRow(acc, bias + j0, y + i * n + j0, w);
     }
   }
 }
@@ -82,7 +65,7 @@ void LinearForwardRowsSmallN(const double* __restrict x,
                              const double* __restrict w,
                              const double* __restrict bias,
                              double* __restrict y, size_t i0, size_t i1,
-                             size_t k, size_t n, Act act) {
+                             size_t k, size_t n) {
   // Per-element association matches the packed kernel exactly: acc starts at
   // 0.0 and streams p ascending; only the memory walk differs (row-major W,
   // no pack pass, no padded columns). Column blocks keep the accumulator
@@ -119,8 +102,7 @@ void LinearForwardRowsSmallN(const double* __restrict x,
                                               {c20, c21, c22, c23},
                                               {c30, c31, c32, c33}};
       for (size_t r = 0; r < kRowTile; ++r) {
-        StoreActTileRow(act, acc[r], bias + j0, y + (i + r) * n + j0,
-                        kColTile);
+        StoreBiasTileRow(acc[r], bias + j0, y + (i + r) * n + j0, kColTile);
       }
     }
     if (nb < n) {
@@ -134,7 +116,7 @@ void LinearForwardRowsSmallN(const double* __restrict x,
         }
       }
       for (size_t r = 0; r < kRowTile; ++r) {
-        StoreActTileRow(act, acc[r], bias + nb, y + (i + r) * n + nb, tw);
+        StoreBiasTileRow(acc[r], bias + nb, y + (i + r) * n + nb, tw);
       }
     }
   }
@@ -148,7 +130,7 @@ void LinearForwardRowsSmallN(const double* __restrict x,
         const double* __restrict bv = w + p * n + j0;
         for (size_t c = 0; c < tw; ++c) acc[c] += av * bv[c];
       }
-      StoreActTileRow(act, acc, bias + j0, y + i * n + j0, tw);
+      StoreBiasTileRow(acc, bias + j0, y + i * n + j0, tw);
     }
   }
 }
@@ -276,45 +258,6 @@ void MatMulTransBRowsSmallN(const double* __restrict a,
       for (size_t p = 0; p < k; ++p) s += arow[p] * brow[p];
       out[i * n + j] = s;
     }
-  }
-}
-
-SCIS_KERNEL_CLONES
-void ActBackwardArray(Act act, const double* __restrict g,
-                      const double* __restrict y, double* __restrict dz,
-                      size_t n) {
-  // Per-element grouping mirrors the historic unfused backward: the local
-  // derivative d is formed first, then multiplied by the incoming gradient.
-  switch (act) {
-    case Act::kIdentity:
-      for (size_t i = 0; i < n; ++i) dz[i] = g[i];
-      break;
-    case Act::kSigmoid:
-      for (size_t i = 0; i < n; ++i) {
-        const double d = y[i] * (1.0 - y[i]);
-        dz[i] = g[i] * d;
-      }
-      break;
-    case Act::kRelu:
-      for (size_t i = 0; i < n; ++i) {
-        dz[i] = g[i] * (y[i] > 0 ? 1.0 : 0.0);
-      }
-      break;
-    case Act::kTanh:
-      for (size_t i = 0; i < n; ++i) {
-        const double d = 1.0 - y[i] * y[i];
-        dz[i] = g[i] * d;
-      }
-      break;
-  }
-}
-
-SCIS_KERNEL_CLONES
-void ColSumAcc(const double* __restrict a, size_t rows, size_t cols,
-               double* __restrict out) {
-  for (size_t i = 0; i < rows; ++i) {
-    const double* __restrict row = a + i * cols;
-    for (size_t j = 0; j < cols; ++j) out[j] += row[j];
   }
 }
 

@@ -1,17 +1,23 @@
-// Fused linear-layer kernels: forward act(X·W + b) in one register-tiled
-// pass over the packed matmul layout, and the matching backward pieces.
+// Fused linear-layer kernels: the forward product X·W + b in one
+// register-tiled pass over the packed matmul layout, and the matching
+// backward products.
 //
 // Forward reuses the kernels/matmul micro-kernel structure verbatim — the
 // kRowTile × kColTile accumulator tile streams the full inner dimension in
-// ascending-p order — and applies the bias add and activation at the tile
-// store, so one layer is one pass over the output instead of three
-// (MatMul, AddRowBroadcast, activation) with two intermediate matrices.
+// ascending-p order — and adds the bias at the tile store, so one layer's
+// product is one pass over the output instead of two (MatMul,
+// AddRowBroadcast) with an intermediate matrix. The activation is not
+// applied here: the caller runs kernels::ActInPlace over the same chunk of
+// output rows right after (autodiff FusedLinearForward). linear.cc is
+// compiled with the very-cheap vectorizer cost model, which suits the
+// register tiles but leaves any per-element activation loop scalar, so
+// activation loops live in kernels/elementwise.cc (src/kernels/CMakeLists.txt).
 //
 // Determinism: an accumulator that starts at +0.0 can never end at -0.0, so
-// `act(acc + b)` is bit-identical to the unfused `(0 += acc) + b` store of
-// the historic composition at any thread count (callers chunk output rows
-// with RowAlignedGrain, as for the plain matmul). The activation scalars are
-// shared with kernels/elementwise via kernels/act.h.
+// `acc + b` is bit-identical to the unfused `(0 += acc) + b` store of the
+// historic composition at any thread count (callers chunk output rows
+// with RowAlignedGrain, as for the plain matmul), and the activation pass
+// reads that same rounded double.
 #ifndef SCIS_KERNELS_LINEAR_H_
 #define SCIS_KERNELS_LINEAR_H_
 
@@ -19,17 +25,11 @@
 
 namespace scis::kernels {
 
-// Activation applied at the tile store. Softplus is absent by design: its
-// derivative needs the pre-activation, which a fused node does not keep
-// (the tape falls back to an unfused softplus on top of kIdentity).
-enum class Act { kIdentity, kSigmoid, kRelu, kTanh };
-
-// y rows [i0, i1) = act(x·W + bias), with x row-major (rows × k), the k×n
+// y rows [i0, i1) = x·W + bias, with x row-major (rows × k), the k×n
 // weight matrix packed into wp (kernels/matmul.h PackPanels layout), and
 // bias a length-n row. Overwrites y (no zeroing needed).
 void LinearForwardRows(const double* x, const double* wp, const double* bias,
-                       double* y, size_t i0, size_t i1, size_t k, size_t n,
-                       Act act);
+                       double* y, size_t i0, size_t i1, size_t k, size_t n);
 
 // Widest output for which the direct (pack-free) row kernels below apply.
 // The register tile walks 4-column blocks, so any width works; the bound
@@ -45,7 +45,7 @@ inline constexpr size_t kSmallNMax = 64;
 // pass and the padded panel columns.
 void LinearForwardRowsSmallN(const double* x, const double* w,
                              const double* bias, double* y, size_t i0,
-                             size_t i1, size_t k, size_t n, Act act);
+                             size_t i1, size_t k, size_t n);
 
 // out rows [i0, i1) += aᵀ·b for n ≤ kSmallNMax with b row-major and
 // unpacked — the dW = Xᵀ·dz backward without packing dz first. a is the
@@ -63,15 +63,6 @@ void MatMulTransARowsSmallN(const double* a, size_t ma, const double* b,
 // just runs 16 of those chains at once.
 void MatMulTransBRowsSmallN(const double* a, const double* b, double* out,
                             size_t i0, size_t i1, size_t k, size_t n);
-
-// dz[i] = g[i] · act'(y[i]) where y is the saved forward output — the
-// activation backward for every Act except kIdentity (whose dz is g).
-void ActBackwardArray(Act act, const double* g, const double* y, double* dz,
-                      size_t n);
-
-// out[j] += Σ_i a(i, j) over all rows, row-major a (rows × cols), serial in
-// row order — the bias gradient, association-identical to ColSum.
-void ColSumAcc(const double* a, size_t rows, size_t cols, double* out);
 
 }  // namespace scis::kernels
 

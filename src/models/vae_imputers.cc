@@ -110,6 +110,9 @@ Var MiwaeImputer::BuildLoss(Tape& tape, const Matrix& x, const Matrix& m) {
   const double inv2var =
       1.0 / (2.0 * wopts_.obs_stddev * wopts_.obs_stddev);
   const size_t n = x.rows();
+  // The posterior terms shared by every sample, built once.
+  Var sigma = Exp(MulScalar(enc.logvar, 0.5));
+  Var logvar_sum = RowSum(enc.logvar);
   Var logw_all;  // (n, K), built by column concatenation
   for (int k = 0; k < wopts_.importance_samples; ++k) {
     Matrix eps_mat =
@@ -124,13 +127,13 @@ Var MiwaeImputer::BuildLoss(Tape& tape, const Matrix& x, const Matrix& m) {
       eps2_row(i, 0) = acc;
     }
     Var eps = tape.Constant(std::move(eps_mat));
-    Var z = Add(enc.mu, Mul(Exp(MulScalar(enc.logvar, 0.5)), eps));
+    Var z = Add(enc.mu, Mul(sigma, eps));
     Var dec = core_->Decode(tape, z);
     Var logp_x = MulScalar(
         RowSum(Mul(Square(Sub(dec, target)), weight)), -inv2var);
     Var logp_z = MulScalar(RowSum(Square(z)), -0.5);
     Var logq = MulScalar(
-        Add(RowSum(enc.logvar), tape.Constant(eps2_row)), -0.5);
+        Add(logvar_sum, tape.Constant(eps2_row)), -0.5);
     Var logw = Sub(Add(logp_x, logp_z), logq);  // (n,1)
     logw_all = k == 0 ? logw : ConcatCols(logw_all, logw);
   }

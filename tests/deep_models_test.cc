@@ -348,7 +348,7 @@ TEST(DeepModelsTest, AutoencoderReconstructIsPinnedAndTapeFree) {
     o.deep = deep;
     o.importance_samples = 3;
     cases.push_back({std::make_unique<MiwaeImputer>(o),
-                     0xe9dff477c1ab79ecull});
+                     0x78f0ebe26d6ea2f7ull});
   }
   {
     EddiImputerOptions o;

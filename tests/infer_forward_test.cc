@@ -56,19 +56,36 @@ TEST(InferForwardTest, MatchesTapeForwardBitExact) {
                              Activation::kRelu, Activation::kTanh,
                              Activation::kSoftplus};
   Rng rng(101);
+  auto check = [&](const Mlp& mlp, ParamStore& store, const Matrix& x,
+                   Activation act) {
+    for (int threads : kThreadCounts) {
+      runtime::SetNumThreads(threads);
+      EXPECT_TRUE(SameBytes(mlp.Infer(x), TapeForward(mlp, store, x)))
+          << mlp.in_dim() << " -> " << mlp.out_dim() << ", activation "
+          << static_cast<int>(act) << ", " << x.rows() << " rows, "
+          << threads << " threads";
+    }
+  };
   for (size_t w : kWidths) {
     for (Activation act : acts) {
       ParamStore store;
       const Mlp mlp(&store, "m", {w, w, w}, act, act, rng);
       for (size_t rows : kRowCounts) {
-        const Matrix x = rng.NormalMatrix(rows, w, 0.0, 1.0);
-        for (int threads : kThreadCounts) {
-          runtime::SetNumThreads(threads);
-          EXPECT_TRUE(SameBytes(mlp.Infer(x), TapeForward(mlp, store, x)))
-              << "width " << w << ", activation " << static_cast<int>(act)
-              << ", " << rows << " rows, " << threads << " threads";
-        }
+        check(mlp, store, rng.NormalMatrix(rows, w, 0.0, 1.0), act);
       }
+    }
+  }
+  // Non-square layers (rows, in → out, out): SSE's validation forward,
+  // the serve engine's first layer, and the packed path past kSmallNMax —
+  // the shapes of FusedLinearTest.MatchesUnfusedCompositionBitwise.
+  const struct {
+    size_t rows, in, out;
+  } shapes[] = {{1000, 18, 9}, {64, 128, 64}, {37, 64, 65}, {5, 3, 70}};
+  for (const auto& s : shapes) {
+    for (Activation act : acts) {
+      ParamStore store;
+      const Mlp mlp(&store, "m", {s.in, s.out, s.out}, act, act, rng);
+      check(mlp, store, rng.NormalMatrix(s.rows, s.in, 0.0, 1.0), act);
     }
   }
 }

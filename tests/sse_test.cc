@@ -239,7 +239,7 @@ SseResult ReferenceSearch(SseEstimator& sse, GenerativeImputer& model,
 
 // Early decisions change how many pairs a probe evaluates, never what the
 // search decides: the result equals the full-count reference search, at the
-// §VI threshold (clamped to 1) and at one below 1.
+// §VI threshold (clamped to 1) and at two below 1.
 TEST(SseTest, EarlyDecisionsMatchFullCountSearch) {
   Dataset data = MakeData(1500);
   Rng rng(5);
@@ -260,7 +260,19 @@ TEST(SseTest, EarlyDecisionsMatchFullCountSearch) {
   below_one.k = 24;
   below_one.alpha = 0.6;
   below_one.beta = 0.5;
-  for (const SseOptions& o : {at_one, below_one}) {
+  SseOptions stops_early = below_one;
+  stops_early.k = 16;
+  stops_early.alpha = 0.65;
+  // n* reuses the count of the step that accepted it when that step ran all
+  // k pairs, and gets one more probe otherwise. At threshold 1 acceptance
+  // needs every pair to pass, so it always ran them all; at 0.92 it did
+  // here because its count reached the threshold only at the last pair,
+  // while with `stops_early` the accepting step at n* stops short of k.
+  const struct {
+    SseOptions o;
+    uint64_t final_probes;
+  } cases[] = {{at_one, 0}, {below_one, 0}, {stops_early, 1}};
+  for (const auto& [o, final_probes] : cases) {
     const double threshold = SseThreshold(o.alpha, o.beta, o.k);
     SseEstimator fast(o), ref(o);
     ASSERT_TRUE(fast.Prepare(*model, initial).ok());
@@ -287,13 +299,19 @@ TEST(SseTest, EarlyDecisionsMatchFullCountSearch) {
     EXPECT_EQ(res->probability_at_n_star, want.probability_at_n_star);
     EXPECT_GT(res->n_star, 400u);
     EXPECT_LT(res->n_star, 1200u);
-    // Every probe counts once, and the final full count evaluates all k.
-    EXPECT_EQ(fast_probes, static_cast<uint64_t>(res->search_steps) + 1);
-    EXPECT_EQ(ref_evals, fast_probes * static_cast<uint64_t>(o.k));
+    // Every probe counts once; the reference runs all k pairs per step and
+    // once more at n*.
+    EXPECT_EQ(fast_probes,
+              static_cast<uint64_t>(res->search_steps) + final_probes);
+    EXPECT_EQ(ref_evals,
+              static_cast<uint64_t>(res->search_steps + 1) *
+                  static_cast<uint64_t>(o.k));
     EXPECT_LT(fast_evals, ref_evals);
   }
   EXPECT_EQ(SseThreshold(at_one.alpha, at_one.beta, at_one.k), 1.0);
   EXPECT_LT(SseThreshold(below_one.alpha, below_one.beta, below_one.k), 1.0);
+  EXPECT_LT(SseThreshold(stops_early.alpha, stops_early.beta, stops_early.k),
+            1.0);
 }
 
 }  // namespace

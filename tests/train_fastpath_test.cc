@@ -213,41 +213,52 @@ struct LinShape {
 
 TEST(FusedLinearTest, MatchesUnfusedCompositionBitwise) {
   // Shapes chosen to exercise the kernel tiles: full 4x4 tiles, leftover
-  // rows (m % 4 != 0), partial last panel (n % 4 != 0), and degenerate
-  // single-row/column cases.
-  const LinShape shapes[] = {{1, 1, 1}, {5, 3, 4},  {8, 9, 7},
-                             {4, 4, 8}, {6, 1, 5}, {3, 10, 2}};
+  // rows (m % 4 != 0), partial last panel (n % 4 != 0), degenerate
+  // single-row/column cases, the SSE validation forward (1000×18 → 9, split
+  // into several row chunks), the serve engine's first layer (64×128 → 64),
+  // and the packed path past kSmallNMax (n = 65, 70).
+  const LinShape shapes[] = {{1, 1, 1},     {5, 3, 4},     {8, 9, 7},
+                             {4, 4, 8},     {6, 1, 5},     {3, 10, 2},
+                             {1000, 18, 9}, {64, 128, 64}, {37, 64, 65},
+                             {5, 3, 70}};
   const Activation acts[] = {Activation::kNone, Activation::kSigmoid,
                              Activation::kRelu, Activation::kTanh,
                              Activation::kSoftplus};
-  uint64_t seed = 100;
-  for (const LinShape& s : shapes) {
-    for (Activation act : acts) {
-      SCOPED_TRACE(testing::Message() << "m=" << s.m << " k=" << s.k
-                                      << " n=" << s.n << " act="
-                                      << static_cast<int>(act));
-      Rng rng(seed++);
-      const Matrix x = RandMatrix(rng, s.m, s.k);
-      const Matrix w = RandMatrix(rng, s.k, s.n);
-      const Matrix b = RandMatrix(rng, 1, s.n);
-      const Matrix c = RandMatrix(rng, s.m, s.n);  // non-uniform upstream grad
+  // The row chunks (and so the activation passes) are shape-derived; the
+  // thread count only changes which thread runs each chunk.
+  for (const int threads : {1, 2, 4}) {
+    runtime::SetNumThreads(threads);
+    uint64_t seed = 100;
+    for (const LinShape& s : shapes) {
+      for (Activation act : acts) {
+        SCOPED_TRACE(testing::Message()
+                     << "m=" << s.m << " k=" << s.k << " n=" << s.n
+                     << " act=" << static_cast<int>(act)
+                     << " threads=" << threads);
+        Rng rng(seed++);
+        const Matrix x = RandMatrix(rng, s.m, s.k);
+        const Matrix w = RandMatrix(rng, s.k, s.n);
+        const Matrix b = RandMatrix(rng, 1, s.n);
+        const Matrix c = RandMatrix(rng, s.m, s.n);  // non-uniform grad
 
-      Tape tf;
-      Var xf = tf.Leaf(x), wf = tf.Leaf(w), bf = tf.Leaf(b);
-      Var yf = FusedLinear(xf, wf, bf, act);
-      tf.Backward(Sum(Mul(yf, tf.Constant(c))));
+        Tape tf;
+        Var xf = tf.Leaf(x), wf = tf.Leaf(w), bf = tf.Leaf(b);
+        Var yf = FusedLinear(xf, wf, bf, act);
+        tf.Backward(Sum(Mul(yf, tf.Constant(c))));
 
-      Tape tu;
-      Var xu = tu.Leaf(x), wu = tu.Leaf(w), bu = tu.Leaf(b);
-      Var yu = ApplyAct(act, AddRowBroadcast(MatMul(xu, wu), bu));
-      tu.Backward(Sum(Mul(yu, tu.Constant(c))));
+        Tape tu;
+        Var xu = tu.Leaf(x), wu = tu.Leaf(w), bu = tu.Leaf(b);
+        Var yu = ApplyAct(act, AddRowBroadcast(MatMul(xu, wu), bu));
+        tu.Backward(Sum(Mul(yu, tu.Constant(c))));
 
-      ExpectBitEqual(yf.value(), yu.value(), "forward");
-      ExpectBitEqual(xf.grad(), xu.grad(), "dX");
-      ExpectBitEqual(wf.grad(), wu.grad(), "dW");
-      ExpectBitEqual(bf.grad(), bu.grad(), "db");
+        ExpectBitEqual(yf.value(), yu.value(), "forward");
+        ExpectBitEqual(xf.grad(), xu.grad(), "dX");
+        ExpectBitEqual(wf.grad(), wu.grad(), "dW");
+        ExpectBitEqual(bf.grad(), bu.grad(), "db");
+      }
     }
   }
+  runtime::SetNumThreads(0);  // restore the env/hardware default
 }
 
 TEST(FusedLinearTest, SharedParamsAccumulateIdentically) {
