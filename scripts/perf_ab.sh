@@ -20,8 +20,13 @@
 # It prints, per workload and metric, the median [q1, q3] of each side,
 # the median change, and "head lower in k/N" pairs. Raw CPU per op
 # (before the reference-loop normalisation) is printed next to
-# norm_cpu_ms_per_op. Exits 1 if `rmse` differs between the two sides on
-# any seed, if any run has a nonzero fail_ratio, or if a run fails.
+# norm_cpu_ms_per_op, with each side's median raw/normalised ratio. The
+# normalisation divides by the time of perfbench's fixed reference loop,
+# whose speed can depend on where the linker placed it, so the address of
+# `(anonymous namespace)::ReferenceMs()` in each side's binary (`nm -C`) is
+# printed too: a ratio that moves with the address is placement, not code.
+# Exits 1 if `rmse` differs between the two sides on any seed, if any run
+# has a nonzero fail_ratio, or if a run fails.
 #
 # Environment: SEED0 (1; pick seeds the change was not tuned on) and
 # AB_DIR (${TMPDIR:-/tmp}/perf_ab). A run of both workloads takes about
@@ -29,7 +34,7 @@
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-  sed -n '2,28p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,33p' "$0" | sed 's/^# \{0,1\}//'
   exit 2
 fi
 cd "$(dirname "$0")/.."
@@ -70,6 +75,18 @@ prepare() {
 prepare base "$BASE_REV"
 prepare head "$HEAD_REV"
 
+# Where the linker placed the reference loop in each side's perfbench.
+reference_placement() {
+  local side=$1
+  local addr
+  addr=$(nm -C "$AB_DIR/$side/.bench_build/perfbench" 2>/dev/null |
+           awk '/\(anonymous namespace\)::ReferenceMs\(\)/ {
+                  sub(/^0+/, "", $1); print "0x" $1; exit}')
+  echo "$side ReferenceMs() at ${addr:-unknown (nm found no symbol)}"
+}
+PLACEMENT="$(reference_placement base; reference_placement head)"
+echo "$PLACEMENT"
+
 status=0
 run_one() {  # side workload seed
   local log="$LOGS/$2-$1-$3.txt"
@@ -94,6 +111,7 @@ done
 echo
 echo "perf_ab: base ${BASE_REV:0:12}, head ${HEAD_REV:0:12}," \
   "$PAIRS pairs of $RUN_SECONDS s, seeds $SEED0..$((SEED0 + PAIRS - 1))"
+echo "$PLACEMENT"
 python3 - "$LOGS" "$PAIRS" "$SEED0" "${WORKLOADS[@]}" <<'EOF' || status=1
 import json, re, statistics, sys
 
@@ -159,6 +177,11 @@ for w in workloads:
             gap, spread = abs(bm - hm), bq3 - bq1
             print("  %-22s median gap %.4g vs base quartile spread %.4g: %s" % (
                 "", gap, spread, "gap larger" if gap > spread else "within spread"))
+        if n == "raw_cpu_ms_per_op" and "norm_cpu_ms_per_op" in names:
+            ratio = lambda side: statistics.median(
+                r[side][0][n] / r[side][0]["norm_cpu_ms_per_op"] for r in runs)
+            print("  %-22s median raw/normalised: base %.4g, head %.4g" % (
+                "", ratio(1), ratio(2)))
     diff = [r[0] for r in runs if r[1][0].get("rmse") != r[2][0].get("rmse")]
     print("  rmse bit-identical per seed: %s" % (
         "yes" if not diff else "NO (seeds %s)" % diff))

@@ -10,6 +10,11 @@ namespace scis {
 
 namespace {
 
+// The learned critic φ: d -> kCriticHidden -> d (tanh-bounded output),
+// updated kCriticSteps times per generator step.
+constexpr size_t kCriticHidden = 32;
+constexpr int kCriticSteps = 1;
+
 // Cached handles; updates are relaxed atomics (see obs/metrics.h).
 struct DimMetrics {
   obs::Counter* epochs;
@@ -55,7 +60,7 @@ void DimTrainer::EnsureCritic(size_t d, Rng& rng) {
   // λ=130 Sinkhorn solves converge in a few iterations.
   critic_ = std::make_unique<Mlp>(
       &critic_store_, "dim.critic",
-      std::vector<size_t>{d, opts_.critic_hidden, d}, Activation::kRelu,
+      std::vector<size_t>{d, kCriticHidden, d}, Activation::kRelu,
       Activation::kTanh, rng);
 }
 
@@ -85,7 +90,7 @@ Status DimTrainer::Train(GenerativeImputer& model, const Dataset& data) {
 
       // --- critic ascent: maximize the embedded Sinkhorn divergence ---
       if (opts_.use_critic) {
-        for (int c = 0; c < opts_.critic_steps; ++c) {
+        for (int c = 0; c < kCriticSteps; ++c) {
           SCIS_TRACE_SPAN("dim.critic_step");
           metrics.critic_steps->Add(1);
           Stopwatch critic_watch;

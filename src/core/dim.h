@@ -35,8 +35,6 @@ struct DimOptions {
   // equal accuracy. The learned critic (OT-GAN style) remains available for
   // the §IV-B adversarial variant and its ablation.
   bool use_critic = false;
-  size_t critic_hidden = 32;  // φ: d -> hidden -> d (tanh-bounded output)
-  int critic_steps = 1;       // critic updates per generator step
   double recon_weight = 1.0;  // observed-MSE anchor weight
   uint64_t seed = 31;
 };

@@ -7,7 +7,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "ot/ms_loss.h"
-#include "tensor/linalg.h"
 
 namespace scis {
 
@@ -109,15 +108,6 @@ Status SseEstimator::Prepare(GenerativeImputer& model,
   // ±1 cell vectors v, E[(Jᵀ(v ⊙ m))_j²] = Σ_cells m·J².  Normalized per
   // probed row so H matches Theorem 1's per-sample convention.
   h_diag_.assign(p, 0.0);
-  const bool full_gn = opts_.full_gauss_newton;
-  if (full_gn && p > opts_.full_gn_max_params) {
-    return Status::InvalidArgument(
-        "full Gauss-Newton requested for " + std::to_string(p) +
-        " parameters (cap " + std::to_string(opts_.full_gn_max_params) +
-        "); use the diagonal mode");
-  }
-  Matrix h_full;
-  if (full_gn) h_full = Matrix(p, p);
   const size_t n = curvature_data.num_rows();
   const size_t bs = std::min(opts_.curvature_batch_size, n);
   if (bs < 2) return Status::InvalidArgument("curvature data too small");
@@ -143,14 +133,6 @@ Status SseEstimator::Prepare(GenerativeImputer& model,
       flat.insert(flat.end(), g.data(), g.data() + g.size());
     }
     for (size_t i = 0; i < p; ++i) h_diag_[i] += flat[i] * flat[i];
-    if (full_gn) {
-      // E[g gᵀ] = Jᵀ J (Rademacher probes): accumulate the outer product.
-      for (size_t i = 0; i < p; ++i) {
-        if (flat[i] == 0.0) continue;
-        double* row = h_full.row_data(i);
-        for (size_t j = 0; j < p; ++j) row[j] += flat[i] * flat[j];
-      }
-    }
     probed_rows += bs;
   }
   double mean_h = 0.0;
@@ -162,18 +144,6 @@ Status SseEstimator::Prepare(GenerativeImputer& model,
   // Ridge floor so dead parameters do not explode the sampled variance.
   const double floor = std::max(mean_h * 1e-3, 1e-12);
   for (double& h : h_diag_) h = std::max(h, floor);
-
-  h_chol_ = Matrix();
-  if (full_gn) {
-    MulScalarInPlace(h_full, 1.0 / static_cast<double>(probed_rows));
-    for (size_t i = 0; i < p; ++i) h_full(i, i) += floor;  // ridge
-    Result<Matrix> chol = Cholesky(h_full);
-    if (!chol.ok()) {
-      return Status::Internal("full Gauss-Newton not positive definite: " +
-                              chol.status().message());
-    }
-    h_chol_ = std::move(chol).value();
-  }
 
   // Common random numbers for the k parameter pairs.
   z1_.assign(opts_.k, std::vector<double>(p));
@@ -230,19 +200,11 @@ SseEstimator::PassCount SseEstimator::CountPasses(
       std::max(0.0, 1.0 / static_cast<double>(n) -
                         1.0 / static_cast<double>(data_size));
 
-  // Unit-η parameter directions: diagonal mode scales each coordinate by
-  // 1/√h; full mode solves Lᵀ x = z so Cov(x) = H⁻¹.
+  // Unit-η parameter direction: each coordinate scaled by 1/√h, so
+  // Cov(x) = diag(H)⁻¹.
   auto direction = [&](const std::vector<double>& z) {
     std::vector<double> x(p);
-    if (h_chol_.empty()) {
-      for (size_t j = 0; j < p; ++j) x[j] = z[j] / std::sqrt(h_diag_[j]);
-    } else {
-      for (size_t j = p; j-- > 0;) {
-        double v = z[j];
-        for (size_t k2 = j + 1; k2 < p; ++k2) v -= h_chol_(k2, j) * x[k2];
-        x[j] = v / h_chol_(j, j);
-      }
-    }
+    for (size_t j = 0; j < p; ++j) x[j] = z[j] / std::sqrt(h_diag_[j]);
     return x;
   };
   std::vector<double> theta_n(p), theta_N(p);

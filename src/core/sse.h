@@ -12,8 +12,9 @@
 //     *diagonal* with a Hutchinson probe — E_v[(Jᵀ(v ⊙ m))²] over random
 //     ±1 vectors v equals the row sums of J², i.e. diag(Jᵀ J) — averaged
 //     per probed row (full Gauss–Newton is quadratic in the parameter
-//     count; DESIGN.md documents the substitution). The hidden constant in
-//     ≍ is exposed as `eta_scale`.
+//     count; DESIGN.md documents the substitution, and
+//     testkit::FullCovarianceProbability samples the full law for
+//     comparison). The hidden constant in ≍ is exposed as `eta_scale`.
 //  2. Probability estimate (Prop. 2): k parameter pairs
 //     (θ_n,i ~ N(θ0, η(n0,n)H⁻¹), θ_N,i ~ N(θ_n,i, η(n,N)H⁻¹)) are drawn
 //     with common random numbers across candidate sizes; the empirical
@@ -47,14 +48,6 @@ struct SseOptions {
   // Gauss–Newton probe: number of Hutchinson mini-batches and their size.
   int curvature_batches = 8;
   size_t curvature_batch_size = 128;
-  // Estimate the *full* P×P Gauss–Newton matrix instead of its diagonal
-  // (the same Hutchinson probes give E[g gᵀ] = JᵀJ) and sample parameters
-  // with the full covariance η·H⁻¹ via Cholesky. Quadratic in the
-  // parameter count — refused above full_gn_max_params. Used to validate
-  // the diagonal default on small generators (DESIGN.md §5).
-  bool full_gauss_newton = false;
-  size_t full_gn_max_params = 4096;
-  int sinkhorn_iters = 100;
   uint64_t seed = 37;
 };
 
@@ -101,10 +94,6 @@ class SseEstimator {
   Status Prepare(GenerativeImputer& model, const Dataset& curvature_data);
 
   const std::vector<double>& h_diag() const { return h_diag_; }
-  // Lower Cholesky factor L of the ridged full Gauss–Newton matrix, H=LLᵀ
-  // (empty in diagonal mode). Exposed so tests can check the probe against
-  // a dense reference.
-  const Matrix& h_chol() const { return h_chol_; }
 
  private:
   // Number of the k CRN parameter pairs at candidate n whose distance is
@@ -133,9 +122,6 @@ class SseEstimator {
   bool prepared_ = false;
   std::vector<double> theta0_;
   std::vector<double> h_diag_;
-  // Full-GN mode: lower Cholesky factor of H (sampling back-substitutes
-  // x = L⁻ᵀ z so that Cov(x) = H⁻¹). Empty in diagonal mode.
-  Matrix h_chol_;
   // Common random numbers: k pairs of standard-normal parameter draws.
   std::vector<std::vector<double>> z1_, z2_;
 };

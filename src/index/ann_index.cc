@@ -346,7 +346,6 @@ size_t AnnIndex::depth() const {
 void AnnIndex::SearchInto(const double* query, const double* query_mask,
                           const SearchOptions& opts, size_t exclude,
                           std::vector<Neighbor>* out) const {
-  SCIS_TRACE_SPAN("index.search");
   static obs::Counter* queries =
       obs::Registry::Global().GetCounter("index.queries");
   static obs::Counter* leaf_visits =
@@ -473,6 +472,7 @@ std::vector<Neighbor> AnnIndex::Search(const double* query,
 std::vector<std::vector<Neighbor>> AnnIndex::SearchBatch(
     const Matrix& queries, const Matrix& query_mask,
     const SearchOptions& opts) const {
+  SCIS_TRACE_SPAN("index.search");
   SCIS_CHECK(queries.SameShape(query_mask));
   SCIS_CHECK_EQ(queries.cols(), values_.cols());
   std::vector<std::vector<Neighbor>> results(queries.rows());
@@ -488,6 +488,7 @@ std::vector<std::vector<Neighbor>> AnnIndex::SearchBatch(
 
 std::vector<std::vector<Neighbor>> AnnIndex::SelfNeighbors(
     const SearchOptions& opts) const {
+  SCIS_TRACE_SPAN("index.search");
   std::vector<std::vector<Neighbor>> results(num_rows());
   const size_t grain = runtime::GrainForWork(num_rows(), 512);
   runtime::ParallelFor(0, num_rows(), grain, [&](size_t b, size_t e) {

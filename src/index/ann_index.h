@@ -127,7 +127,10 @@ class AnnIndex {
   // has an empty mask — is possible. A query observing at most
   // sparse_obs_threshold() coordinates is answered by an exact full scan
   // (its neighbors scatter; the tree cannot localize them). `exclude` skips
-  // one row id (self-queries during graph construction).
+  // one row id (self-queries during graph construction). Records no trace
+  // span: one span per query would fill a thread's trace buffer under
+  // sustained serving, so a caller that loops over queries records one
+  // `index.search` span around its loop, as SearchBatch and SelfNeighbors do.
   std::vector<Neighbor> Search(const double* query, const double* query_mask,
                                const SearchOptions& opts,
                                size_t exclude = kNoExclude) const;

@@ -115,11 +115,4 @@ Matrix GainImputer::Reconstruct(const Dataset& data) const {
   return generator_->Infer(ConcatCols(data.values(), data.mask()));
 }
 
-std::unique_ptr<GenerativeImputer> GainImputer::CloneArchitecture(
-    uint64_t seed) const {
-  GainImputerOptions opts = opts_;
-  opts.deep.seed = seed;
-  return std::make_unique<GainImputer>(opts);
-}
-
 }  // namespace scis

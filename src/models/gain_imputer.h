@@ -42,8 +42,6 @@ class GainImputer final : public GenerativeImputer {
   const ParamStore& generator_params() const override { return gen_store_; }
   Var ReconstructOnTape(Tape& tape, const Matrix& x, const Matrix& m,
                         bool train) override;
-  std::unique_ptr<GenerativeImputer> CloneArchitecture(
-      uint64_t seed) const override;
 
   const GainImputerOptions& options() const { return opts_; }
   double last_d_loss() const { return last_d_loss_; }

@@ -108,11 +108,4 @@ Matrix GinnImputer::Reconstruct(const Dataset& data) const {
   return Sigmoid(graph.MatMulDense(InferForward({gcn2_->View()}, h)));
 }
 
-std::unique_ptr<GenerativeImputer> GinnImputer::CloneArchitecture(
-    uint64_t seed) const {
-  GinnImputerOptions opts = opts_;
-  opts.deep.seed = seed;
-  return std::make_unique<GinnImputer>(opts);
-}
-
 }  // namespace scis

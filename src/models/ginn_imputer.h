@@ -51,8 +51,6 @@ class GinnImputer final : public GenerativeImputer {
   // Builds a batch-local kNN graph and runs the GCN on it.
   Var ReconstructOnTape(Tape& tape, const Matrix& x, const Matrix& m,
                         bool train) override;
-  std::unique_ptr<GenerativeImputer> CloneArchitecture(
-      uint64_t seed) const override;
 
  private:
   void EnsureBuilt(size_t d);

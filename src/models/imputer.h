@@ -7,12 +7,12 @@
 //
 // GAN-based models additionally implement GenerativeImputer, the hook SCIS
 // uses: DIM retrains the generator with the MS-divergence loss, and SSE
-// needs access to the generator's parameter vector and per-sample
-// reconstruction gradients.
+// probes the curvature with reconstruction gradients, then perturbs the
+// generator's parameter vector in place (restoring θ0) — it never clones or
+// retrains a model.
 #ifndef SCIS_MODELS_IMPUTER_H_
 #define SCIS_MODELS_IMPUTER_H_
 
-#include <memory>
 #include <string>
 
 #include "autodiff/tape.h"
@@ -54,11 +54,6 @@ class GenerativeImputer : public Imputer {
   // bit, so gradient-free callers (SSE's output distance) use Reconstruct.
   virtual Var ReconstructOnTape(Tape& tape, const Matrix& x, const Matrix& m,
                                 bool train) = 0;
-
-  // Fresh copy with re-initialized parameters (same architecture and
-  // hyper-parameters); SSE trains such clones on size-n subsets.
-  virtual std::unique_ptr<GenerativeImputer> CloneArchitecture(
-      uint64_t seed) const = 0;
 };
 
 }  // namespace scis

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "models/column_stats.h"
+#include "obs/trace.h"
 #include "runtime/parallel_for.h"
 
 namespace scis {
@@ -36,6 +37,7 @@ Matrix KnnImputer::Reconstruct(const Dataset& data) const {
   sopts.k = k;
   sopts.max_leaf_visits = opts_.max_leaf_visits;
   const size_t grain = runtime::GrainForWork(n, 64 * d);
+  SCIS_TRACE_SPAN("index.search");
   runtime::ParallelFor(0, n, grain, [&](size_t b, size_t e) {
     std::vector<index::Neighbor> nbrs;
     for (size_t i = b; i < e; ++i) {

@@ -221,7 +221,7 @@ Result<Matrix> ImputationEngine::ImputeBatch(const Matrix& rows) const {
   // mean of the k nearest training rows (normalized space, same mask-aware
   // metric as the offline kNN imputer). Cells no neighbour observes — and
   // rows with no co-observed coordinate, which retrieve nothing — keep the
-  // pure generator value.
+  // pure generator value. All rows are searched first, under one span.
   if (!index_.empty()) {
     static obs::Counter* retrieved =
         obs::Registry::Global().GetCounter("serve.engine.retrieval_queries");
@@ -231,10 +231,16 @@ Result<Matrix> ImputationEngine::ImputeBatch(const Matrix& rows) const {
     sopts.k = retrieval_.k;
     sopts.max_leaf_visits = retrieval_.max_leaf_visits;
     const double blend = retrieval_.blend;
-    std::vector<index::Neighbor> nbrs;
+    std::vector<std::vector<index::Neighbor>> found(n);
+    {
+      SCIS_TRACE_SPAN("index.search");
+      for (size_t i = 0; i < n; ++i) {
+        found[i] = index_.Search(x.row_data(i), m.row_data(i), sopts);
+      }
+    }
+    retrieved->Add(n);
     for (size_t i = 0; i < n; ++i) {
-      index_.Search(x.row_data(i), m.row_data(i), sopts).swap(nbrs);
-      retrieved->Add(1);
+      const std::vector<index::Neighbor>& nbrs = found[i];
       if (nbrs.empty()) continue;
       for (size_t j = 0; j < d; ++j) {
         if (m(i, j) == 1.0) continue;

@@ -4,11 +4,10 @@
 
 namespace scis::testkit {
 
-TinyMlpModel::TinyMlpModel(MlpConfig config, size_t d)
-    : config_(std::move(config)), d_(d) {
-  SCIS_CHECK_EQ(config_.dims.front(), 2 * d);
-  SCIS_CHECK_EQ(config_.dims.back(), d);
-  mlp_ = BuildMlp(&store_, "tiny.G", config_);
+TinyMlpModel::TinyMlpModel(const MlpConfig& config, size_t d) : d_(d) {
+  SCIS_CHECK_EQ(config.dims.front(), 2 * d);
+  SCIS_CHECK_EQ(config.dims.back(), d);
+  mlp_ = BuildMlp(&store_, "tiny.G", config);
 }
 
 MlpConfig TinyMlpModel::DefaultConfig(size_t d, uint64_t seed) {
@@ -45,16 +44,6 @@ Var TinyMlpModel::ReconstructOnTape(Tape& tape, const Matrix& x,
   SCIS_CHECK_EQ(x.cols(), d_);
   Var in = tape.Constant(ConcatCols(x, m));
   return mlp_->Forward(tape, in);
-}
-
-std::unique_ptr<GenerativeImputer> TinyMlpModel::CloneArchitecture(
-    uint64_t seed) const {
-  MlpConfig config = config_;
-  config.init_seed = seed;
-  auto clone = std::make_unique<TinyMlpModel>(std::move(config), d_);
-  clone->fit_steps = fit_steps;
-  clone->learning_rate = learning_rate;
-  return clone;
 }
 
 }  // namespace scis::testkit

@@ -17,7 +17,7 @@ class TinyMlpModel final : public GenerativeImputer {
  public:
   // `config.dims` must map 2d -> d for column count d. Use DefaultConfig()
   // or GenMlpConfig(rng, 2 * d, d) (activations are already smooth-only).
-  TinyMlpModel(MlpConfig config, size_t d);
+  TinyMlpModel(const MlpConfig& config, size_t d);
 
   // {2d, d+2, d} with tanh hidden and sigmoid output.
   static MlpConfig DefaultConfig(size_t d, uint64_t seed);
@@ -32,14 +32,11 @@ class TinyMlpModel final : public GenerativeImputer {
   const ParamStore& generator_params() const override { return store_; }
   Var ReconstructOnTape(Tape& tape, const Matrix& x, const Matrix& m,
                         bool train) override;
-  std::unique_ptr<GenerativeImputer> CloneArchitecture(
-      uint64_t seed) const override;
 
   int fit_steps = 20;
   double learning_rate = 0.01;
 
  private:
-  MlpConfig config_;
   size_t d_;
   ParamStore store_;
   std::unique_ptr<Mlp> mlp_;

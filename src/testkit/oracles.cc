@@ -5,6 +5,7 @@
 #include <functional>
 
 #include "common/check.h"
+#include "tensor/linalg.h"
 #include "tensor/matrix_ops.h"
 
 namespace scis::testkit {
@@ -222,6 +223,79 @@ std::vector<double> DenseGaussNewtonDiag(GenerativeImputer& model,
   });
   for (double& d : diag) d /= static_cast<double>(data.num_rows());
   return diag;
+}
+
+double FullCovarianceProbability(GenerativeImputer& model,
+                                 const Dataset& curvature_data,
+                                 const Dataset& validation,
+                                 const SseOptions& opts, size_t n0, size_t n,
+                                 size_t data_size) {
+  SCIS_CHECK(0 < n0 && n0 <= n && n <= data_size);
+  ParamStore& store = model.generator_params();
+  const std::vector<double> theta0 = store.ToFlat();
+  const size_t p = theta0.size();
+
+  Matrix h = DenseGaussNewton(model, curvature_data);
+  double mean_diag = 0.0;
+  for (size_t j = 0; j < p; ++j) mean_diag += h(j, j);
+  mean_diag /= static_cast<double>(p);
+  const double floor = std::max(mean_diag * 1e-3, 1e-12);
+  for (size_t j = 0; j < p; ++j) h(j, j) += floor;
+  Result<Matrix> chol = Cholesky(h);
+  SCIS_CHECK_MSG(chol.ok(), "ridged Gauss-Newton matrix is not SPD");
+  const Matrix& l = chol.value();
+
+  const double zeta = SseZeta(opts.lambda, validation.num_cols());
+  auto eta = [&](size_t from, size_t to) {
+    return opts.eta_scale * zeta *
+           std::max(0.0, 1.0 / static_cast<double>(from) -
+                             1.0 / static_cast<double>(to));
+  };
+  const double step_n = std::sqrt(eta(n0, n));
+  const double step_N = std::sqrt(eta(n, data_size));
+
+  // x = L⁻ᵀ z by back-substitution on Lᵀ x = z.
+  Rng rng(opts.seed);
+  auto draw = [&] {
+    std::vector<double> z(p), x(p);
+    for (double& v : z) v = rng.Normal();
+    for (size_t j = p; j-- > 0;) {
+      double v = z[j];
+      for (size_t i = j + 1; i < p; ++i) v -= l(i, j) * x[i];
+      x[j] = v / l(j, j);
+    }
+    return x;
+  };
+
+  const Matrix& mask = validation.mask();
+  int pass = 0;
+  std::vector<double> theta_n(p), theta_N(p);
+  for (int pair = 0; pair < opts.k; ++pair) {
+    const std::vector<double> d1 = draw();
+    const std::vector<double> d2 = draw();
+    for (size_t j = 0; j < p; ++j) {
+      theta_n[j] = theta0[j] + step_n * d1[j];
+      theta_N[j] = theta_n[j] + step_N * d2[j];
+    }
+    store.FromFlat(theta_n);
+    const Matrix xa = model.Reconstruct(validation);
+    store.FromFlat(theta_N);
+    const Matrix xb = model.Reconstruct(validation);
+    double acc = 0.0;
+    size_t cells = 0;
+    for (size_t i = 0; i < xa.rows(); ++i) {
+      for (size_t j = 0; j < xa.cols(); ++j) {
+        if (mask(i, j) != 1.0) continue;
+        acc += (xa(i, j) - xb(i, j)) * (xa(i, j) - xb(i, j));
+        ++cells;
+      }
+    }
+    const double dist = cells ? std::sqrt(acc / static_cast<double>(cells))
+                              : 0.0;
+    if (dist <= opts.epsilon) ++pass;
+  }
+  store.FromFlat(theta0);
+  return static_cast<double>(pass) / static_cast<double>(opts.k);
 }
 
 }  // namespace scis::testkit

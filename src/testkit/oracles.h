@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/dim.h"
+#include "core/sse.h"
 #include "models/imputer.h"
 #include "tensor/matrix.h"
 
@@ -75,6 +76,20 @@ Matrix DenseGaussNewton(GenerativeImputer& model, const Dataset& data);
 // Diagonal of DenseGaussNewton without forming the P×P matrix.
 std::vector<double> DenseGaussNewtonDiag(GenerativeImputer& model,
                                          const Dataset& data);
+
+// SSE's empirical P(D(θ_n, θ_N) ≤ ε) (SseEstimator::ProbabilityAt) under
+// Theorem 1's full law θ_n | θ0 ~ N(θ0, η(n)·H⁻¹) rather than production's
+// Hutchinson diagonal: H is DenseGaussNewton(model, curvature_data) plus the
+// production ridge floor max(mean diag·1e-3, 1e-12) on its diagonal,
+// factored H = LLᵀ so that x = L⁻ᵀz has Cov(x) = H⁻¹. The k pairs draw z
+// from Rng(opts.seed); Eq. 4 is summed in a plain loop over the validation
+// set's observed cells. Uses opts' epsilon, k, lambda, eta_scale and seed;
+// restores θ0. O(P³) — tiny models only.
+double FullCovarianceProbability(GenerativeImputer& model,
+                                 const Dataset& curvature_data,
+                                 const Dataset& validation,
+                                 const SseOptions& opts, size_t n0, size_t n,
+                                 size_t data_size);
 
 }  // namespace scis::testkit
 

@@ -221,26 +221,6 @@ TEST(GainImputerTest, ReconstructOnTapeDifferentiable) {
   EXPECT_GT(gnorm, 0.0);
 }
 
-TEST(GainImputerTest, CloneHasFreshParameters) {
-  GainImputerOptions o;
-  o.deep = FastDeep(1);
-  GainImputer gain(o);
-  Bench b = MakeBench(64);
-  ASSERT_TRUE(gain.Fit(b.train).ok());
-  auto clone = gain.CloneArchitecture(123);
-  EXPECT_EQ(clone->name(), "GAIN");
-  // Clone is untrained: its store is empty until first use.
-  ASSERT_TRUE(clone->Fit(b.train).ok());
-  EXPECT_EQ(clone->generator_params().NumScalars(),
-            gain.generator_params().NumScalars());
-  // Parameters differ (different seed/init).
-  std::vector<double> a = gain.generator_params().ToFlat();
-  std::vector<double> c = clone->generator_params().ToFlat();
-  double diff = 0;
-  for (size_t i = 0; i < a.size(); ++i) diff += std::abs(a[i] - c[i]);
-  EXPECT_GT(diff, 1e-3);
-}
-
 TEST(GainImputerTest, LossesAreTracked) {
   Bench b = MakeBench(128);
   GainImputerOptions o;

@@ -79,7 +79,6 @@ ScisOptions FastScisOptions() {
   opts.sse.k = 6;
   opts.sse.curvature_batches = 2;
   opts.sse.curvature_batch_size = 32;
-  opts.sse.sinkhorn_iters = 30;
   opts.seed = 1234;
   return opts;
 }

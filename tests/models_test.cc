@@ -10,6 +10,7 @@
 #include "models/column_stats.h"
 #include "models/knn_imputer.h"
 #include "models/mean_imputer.h"
+#include "models/median_imputer.h"
 #include "models/mice_imputer.h"
 #include "models/missforest_imputer.h"
 #include "models/tree.h"
@@ -292,6 +293,34 @@ TEST(BaranTest, BeatsMean) {
   const double rmse_mean = RunRmse(mean, b);
   const double rmse_baran = RunRmse(baran, b);
   EXPECT_LT(rmse_baran, 0.7 * rmse_mean);
+}
+
+TEST(MedianImputerTest, MedianForNumericModeForBinary) {
+  Matrix x{{1.0, 1.0}, {2.0, 1.0}, {100.0, 0.0}, {0.0, 1.0}};
+  Matrix m{{1.0, 1.0}, {1.0, 1.0}, {1.0, 1.0}, {0.0, 1.0}};
+  std::vector<ColumnMeta> cols(2);
+  cols[0] = {"num", ColumnKind::kNumeric, 0};
+  cols[1] = {"bin", ColumnKind::kBinary, 0};
+  Dataset d("med", x, m, cols);
+  MedianImputer imp;
+  ASSERT_TRUE(imp.Fit(d).ok());
+  Matrix rec = imp.Reconstruct(d);
+  EXPECT_DOUBLE_EQ(rec(0, 0), 2.0);  // median of {1,2,100}; robust to 100
+  EXPECT_DOUBLE_EQ(rec(0, 1), 1.0);  // mode of {1,1,0,1}
+}
+
+TEST(MedianImputerTest, RobustToOutliersWhereMeanIsNot) {
+  Rng rng(5);
+  Matrix x(200, 1);
+  for (size_t i = 0; i < 200; ++i) {
+    x(i, 0) = i < 190 ? rng.Uniform(0.4, 0.6) : 1000.0;  // 5% outliers
+  }
+  Dataset d = InjectMcar(Dataset::Complete("rob", x), 0.3, rng);
+  MedianImputer med;
+  ASSERT_TRUE(med.Fit(d).ok());
+  const double fill = med.Reconstruct(d)(0, 0);
+  EXPECT_GT(fill, 0.3);
+  EXPECT_LT(fill, 0.7);  // the mean would sit near 25+
 }
 
 }  // namespace

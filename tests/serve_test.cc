@@ -22,6 +22,7 @@
 #include "data/normalizer.h"
 #include "models/gain_imputer.h"
 #include "nn/serialize.h"
+#include "obs/trace.h"
 #include "runtime/runtime.h"
 #include "runtime/thread_pool.h"
 #include "serve/batch_queue.h"
@@ -459,6 +460,45 @@ TEST(ServeEngineTest, MappedRetrievalLoadMatchesInMemory) {
     EXPECT_TRUE(BitIdentical(a.value(), b.value())) << threads << " threads";
   }
   runtime::SetNumThreads(0);  // restore the env/hardware default
+}
+
+// Retrieval records one index.search span per batch, not one per query row:
+// per-row spans filled the serving thread's trace buffer (its per-thread cap)
+// in long traced runs, and the trace then dropped spans.
+TEST(ServeEngineTest, TracedRetrievalRecordsOneSearchSpanPerBatch) {
+  const size_t d = 4;
+  Rng rng(19);
+  Matrix train_mask = rng.BernoulliMatrix(300, d, 0.8);
+  Matrix train_values = rng.UniformMatrix(300, d, 0.0, 1.0);
+  MulInPlace(train_values, train_mask);
+  Result<std::shared_ptr<const ImputationEngine>> engine =
+      ImputationEngine::FromCheckpoint(
+          MakeCheckpoint(d, 99), index::AnnIndex::Build(train_values, train_mask),
+          RetrievalOptions{5, 4, 0.5});
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const Matrix rows = RandomRows(rng, 64, d, 0.4);
+
+  obs::ClearTrace();
+  obs::SetTraceEnabled(true);
+  const Result<Matrix> out = (*engine)->ImputeBatch(rows);
+  obs::SetTraceEnabled(false);
+  ASSERT_TRUE(out.ok());
+  const std::string path = "/tmp/scis_serve_search_span_trace.json";
+  ASSERT_TRUE(obs::WriteTrace(path).ok());
+  std::ifstream in(path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  const std::string json = buf.str();
+  std::remove(path.c_str());
+  const std::string needle = "\"name\":\"index.search\"";
+  size_t spans = 0;
+  for (size_t at = json.find(needle); at != std::string::npos;
+       at = json.find(needle, at + needle.size())) {
+    ++spans;
+  }
+  EXPECT_EQ(spans, 1u);
+  EXPECT_EQ(obs::TraceDroppedCount(), 0u);
+  obs::ClearTrace();
 }
 
 // The hot-swap loader, given an index, attaches it exactly as

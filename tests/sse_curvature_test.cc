@@ -1,6 +1,7 @@
 // Validates SSE's Hutchinson curvature probe against the exactly computed
-// diagonal of the masked-output Gauss–Newton matrix diag(Jᵀ J)/rows for a
-// tiny generator, and exercises related estimator properties.
+// diagonal of the masked-output Gauss–Newton matrix diag(Jᵀ J)/rows
+// (testkit::DenseGaussNewtonDiag) for a tiny GAIN generator, and exercises
+// related estimator properties.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,39 +10,10 @@
 #include "core/sse.h"
 #include "data/missingness.h"
 #include "models/gain_imputer.h"
+#include "testkit/oracles.h"
 
 namespace scis {
 namespace {
-
-// Exact diag(Jᵀ J)/n for the masked reconstruction of `data`: one backward
-// pass per output cell (indicator probe), summing squared parameter grads.
-std::vector<double> ExactGnDiag(GainImputer& model, const Dataset& data) {
-  ParamStore& store = model.generator_params();
-  std::vector<double> diag(store.NumScalars(), 0.0);
-  const size_t n = data.num_rows(), d = data.num_cols();
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < d; ++j) {
-      if (!data.IsObserved(i, j)) continue;  // the T(m_i) factor
-      Tape tape;
-      Var xbar = model.ReconstructOnTape(tape, data.values(), data.mask(),
-                                         /*train=*/false);
-      Matrix probe(n, d);
-      probe(i, j) = 1.0;
-      Var cell = Sum(Mul(xbar, tape.Constant(std::move(probe))));
-      tape.Backward(cell);
-      std::vector<Matrix> grads = store.CollectGrads();
-      size_t off = 0;
-      for (const Matrix& g : grads) {
-        for (size_t k = 0; k < g.size(); ++k) {
-          diag[off + k] += g.data()[k] * g.data()[k];
-        }
-        off += g.size();
-      }
-    }
-  }
-  for (double& v : diag) v /= static_cast<double>(n);
-  return diag;
-}
 
 TEST(SseCurvatureTest, HutchinsonMatchesExactGaussNewtonDiag) {
   // Tiny fixed dataset so the exact Jacobian sweep is affordable.
@@ -57,7 +29,7 @@ TEST(SseCurvatureTest, HutchinsonMatchesExactGaussNewtonDiag) {
   GainImputer gain(go);
   ASSERT_TRUE(gain.Fit(data).ok());
 
-  std::vector<double> exact = ExactGnDiag(gain, data);
+  const std::vector<double> exact = testkit::DenseGaussNewtonDiag(gain, data);
 
   SseOptions so;
   so.curvature_batches = 400;  // drive the Monte-Carlo error down

@@ -2,14 +2,20 @@
 // production probe (sse.cc Prepare) is a Hutchinson estimator — unbiased
 // for diag(JᵀJ) but with variance O(1/#probes) — so the comparisons here
 // use many probe batches over the full dataset and statistical tolerances,
-// while everything stays deterministic from the fixed seeds.
+// while everything stays deterministic from the fixed seeds. The diagonal
+// covariance itself is checked against sampling with the full dense
+// Gauss–Newton matrix (DESIGN.md §5).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <vector>
 
+#include "core/dim.h"
 #include "core/sse.h"
 #include "data/dataset.h"
+#include "data/missingness.h"
+#include "models/gain_imputer.h"
 #include "testkit/generators.h"
 #include "testkit/models.h"
 #include "testkit/oracles.h"
@@ -71,41 +77,66 @@ TEST(SseOracleTest, HutchinsonDiagMatchesDenseGaussNewton) {
                        << err << ")";
 }
 
-TEST(SseOracleTest, FullGaussNewtonFactorMatchesDenseOracle) {
-  const size_t d = 2;
-  const Dataset data = TinyData(16, d, 23);
-  testkit::TinyMlpModel model(testkit::TinyMlpModel::DefaultConfig(d, 7), d);
-  ASSERT_TRUE(model.Fit(data).ok());
+// A noisy two-column anti-correlation with 30% MCAR holes, and a GAIN
+// generator DIM-trained on it.
+Dataset SmallData(uint64_t seed) {
+  Rng rng(seed);
+  Matrix x(300, 2);
+  for (size_t i = 0; i < 300; ++i) {
+    const double z = rng.Uniform();
+    x(i, 0) = z;
+    x(i, 1) = 1 - z + rng.Normal(0, 0.05);
+  }
+  return InjectMcar(Dataset::Complete("gn", x), 0.3, rng);
+}
+
+std::unique_ptr<GainImputer> SmallTrained(const Dataset& data) {
+  GainImputerOptions go;
+  go.deep.epochs = 1;
+  auto gain = std::make_unique<GainImputer>(go);
+  DimOptions d;
+  d.epochs = 8;
+  d.batch_size = 64;
+  d.lambda = 1.0;
+  d.sinkhorn_iters = 30;
+  DimTrainer dim(d);
+  EXPECT_TRUE(dim.Train(*gain, data).ok());
+  return gain;
+}
+
+TEST(FullGnTest, ProbabilityStillMonotoneAndDiagonalComparable) {
+  Dataset data = SmallData(3);
+  Rng rng(4);
+  Dataset validation =
+      data.GatherRows(rng.SampleWithoutReplacement(300, 80));
+  auto model = SmallTrained(data);
 
   SseOptions opts;
-  opts.full_gauss_newton = true;
-  opts.curvature_batches = 768;
-  opts.curvature_batch_size = data.num_rows();
-  opts.seed = 101;
-  SseEstimator estimator(opts);
-  ASSERT_TRUE(estimator.Prepare(model, data).ok());
+  opts.k = 8;
+  opts.curvature_batches = 16;
+  opts.curvature_batch_size = 128;
+  opts.epsilon = 0.02;
+  opts.eta_scale = 0.05;
+  SseEstimator diag_est(opts);
+  ASSERT_TRUE(diag_est.Prepare(*model, data).ok());
 
-  const Matrix& chol = estimator.h_chol();
-  ASSERT_FALSE(chol.empty());
-  const size_t p = chol.rows();
-  const Matrix oracle = testkit::DenseGaussNewton(model, data);
-  ASSERT_EQ(oracle.rows(), p);
-
-  // Reconstruct H = LLᵀ from the factor and compare entrywise against the
-  // dense oracle, in units of the oracle's diagonal scale.
-  double scale = 0.0;
-  for (size_t i = 0; i < p; ++i) scale = std::max(scale, oracle(i, i));
-  ASSERT_GT(scale, 0.0);
-  double max_err = 0.0;
-  for (size_t i = 0; i < p; ++i) {
-    for (size_t j = 0; j <= i; ++j) {
-      double h_ij = 0.0;
-      for (size_t k = 0; k <= j; ++k) h_ij += chol(i, k) * chol(j, k);
-      max_err = std::max(max_err, std::abs(h_ij - oracle(i, j)) / scale);
-    }
+  // Full-covariance probabilities at n = 60, 120, 300 (= N).
+  std::vector<double> full;
+  for (size_t n : {60u, 120u, 300u}) {
+    full.push_back(testkit::FullCovarianceProbability(*model, data, validation,
+                                                      opts, 60, n, 300));
   }
-  EXPECT_LT(max_err, 0.2) << "probed full Gauss-Newton matrix drifted from "
-                             "the dense oracle";
+  EXPECT_GE(full[1], full[0]);
+  EXPECT_GE(full[2], full[1]);
+  // At n = N both covariances collapse the pair distance to zero.
+  EXPECT_DOUBLE_EQ(full[2], 1.0);
+  EXPECT_DOUBLE_EQ(
+      diag_est.ProbabilityAt(*model, validation, 60, 300, 300), 1.0);
+
+  // The diagonal approximation should agree with the full covariance
+  // within a factor on the intermediate probability.
+  const double pd = diag_est.ProbabilityAt(*model, validation, 60, 120, 300);
+  EXPECT_NEAR(pd, full[1], 0.5);
 }
 
 TEST(SseOracleTest, MinimumSizeIsNonIncreasingInEpsilon) {

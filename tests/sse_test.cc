@@ -48,7 +48,6 @@ SseOptions FastSse() {
   o.curvature_batches = 4;
   o.curvature_batch_size = 64;
   o.lambda = 1.0;
-  o.sinkhorn_iters = 40;
   return o;
 }
 
