@@ -34,8 +34,17 @@ case "$MODE" in
       echo "activation code in src/kernels/linear.cc (see above)" >&2
       exit 1
     fi
+    # Lint: the mask-aware kNN scan lives in src/index (AnnIndex), on the
+    # kernels in src/kernels; no other module may grow a second one.
+    if grep -rln '"kernels/masked_distance.h"' src \
+        | grep -vE '^src/(index|kernels)/'; then
+      echo "kernels/masked_distance.h outside src/index, src/kernels" \
+        "(see above)" >&2
+      exit 1
+    fi
     echo "lint: OK (no const_cast and no local Tape in src/models," \
-      "no activation in src/kernels/linear.cc)"
+      "no activation in src/kernels/linear.cc, no masked-distance scan" \
+      "outside src/index)"
 
     cmake --preset default >/dev/null
     cmake --build --preset default -j "$JOBS"

@@ -56,11 +56,7 @@ Result<std::unique_ptr<Imputer>> MakeImputer(const std::string& name,
   deep.seed = seed;
   if (name == "Mean") return std::unique_ptr<Imputer>(new MeanImputer());
   if (name == "Median") return std::unique_ptr<Imputer>(new MedianImputer());
-  if (name == "KNN") {
-    KnnImputerOptions o;
-    o.seed = seed;
-    return std::unique_ptr<Imputer>(new KnnImputer(o));
-  }
+  if (name == "KNN") return std::unique_ptr<Imputer>(new KnnImputer());
   if (name == "MICE") return std::unique_ptr<Imputer>(new MiceImputer());
   if (name == "MissF") {
     MissForestImputerOptions o;

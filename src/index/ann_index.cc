@@ -11,7 +11,6 @@
 
 #include "common/file_publish.h"
 #include "common/stopwatch.h"
-#include "index/kmeanspp.h"
 #include "kernels/masked_distance.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -23,6 +22,16 @@ namespace scis::index {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// splitmix64-style stream splitter: the seed for child `salt` of a node
+// seeded with `s`. Depends only on (s, salt), never on execution order or
+// thread count.
+uint64_t MixSeed(uint64_t s, uint64_t salt) {
+  uint64_t z = s + 0x9E3779B97F4A7C15ULL * (salt + 1);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
 
 // Ascending (distance, row): the one tie-break order used everywhere —
 // brute force, leaf scans, and the traversal heap — so every search backend
@@ -716,6 +725,12 @@ Result<AnnIndex> AnnIndex::Load(const std::string& path) {
   }
   idx.PackRows();
   return idx;
+}
+
+AnnIndex BuildKnnIndex(const Matrix& values, const Matrix& mask) {
+  IndexOptions opts;
+  if (values.rows() <= kExactKnnMaxRows) opts.max_leaf_rows = values.rows();
+  return AnnIndex::Build(values, mask, opts);
 }
 
 std::vector<Neighbor> BruteForceSearch(const Matrix& values,

@@ -3,9 +3,9 @@
 //
 // The metric is the library-wide mask-aware row distance (squared Euclidean
 // over co-observed coordinates, rescaled by the co-observed count; see
-// kernels/masked_distance.h), which is what kNN imputation and GINN's
-// similarity graph already use — so the index is a drop-in replacement for
-// their O(n²) brute-force searches, turning both into O(n·log n) problems.
+// kernels/masked_distance.h), which kNN imputation and GINN's similarity
+// graph search through BuildKnnIndex: an exact one-leaf scan for small
+// reference sets, an O(n·log n) tree above.
 // Internal nodes hold dense k-means centroids (missing coordinates of a
 // member row fall back to the observed column mean, the same projection
 // Muzellec et al.'s mask-projected sample geometry uses); queries descend
@@ -193,10 +193,18 @@ class AnnIndex {
   void PackRows();  // fills the two members above
 };
 
+// Row counts at or below this are indexed as a single leaf by BuildKnnIndex.
+inline constexpr size_t kExactKnnMaxRows = 2048;
+
+// The index every kNN consumer (KnnImputer, the GINN graph) searches: at or
+// below kExactKnnMaxRows rows, one leaf, which is an exact scan for any
+// search budget; above, the default tree.
+AnnIndex BuildKnnIndex(const Matrix& values, const Matrix& mask);
+
 // Brute-force exact kNN over the same metric and tie-break order as
-// AnnIndex::Search: the small-n fast path for consumers and the production
-// half of the testkit differential tests (the independent oracle lives in
-// testkit/oracles.h).
+// AnnIndex::Search, one array-form distance per row: the reference the
+// index differential tests and bench/index_build_query compare against
+// (the independent oracle lives in testkit/oracles.h).
 std::vector<Neighbor> BruteForceSearch(const Matrix& values,
                                        const Matrix& mask, const double* query,
                                        const double* query_mask, size_t k,

@@ -1,43 +1,22 @@
-// Index-backed construction of the GINN similarity graph.
+// The GINN similarity graph, built from the neighbor lists of an AnnIndex.
 //
-// BuildKnnGraphAuto is the scalability switch the paper's GINN baseline
-// needs: below the threshold it defers to the exact O(n²·d) brute-force
-// scis::BuildKnnGraph (bit-identical to the historical behavior), above it
-// the neighbor lists come from an AnnIndex (O(n·log n) build + budgeted
-// search) and are assembled into the identical graph shape by
-// scis::SymmetrizeAndNormalizeKnn.
-//
-// Semantics note for the ANN path: the brute-force builder always emits
-// exactly k neighbors per row, padding with zero-overlap rows (its 1e29
-// sentinel) when fewer than k rows share an observed coordinate. The index
-// never returns zero-overlap rows, so such rows contribute fewer — possibly
-// zero — edges and keep only their self loop. Rows like that carry no
-// distance information, so dropping the arbitrary padding edges is the
-// better graph; it is still fully deterministic.
+// Every row's neighbors come from BuildKnnIndex (ann_index.h): an exact
+// one-leaf scan up to kExactKnnMaxRows rows, a budgeted tree search above.
+// The index never returns a row at +inf (no co-observed coordinate), so a
+// row that shares no observed coordinate with any other row has no
+// neighbors and keeps only its self loop; such a row carries no distance
+// information to link it by.
 #ifndef SCIS_INDEX_KNN_GRAPH_H_
 #define SCIS_INDEX_KNN_GRAPH_H_
 
-#include "index/ann_index.h"
 #include "tensor/sparse.h"
 
 namespace scis::index {
 
-struct GraphOptions {
-  // Row counts at or below this use the exact brute-force builder.
-  size_t brute_force_threshold = 2048;
-  IndexOptions index;          // tree shape for the large-n path
-  size_t max_leaf_visits = 16; // per-query search budget (0 = exact)
-};
-
-// kNN graph over the rows of `x` (adjacency D^{-1/2}(A + I)D^{-1/2}),
-// choosing brute force vs. index by n. Deterministic either way.
-SparseMatrix BuildKnnGraphAuto(const Matrix& x, const Matrix& mask, size_t k,
-                               const GraphOptions& opts = {});
-
-// Same graph from an already-built index over the target rows — for callers
-// (serving, experiments) that keep a long-lived index around.
-SparseMatrix BuildKnnGraphFromIndex(const AnnIndex& index, size_t k,
-                                    size_t max_leaf_visits);
+// Symmetrized kNN graph over the rows of `x` under the mask-aware distance,
+// with self loops and symmetric normalization D^{-1/2}(A + I)D^{-1/2}.
+// k is clamped to n − 1. Deterministic, bit-identical at any thread count.
+SparseMatrix BuildKnnGraph(const Matrix& x, const Matrix& mask, size_t k);
 
 }  // namespace scis::index
 

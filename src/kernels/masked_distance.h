@@ -1,15 +1,15 @@
-// The mask-aware row metric shared by every neighbor-based path (kNN
-// imputation, GINN's similarity graph, the src/index ANN tree): squared
-// Euclidean distance over co-observed coordinates, rescaled by the
-// co-observed count. Two rows with no coordinate observed in common are at
-// +inf — callers decide how to handle that (skip, sentinel, fallback).
+// The mask-aware row metric behind the src/index ANN tree, which every
+// neighbor-based path (kNN imputation, GINN's similarity graph, retrieval
+// in serving) searches: squared Euclidean distance over co-observed
+// coordinates, rescaled by the co-observed count. Two rows with no
+// coordinate observed in common are at +inf — the index never returns
+// them; its callers skip them or fall back (column means, a self loop).
 //
 // Array form (MaskedRowDistance): one row pair, a single sequential pass
 // over the coordinates with a branch-free {0,1}-mask product. It is
 // bit-identical to the branched `if (ma && mb)` loop it replaced (adding a
 // +0.0 contribution is exact) and is the reference the other form matches.
-// Callers that hold only double masks (BruteForceSearch, BuildKnnGraph,
-// k-means) use it.
+// BruteForceSearch, the reference the index is tested against, uses it.
 //
 // Coordinate-major form (MaskedDistanceAccumulate + MaskedDistanceFinish):
 // one query against a contiguous range of rows stored coordinate-major —

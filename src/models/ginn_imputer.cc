@@ -1,6 +1,7 @@
 #include "models/ginn_imputer.h"
 
 #include "data/sampler.h"
+#include "index/knn_graph.h"
 
 namespace scis {
 
@@ -39,7 +40,7 @@ Var GinnImputer::ReconstructOnTape(Tape& tape, const Matrix& x,
                                    const Matrix& m, bool /*train*/) {
   EnsureBuilt(x.cols());
   auto graph = std::make_shared<const SparseMatrix>(  // batch-local graph
-      index::BuildKnnGraphAuto(x, m, opts_.graph_k, opts_.graph));
+      index::BuildKnnGraph(x, m, opts_.graph_k));
   return GcnForward(tape, x, m, std::move(graph));
 }
 
@@ -47,11 +48,10 @@ Status GinnImputer::Fit(const Dataset& data) {
   if (data.num_rows() == 0) return Status::InvalidArgument("empty dataset");
   EnsureBuilt(data.num_cols());
   const size_t n = data.num_rows();
-  // Full similarity graph — index-backed above the brute-force threshold,
-  // so this step no longer dominates at scale.
+  // Full similarity graph — index-backed, so this step no longer
+  // dominates at scale.
   const auto graph = std::make_shared<const SparseMatrix>(
-      index::BuildKnnGraphAuto(data.values(), data.mask(), opts_.graph_k,
-                               opts_.graph));
+      index::BuildKnnGraph(data.values(), data.mask(), opts_.graph_k));
   const Matrix& x = data.values();
   const Matrix& m = data.mask();
   const Matrix ones = Matrix::Ones(n, data.num_cols());
@@ -101,8 +101,7 @@ Matrix GinnImputer::Reconstruct(const Dataset& data) const {
   // propagation and activations, so the result equals it bit for bit.
   const Matrix& x = data.values();
   const Matrix& m = data.mask();
-  const SparseMatrix graph =
-      index::BuildKnnGraphAuto(x, m, opts_.graph_k, opts_.graph);
+  const SparseMatrix graph = index::BuildKnnGraph(x, m, opts_.graph_k);
   const Matrix h =
       Relu(graph.MatMulDense(InferForward({gcn1_->View()}, ConcatCols(x, m))));
   return Sigmoid(graph.MatMulDense(InferForward({gcn2_->View()}, h)));

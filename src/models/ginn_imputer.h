@@ -8,17 +8,17 @@
 //
 // Fit() builds the full similarity graph — historically the O(n²·d)
 // bottleneck the paper cites for GINN's "-" entries on the million-size
-// datasets; it now routes through index::BuildKnnGraphAuto, which keeps
-// the exact brute-force path for small n and switches to the hierarchical
-// k-means index above a threshold. ReconstructOnTape() builds a batch-local
-// graph instead, which is what lets SCIS-GINN (mini-batch DIM training)
-// run where plain GINN cannot. Reconstruct() runs the same GCN over the
-// graph of its input without a tape (InferForward and
-// SparseMatrix::MatMulDense), equal to ReconstructOnTape bit for bit.
+// datasets; index::BuildKnnGraph searches an AnnIndex, an exact scan up to
+// index::kExactKnnMaxRows rows and the hierarchical k-means tree above,
+// and a row sharing no observed coordinate with any other keeps only its
+// self loop. ReconstructOnTape() builds a batch-local graph instead, which
+// is what lets SCIS-GINN (mini-batch DIM training) run where plain GINN
+// cannot. Reconstruct() runs the same GCN over the graph of its input
+// without a tape (InferForward and SparseMatrix::MatMulDense), equal to
+// ReconstructOnTape bit for bit.
 #ifndef SCIS_MODELS_GINN_IMPUTER_H_
 #define SCIS_MODELS_GINN_IMPUTER_H_
 
-#include "index/knn_graph.h"
 #include "models/deep_common.h"
 #include "tensor/sparse.h"
 
@@ -27,10 +27,6 @@ namespace scis {
 struct GinnImputerOptions {
   DeepOptions deep;
   size_t graph_k = 10;       // kNN neighbours in the similarity graph
-  // Brute-force vs. ANN-index switch for graph construction: small inputs
-  // (every mini-batch) stay on the exact path, full-dataset fits above the
-  // threshold go through index::AnnIndex.
-  index::GraphOptions graph;
   size_t hidden = 32;        // GCN hidden width
   size_t critic_hidden = 32; // 3-layer FFN critic width
   int critic_steps = 5;      // critic updates per generator step (§VI)

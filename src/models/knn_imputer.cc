@@ -10,52 +10,32 @@ namespace scis {
 
 Status KnnImputer::Fit(const Dataset& data) {
   fallback_means_ = ObservedColumnMeans(data);
-  if (opts_.max_reference_rows > 0 &&
-      data.num_rows() > opts_.max_reference_rows) {
-    Rng rng(opts_.seed);
-    reference_ = data.GatherRows(rng.SampleWithoutReplacement(
-        data.num_rows(), opts_.max_reference_rows));
-  } else {
-    reference_ = data;
-  }
-  if (reference_.num_rows() > opts_.brute_force_threshold) {
-    index_ = index::AnnIndex::Build(reference_.values(), reference_.mask(),
-                                    opts_.index);
-  } else {
-    index_ = index::AnnIndex();
-  }
+  index_ = index::BuildKnnIndex(data.values(), data.mask());
   return Status::OK();
 }
 
 Matrix KnnImputer::Reconstruct(const Dataset& data) const {
-  SCIS_CHECK_GT(reference_.num_rows(), 0u);
+  SCIS_CHECK_GT(index_.num_rows(), 0u);
   const size_t n = data.num_rows(), d = data.num_cols();
-  const size_t k = std::min(opts_.k, reference_.num_rows());
+  const Matrix& ref = index_.values();
+  const Matrix& ref_mask = index_.mask();
   Matrix out(n, d);
 
   index::SearchOptions sopts;
-  sopts.k = k;
-  sopts.max_leaf_visits = opts_.max_leaf_visits;
+  sopts.k = std::min(opts_.k, index_.num_rows());
   const size_t grain = runtime::GrainForWork(n, 64 * d);
   SCIS_TRACE_SPAN("index.search");
   runtime::ParallelFor(0, n, grain, [&](size_t b, size_t e) {
-    std::vector<index::Neighbor> nbrs;
     for (size_t i = b; i < e; ++i) {
-      const double* xi = data.values().row_data(i);
-      const double* mi = data.mask().row_data(i);
-      if (!index_.empty()) {
-        nbrs = index_.Search(xi, mi, sopts);
-      } else {
-        nbrs = index::BruteForceSearch(reference_.values(), reference_.mask(),
-                                       xi, mi, k);
-      }
+      const std::vector<index::Neighbor> nbrs = index_.Search(
+          data.values().row_data(i), data.mask().row_data(i), sopts);
       double* orow = out.row_data(i);
       for (size_t j = 0; j < d; ++j) {
         double sum = 0.0;
         size_t cnt = 0;
         for (const index::Neighbor& nb : nbrs) {
-          if (reference_.IsObserved(nb.row, j)) {
-            sum += reference_.values()(nb.row, j);
+          if (ref_mask(nb.row, j) == 1.0) {
+            sum += ref(nb.row, j);
             ++cnt;
           }
         }

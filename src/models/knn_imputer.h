@@ -4,12 +4,12 @@
 // coordinates, rescaled by the co-observed count; a missing cell is filled
 // by the observed-value average of its k nearest neighbours.
 //
-// Neighbour search routes through index::AnnIndex above a size threshold
-// (and exact brute force below it), so the full training set is the default
-// reference — the legacy subsampling cap is opt-in. Rows with no finite-
-// distance neighbour (no co-observed coordinate with any reference row)
-// fall back to the observed column means instead of averaging arbitrary
-// rows.
+// The whole training set is the reference: Fit indexes it with
+// index::BuildKnnIndex (an exact scan up to index::kExactKnnMaxRows rows,
+// the ANN tree above) and Reconstruct searches that index. Rows with no
+// finite-distance neighbour (no co-observed coordinate with any reference
+// row) fall back to the observed column means instead of averaging
+// arbitrary rows.
 #ifndef SCIS_MODELS_KNN_IMPUTER_H_
 #define SCIS_MODELS_KNN_IMPUTER_H_
 
@@ -20,16 +20,6 @@ namespace scis {
 
 struct KnnImputerOptions {
   size_t k = 10;
-  // 0 = keep every training row (the ANN index makes that affordable).
-  // > 0 subsamples to this cap, as the brute-force-only implementation
-  // used to require.
-  size_t max_reference_rows = 0;
-  uint64_t seed = 7;
-  // Reference sets at or below this row count skip the index and use the
-  // exact brute-force search.
-  size_t brute_force_threshold = 2048;
-  index::IndexOptions index;    // tree shape for the large-n path
-  size_t max_leaf_visits = 16;  // per-query search budget (0 = exact)
 };
 
 class KnnImputer final : public Imputer {
@@ -42,9 +32,8 @@ class KnnImputer final : public Imputer {
 
  private:
   KnnImputerOptions opts_;
-  Dataset reference_;
   std::vector<double> fallback_means_;
-  index::AnnIndex index_;  // empty when the brute-force path is in use
+  index::AnnIndex index_;  // over the training rows
 };
 
 }  // namespace scis

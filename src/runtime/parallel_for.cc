@@ -23,12 +23,13 @@ struct RegionState {
   std::exception_ptr error;  // first chunk exception, rethrown by the caller
 };
 
-// Claims chunks off state->next until the grid is exhausted. Returns the
-// number of chunks this thread executed.
-size_t ClaimLoop(const std::shared_ptr<RegionState>& state, size_t begin,
-                 size_t end, size_t grain,
-                 const std::function<void(size_t, size_t, size_t)>& chunk_fn) {
-  size_t ran = 0;
+// Claims chunks off state->next until the grid is exhausted, counting each
+// one with `count_chunk` before marking it done: the caller reads the stats
+// once every chunk is done, so a count made after that would be missed.
+void ClaimLoop(const std::shared_ptr<RegionState>& state, size_t begin,
+               size_t end, size_t grain,
+               const std::function<void(size_t, size_t, size_t)>& chunk_fn,
+               void (*count_chunk)(uint64_t)) {
   for (;;) {
     const size_t c = state->next.fetch_add(1, std::memory_order_relaxed);
     if (c >= state->total) break;
@@ -40,7 +41,7 @@ size_t ClaimLoop(const std::shared_ptr<RegionState>& state, size_t begin,
       std::lock_guard<std::mutex> lock(state->mu);
       if (!state->error) state->error = std::current_exception();
     }
-    ++ran;
+    count_chunk(1);
     if (state->done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
         state->total) {
       // Last chunk anywhere: wake the caller if it is already waiting.
@@ -48,7 +49,6 @@ size_t ClaimLoop(const std::shared_ptr<RegionState>& state, size_t begin,
       state->cv.notify_all();
     }
   }
-  return ran;
 }
 
 }  // namespace
@@ -75,12 +75,11 @@ void RunChunked(size_t begin, size_t end, size_t grain, size_t num_chunks,
   const auto* fn = &chunk_fn;
   for (size_t t = 0; t < helpers; ++t) {
     pool->Submit([state, begin, end, grain, fn] {
-      CountWorkerChunks(ClaimLoop(state, begin, end, grain, *fn));
+      ClaimLoop(state, begin, end, grain, *fn, CountWorkerChunks);
     });
   }
 
-  const size_t caller_ran = ClaimLoop(state, begin, end, grain, chunk_fn);
-  CountInlineChunks(caller_ran);
+  ClaimLoop(state, begin, end, grain, chunk_fn, CountInlineChunks);
 
   std::unique_lock<std::mutex> lock(state->mu);
   state->cv.wait(lock, [&state] {

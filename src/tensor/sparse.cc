@@ -1,10 +1,6 @@
 #include "tensor/sparse.h"
 
-#include <algorithm>
-#include <cmath>
 #include <map>
-
-#include "kernels/masked_distance.h"
 
 namespace scis {
 
@@ -65,74 +61,6 @@ Matrix SparseMatrix::ToDense() const {
     }
   }
   return out;
-}
-
-SparseMatrix BuildKnnGraph(const Matrix& x, const Matrix& mask, size_t k) {
-  SCIS_CHECK(x.SameShape(mask));
-  const size_t n = x.rows(), d = x.cols();
-  SCIS_CHECK_GT(n, 0u);
-  k = std::min(k, n - 1);
-
-  std::vector<std::vector<size_t>> neighbors(n);
-  std::vector<std::pair<double, size_t>> dist(n);
-  for (size_t i = 0; i < n; ++i) {
-    const double* xi = x.row_data(i);
-    const double* mi = mask.row_data(i);
-    for (size_t j = 0; j < n; ++j) {
-      if (j == i) {
-        dist[j] = {1e30, j};
-        continue;
-      }
-      const double md = kernels::MaskedRowDistance(xi, mi, x.row_data(j),
-                                                   mask.row_data(j), d);
-      // Zero-overlap pairs sort behind every finite distance but ahead of
-      // self, preserving the historical 1e29/1e30 sentinel ordering.
-      dist[j] = {std::isinf(md) ? 1e29 : md, j};
-    }
-    std::partial_sort(dist.begin(), dist.begin() + k, dist.end());
-    neighbors[i].reserve(k);
-    for (size_t t = 0; t < k; ++t) neighbors[i].push_back(dist[t].second);
-  }
-  return SymmetrizeAndNormalizeKnn(n, neighbors);
-}
-
-SparseMatrix SymmetrizeAndNormalizeKnn(
-    size_t n, const std::vector<std::vector<size_t>>& neighbors) {
-  SCIS_CHECK_EQ(neighbors.size(), n);
-  std::vector<Edge> edges;
-  size_t total = n;
-  for (const auto& nbrs : neighbors) total += 2 * nbrs.size();
-  edges.reserve(total);
-  for (size_t i = 0; i < n; ++i) {
-    for (const size_t j : neighbors[i]) {
-      // Symmetrize: both directions, weight 1.
-      edges.push_back({i, j, 1.0});
-      edges.push_back({j, i, 1.0});
-    }
-  }
-  // Self loops.
-  for (size_t i = 0; i < n; ++i) edges.push_back({i, i, 1.0});
-
-  // Degrees for symmetric normalization (duplicate edges coalesce to one
-  // logical edge; weight may be 2 for mutual neighbours, which is fine —
-  // it just emphasizes mutual similarity).
-  SparseMatrix raw(n, n, std::move(edges));
-  std::vector<double> deg(n, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t p = raw.row_ptr()[i]; p < raw.row_ptr()[i + 1]; ++p) {
-      deg[i] += raw.values()[p];
-    }
-  }
-  std::vector<Edge> normalized;
-  normalized.reserve(raw.nnz());
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t p = raw.row_ptr()[i]; p < raw.row_ptr()[i + 1]; ++p) {
-      const size_t j = raw.col_idx()[p];
-      normalized.push_back(
-          {i, j, raw.values()[p] / std::sqrt(deg[i] * deg[j])});
-    }
-  }
-  return SparseMatrix(n, n, std::move(normalized));
 }
 
 }  // namespace scis

@@ -1,5 +1,6 @@
 // CSR sparse matrix: the similarity-graph substrate for the GINN imputer
-// (symmetric kNN adjacency, degree-normalized as in GCNs).
+// (symmetric kNN adjacency, degree-normalized as in GCNs; built by
+// index::BuildKnnGraph).
 #ifndef SCIS_TENSOR_SPARSE_H_
 #define SCIS_TENSOR_SPARSE_H_
 
@@ -42,20 +43,6 @@ class SparseMatrix {
   std::vector<size_t> col_idx_;
   std::vector<double> values_;
 };
-
-// Symmetrized kNN graph over the rows of `x` using the mask-aware distance
-// (mean squared difference over co-observed coordinates), with self loops
-// and symmetric normalization D^{-1/2}(A + I)D^{-1/2}. O(n²·d) brute-force
-// neighbor search: this is GINN's scalability bottleneck the paper calls
-// out. index::BuildKnnGraphAuto wraps it with an ANN-backed large-n path.
-SparseMatrix BuildKnnGraph(const Matrix& x, const Matrix& mask, size_t k);
-
-// Assembles the GCN adjacency from per-row neighbor lists: both edge
-// directions at weight 1, self loops, then D^{-1/2}(A + I)D^{-1/2}. Shared
-// by the brute-force builder above and the index-backed builder; any
-// neighbor-search backend producing the same lists yields the same graph.
-SparseMatrix SymmetrizeAndNormalizeKnn(
-    size_t n, const std::vector<std::vector<size_t>>& neighbors);
 
 }  // namespace scis
 

@@ -353,8 +353,9 @@ TEST(DeepModelsTest, AutoencoderReconstructIsPinnedAndTapeFree) {
     GinnImputerOptions o;
     o.deep = deep;
     o.critic_steps = 1;
+    // A row observing nothing keeps only its self loop in the kNN graph.
     cases.push_back({std::make_unique<GinnImputer>(o),
-                     0xbb38177a9a5125e4ull});
+                     0xd319942624411396ull});
   }
   for (Case& c : cases) {
     ASSERT_TRUE(c.imp->Fit(b.train).ok()) << c.imp->name();

@@ -1,6 +1,7 @@
-// AnnIndex: exactness against the brute-force production search and the
+// AnnIndex: exactness against the BruteForceSearch reference and the
 // independent testkit oracle, recall under a bounded leaf budget, on-disk
-// round-trip, thread-count bit-identity, and the BuildKnnGraphAuto switch.
+// round-trip, thread-count bit-identity, and the GINN kNN graph built on
+// BuildKnnIndex.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
@@ -473,33 +474,124 @@ TEST(IndexTest, SearchNeverReturnsExcludedOrInfinite) {
       });
 }
 
-TEST(KnnGraphAutoTest, SmallNMatchesBruteForceGraph) {
-  TestData data = MakeData(17, 60, 4, 0.3);
-  const SparseMatrix brute = BuildKnnGraph(data.values, data.mask, 5);
-  const SparseMatrix routed =
-      index::BuildKnnGraphAuto(data.values, data.mask, 5, {});
-  ASSERT_EQ(brute.nnz(), routed.nnz());
-  EXPECT_EQ(brute.row_ptr(), routed.row_ptr());
-  EXPECT_EQ(brute.col_idx(), routed.col_idx());
-  EXPECT_EQ(brute.values(), routed.values());
+TEST(KnnGraphTest, ShapeAndSelfLoops) {
+  Rng rng(2);
+  Matrix x = rng.UniformMatrix(20, 4, 0, 1);
+  Matrix m = Matrix::Ones(20, 4);
+  SparseMatrix g = index::BuildKnnGraph(x, m, 3);
+  EXPECT_EQ(g.rows(), 20u);
+  EXPECT_EQ(g.cols(), 20u);
+  Matrix d = g.ToDense();
+  for (size_t i = 0; i < 20; ++i) EXPECT_GT(d(i, i), 0.0);  // self loop
+}
+
+TEST(KnnGraphTest, SymmetricWeights) {
+  Rng rng(3);
+  Matrix x = rng.UniformMatrix(15, 3, 0, 1);
+  Matrix m = Matrix::Ones(15, 3);
+  Matrix d = index::BuildKnnGraph(x, m, 4).ToDense();
+  for (size_t i = 0; i < 15; ++i)
+    for (size_t j = 0; j < 15; ++j) EXPECT_NEAR(d(i, j), d(j, i), 1e-12);
+}
+
+TEST(KnnGraphTest, NormalizationBoundsSpectrum) {
+  // Symmetric normalization keeps row sums ≤ ~1 and entries in [0,1].
+  Rng rng(4);
+  Matrix x = rng.UniformMatrix(30, 3, 0, 1);
+  Matrix m = rng.BernoulliMatrix(30, 3, 0.8);
+  Matrix d = index::BuildKnnGraph(x, m, 5).ToDense();
+  for (size_t i = 0; i < 30; ++i) {
+    double row = 0;
+    for (size_t j = 0; j < 30; ++j) {
+      EXPECT_GE(d(i, j), 0.0);
+      EXPECT_LE(d(i, j), 1.0 + 1e-12);
+      row += d(i, j);
+    }
+    EXPECT_LE(row, 1.5);  // D^{-1/2}AD^{-1/2} row sums are near 1
+    EXPECT_GT(row, 0.2);
+  }
+}
+
+TEST(KnnGraphTest, NeighboursAreNearest) {
+  // Two well-separated clusters: no cross-cluster edges for small k.
+  Matrix x(10, 1);
+  for (size_t i = 0; i < 5; ++i) x(i, 0) = 0.0 + 0.01 * double(i);
+  for (size_t i = 5; i < 10; ++i) x(i, 0) = 10.0 + 0.01 * double(i);
+  Matrix m = Matrix::Ones(10, 1);
+  Matrix d = index::BuildKnnGraph(x, m, 2).ToDense();
+  for (size_t i = 0; i < 5; ++i)
+    for (size_t j = 5; j < 10; ++j) EXPECT_DOUBLE_EQ(d(i, j), 0.0);
+}
+
+TEST(KnnGraphTest, KClampedToNMinusOne) {
+  Rng rng(5);
+  Matrix x = rng.UniformMatrix(3, 2, 0, 1);
+  Matrix m = Matrix::Ones(3, 2);
+  SparseMatrix g = index::BuildKnnGraph(x, m, 100);  // k > n-1
+  EXPECT_EQ(g.rows(), 3u);
+  EXPECT_GT(g.nnz(), 0u);
+}
+
+TEST(KnnGraphTest, SingleRowIsItsSelfLoop) {
+  Rng rng(6);
+  const SparseMatrix g = index::BuildKnnGraph(rng.UniformMatrix(1, 3, 0, 1),
+                                              Matrix::Ones(1, 3), 10);
+  ASSERT_EQ(g.rows(), 1u);
+  ASSERT_EQ(g.nnz(), 1u);
+  EXPECT_EQ(g.col_idx()[0], 0u);
+  EXPECT_EQ(g.values()[0], 1.0);
+}
+
+// The off-diagonal edges are exactly the oracle's kNN lists, symmetrized;
+// a row at +inf from every other row (here: one observing nothing) has no
+// neighbours and keeps only its self loop.
+TEST(KnnGraphTest, EdgesAreSymmetrizedOracleNeighbors) {
+  const size_t n = 80, d = 5, k = 6;
+  TestData data = MakeData(23, n, d, 0.3);
+  for (const size_t i : {0, 17, 41, 79}) {
+    for (size_t j = 0; j < d; ++j) data.mask(i, j) = 0.0;
+  }
+  const SparseMatrix g = index::BuildKnnGraph(data.values, data.mask, k);
+  ASSERT_EQ(g.rows(), n);
+  std::set<std::pair<size_t, size_t>> want, got;
+  for (size_t i = 0; i < n; ++i) {
+    for (const auto& [j, dist] : testkit::NaiveMaskedKnn(
+             data.values, data.mask, data.values.row_data(i),
+             data.mask.row_data(i), k, i)) {
+      want.insert({i, j});
+      want.insert({j, i});
+    }
+    for (size_t p = g.row_ptr()[i]; p < g.row_ptr()[i + 1]; ++p) {
+      if (g.col_idx()[p] != i) got.insert({i, g.col_idx()[p]});
+    }
+  }
+  EXPECT_EQ(got, want);
+  size_t empty_rows = 0;
+  for (size_t i = 0; i < n; ++i) {
+    bool observes = false;
+    for (size_t j = 0; j < d; ++j) observes |= data.mask(i, j) == 1.0;
+    if (observes) continue;
+    ++empty_rows;
+    ASSERT_EQ(g.row_ptr()[i + 1] - g.row_ptr()[i], 1u) << "row " << i;
+    EXPECT_EQ(g.col_idx()[g.row_ptr()[i]], i);
+  }
+  EXPECT_GE(empty_rows, 4u);
 }
 
 TEST(KnnGraphAutoTest, LargeNPathIsDeterministicAndNormalized) {
   ThreadsGuard guard;
-  TestData data = MakeData(19, 600, 5, 0.25);
-  index::GraphOptions gopts;
-  gopts.brute_force_threshold = 100;  // force the ANN path
+  const size_t n = index::kExactKnnMaxRows + 52;  // above: the tree path
+  TestData data = MakeData(19, n, 5, 0.25);
+  EXPECT_GT(index::BuildKnnIndex(data.values, data.mask).num_leaves(), 1u);
   runtime::SetNumThreads(1);
-  const SparseMatrix a =
-      index::BuildKnnGraphAuto(data.values, data.mask, 6, gopts);
+  const SparseMatrix a = index::BuildKnnGraph(data.values, data.mask, 6);
   runtime::SetNumThreads(4);
-  const SparseMatrix b =
-      index::BuildKnnGraphAuto(data.values, data.mask, 6, gopts);
+  const SparseMatrix b = index::BuildKnnGraph(data.values, data.mask, 6);
   EXPECT_EQ(a.row_ptr(), b.row_ptr());
   EXPECT_EQ(a.col_idx(), b.col_idx());
   EXPECT_EQ(a.values(), b.values());
   // Every row keeps at least its self loop; graph is square over n rows.
-  EXPECT_EQ(a.rows(), 600u);
+  EXPECT_EQ(a.rows(), n);
   for (size_t i = 0; i < a.rows(); ++i) {
     EXPECT_GT(a.row_ptr()[i + 1], a.row_ptr()[i]);
   }

@@ -15,6 +15,7 @@
 #include "models/missforest_imputer.h"
 #include "models/tree.h"
 #include "tensor/matrix_ops.h"
+#include "testkit/golden.h"
 
 namespace scis {
 namespace {
@@ -103,14 +104,21 @@ TEST(KnnImputerTest, BeatsMeanOnCorrelatedData) {
   EXPECT_LT(rmse_knn, 0.8 * rmse_mean);
 }
 
-TEST(KnnImputerTest, SubsamplesLargeReference) {
-  KnnImputerOptions o;
-  o.max_reference_rows = 50;
-  KnnImputer knn(o);
-  Bench b = MakeBench(300);
-  EXPECT_TRUE(knn.Fit(b.train).ok());
-  Matrix rec = knn.Reconstruct(b.train);
-  EXPECT_EQ(rec.rows(), 300u);
+// Pins the output on an exact one-leaf reference (300 rows) and on a
+// tree-indexed one (above index::kExactKnnMaxRows rows).
+TEST(KnnImputerTest, ReconstructIsPinned) {
+  const struct {
+    size_t n;
+    uint64_t digest;
+  } cases[] = {{300, 0x2b0f84827ae06fb5ull}, {2500, 0x2d3d50aa704fc612ull}};
+  for (const auto& c : cases) {
+    const Bench b = MakeBench(c.n);
+    KnnImputer knn;
+    ASSERT_TRUE(knn.Fit(b.train).ok());
+    const uint64_t digest = testkit::MatrixDigest(knn.Reconstruct(b.train));
+    EXPECT_EQ(digest, c.digest)
+        << c.n << " rows: digest 0x" << std::hex << digest;
+  }
 }
 
 // Regression: a query row with no co-observed coordinate against any
@@ -143,23 +151,6 @@ TEST(KnnImputerTest, NoOverlapQueryFallsBackToColumnMeans) {
   for (size_t j = 0; j < d; ++j) {
     EXPECT_DOUBLE_EQ(rec(0, j), means[j]) << "column " << j;
   }
-}
-
-// The index-backed and brute-force reference paths agree exactly when the
-// search budget is unbounded.
-TEST(KnnImputerTest, IndexPathMatchesBruteForcePath) {
-  Bench b = MakeBench(300);
-  KnnImputerOptions brute;
-  brute.brute_force_threshold = 10000;  // always brute force
-  KnnImputerOptions indexed;
-  indexed.brute_force_threshold = 0;  // always the index
-  indexed.max_leaf_visits = 0;        // unbounded: exact
-  KnnImputer a(brute), c(indexed);
-  ASSERT_TRUE(a.Fit(b.train).ok());
-  ASSERT_TRUE(c.Fit(b.train).ok());
-  const Matrix ra = a.Reconstruct(b.train);
-  const Matrix rc = c.Reconstruct(b.train);
-  EXPECT_EQ(ra, rc);
 }
 
 TEST(MiceImputerTest, RecoversLinearStructure) {

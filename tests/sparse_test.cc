@@ -31,63 +31,5 @@ TEST(SparseTest, MatMulMatchesDense) {
       MatMul(Transpose(sp.ToDense()), y), 1e-12));
 }
 
-TEST(KnnGraphTest, ShapeAndSelfLoops) {
-  Rng rng(2);
-  Matrix x = rng.UniformMatrix(20, 4, 0, 1);
-  Matrix m = Matrix::Ones(20, 4);
-  SparseMatrix g = BuildKnnGraph(x, m, 3);
-  EXPECT_EQ(g.rows(), 20u);
-  EXPECT_EQ(g.cols(), 20u);
-  Matrix d = g.ToDense();
-  for (size_t i = 0; i < 20; ++i) EXPECT_GT(d(i, i), 0.0);  // self loop
-}
-
-TEST(KnnGraphTest, SymmetricWeights) {
-  Rng rng(3);
-  Matrix x = rng.UniformMatrix(15, 3, 0, 1);
-  Matrix m = Matrix::Ones(15, 3);
-  Matrix d = BuildKnnGraph(x, m, 4).ToDense();
-  for (size_t i = 0; i < 15; ++i)
-    for (size_t j = 0; j < 15; ++j) EXPECT_NEAR(d(i, j), d(j, i), 1e-12);
-}
-
-TEST(KnnGraphTest, NormalizationBoundsSpectrum) {
-  // Symmetric normalization keeps row sums ≤ ~1 and entries in [0,1].
-  Rng rng(4);
-  Matrix x = rng.UniformMatrix(30, 3, 0, 1);
-  Matrix m = rng.BernoulliMatrix(30, 3, 0.8);
-  Matrix d = BuildKnnGraph(x, m, 5).ToDense();
-  for (size_t i = 0; i < 30; ++i) {
-    double row = 0;
-    for (size_t j = 0; j < 30; ++j) {
-      EXPECT_GE(d(i, j), 0.0);
-      EXPECT_LE(d(i, j), 1.0 + 1e-12);
-      row += d(i, j);
-    }
-    EXPECT_LE(row, 1.5);  // D^{-1/2}AD^{-1/2} row sums are near 1
-    EXPECT_GT(row, 0.2);
-  }
-}
-
-TEST(KnnGraphTest, NeighboursAreNearest) {
-  // Two well-separated clusters: no cross-cluster edges for small k.
-  Matrix x(10, 1);
-  for (size_t i = 0; i < 5; ++i) x(i, 0) = 0.0 + 0.01 * double(i);
-  for (size_t i = 5; i < 10; ++i) x(i, 0) = 10.0 + 0.01 * double(i);
-  Matrix m = Matrix::Ones(10, 1);
-  Matrix d = BuildKnnGraph(x, m, 2).ToDense();
-  for (size_t i = 0; i < 5; ++i)
-    for (size_t j = 5; j < 10; ++j) EXPECT_DOUBLE_EQ(d(i, j), 0.0);
-}
-
-TEST(KnnGraphTest, KClampedToNMinusOne) {
-  Rng rng(5);
-  Matrix x = rng.UniformMatrix(3, 2, 0, 1);
-  Matrix m = Matrix::Ones(3, 2);
-  SparseMatrix g = BuildKnnGraph(x, m, 100);  // k > n-1
-  EXPECT_EQ(g.rows(), 3u);
-  EXPECT_GT(g.nnz(), 0u);
-}
-
 }  // namespace
 }  // namespace scis
