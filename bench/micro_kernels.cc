@@ -48,15 +48,27 @@ void BM_MatMul(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMul)->Arg(64)->Arg(128)->Arg(256);
 
+// Args: rows n, coordinates d, and 1 for the self cost (a, a) or 0 for a
+// cross cost between two n-row batches. 128 rows at d = 9 and 64 are the
+// two costs of one DIM step on Weather- and Search-shaped data.
 void BM_PairwiseDistances(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
+  const size_t d = static_cast<size_t>(state.range(1));
+  const bool self = state.range(2) != 0;
   Rng rng(2);
-  Matrix a = rng.UniformMatrix(n, 16, 0, 1);
+  Matrix a = rng.UniformMatrix(n, d, 0, 1);
+  Matrix b = rng.UniformMatrix(n, d, 0, 1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(PairwiseSquaredDistances(a, a));
+    benchmark::DoNotOptimize(PairwiseSquaredDistances(a, self ? a : b));
   }
 }
-BENCHMARK(BM_PairwiseDistances)->Arg(128)->Arg(512);
+BENCHMARK(BM_PairwiseDistances)
+    ->Args({128, 16, 1})
+    ->Args({512, 16, 1})
+    ->Args({128, 9, 0})
+    ->Args({128, 9, 1})
+    ->Args({128, 64, 0})
+    ->Args({128, 64, 1});
 
 // Sinkhorn iteration cost vs λ: large λ (the paper's 130) converges in a
 // couple of iterations; small λ needs many more, and absorbs scalings into

@@ -13,6 +13,95 @@ inline void StoreTileRow(const double* __restrict acc, double* __restrict orow,
   for (size_t c = 0; c < w; ++c) orow[c] += acc[c];
 }
 
+// Four doubles: one AVX2 register, a pair of SSE2 registers in the default
+// clone.
+typedef double V4 __attribute__((vector_size(32)));
+constexpr size_t kV4Width = 4;
+constexpr size_t kDistChunks = kDistColTile / kV4Width;
+
+// std::max(v, 0.0), spelled as its definition so a NaN or a −0.0 passes
+// through: the epilogue of every squared-distance entry.
+inline double ClampDistance(double a2, double b2, double dot) {
+  const double v = a2 + b2 - 2.0 * dot;
+  return v < 0.0 ? 0.0 : v;
+}
+
+// R rows from i against C four-column chunks from column j: each
+// accumulator lane is one ascending-p chain from +0.0, and the store
+// applies ClampDistance lane-wise. The unroll pragmas keep acc in
+// registers; without them the array spills to the stack.
+template <size_t R, size_t C>
+__attribute__((always_inline)) inline void DistanceTile(
+    const double* __restrict a, const double* __restrict bt,
+    const double* __restrict a2, const double* __restrict b2,
+    double* __restrict out, size_t i, size_t j, size_t k, size_t m) {
+  V4 acc[R][C] = {};
+  const double* __restrict bp = bt + j;
+  for (size_t p = 0; p < k; ++p, bp += m) {
+    V4 bv[C];
+#pragma GCC unroll 4
+    for (size_t c = 0; c < C; ++c) {
+      __builtin_memcpy(&bv[c], bp + c * kV4Width, sizeof(V4));
+    }
+#pragma GCC unroll 4
+    for (size_t r = 0; r < R; ++r) {
+      const double s = a[(i + r) * k + p];
+      const V4 av = {s, s, s, s};
+#pragma GCC unroll 4
+      for (size_t c = 0; c < C; ++c) acc[r][c] += av * bv[c];
+    }
+  }
+#pragma GCC unroll 4
+  for (size_t r = 0; r < R; ++r) {
+    const double s = a2[i + r];
+    const V4 a2v = {s, s, s, s};
+#pragma GCC unroll 4
+    for (size_t c = 0; c < C; ++c) {
+      V4 b2v;
+      __builtin_memcpy(&b2v, b2 + j + c * kV4Width, sizeof(V4));
+      const V4 v = a2v + b2v - 2.0 * acc[r][c];
+      const V4 d = v < V4{} ? V4{} : v;
+      __builtin_memcpy(out + (i + r) * m + j + c * kV4Width, &d, sizeof(V4));
+    }
+  }
+}
+
+// All m columns of rows [i, i + R): full kDistColTile tiles, then one tile
+// of the remaining whole chunks, then the last m % 4 columns as scalar
+// chains read down bt's columns.
+template <size_t R>
+__attribute__((always_inline)) inline void DistanceRowTile(
+    const double* __restrict a, const double* __restrict bt,
+    const double* __restrict a2, const double* __restrict b2,
+    double* __restrict out, size_t i, size_t k, size_t m) {
+  size_t j = 0;
+  for (; j + kDistColTile <= m; j += kDistColTile) {
+    DistanceTile<R, kDistChunks>(a, bt, a2, b2, out, i, j, k, m);
+  }
+  switch ((m - j) / kV4Width) {
+    case 3:
+      DistanceTile<R, 3>(a, bt, a2, b2, out, i, j, k, m);
+      break;
+    case 2:
+      DistanceTile<R, 2>(a, bt, a2, b2, out, i, j, k, m);
+      break;
+    case 1:
+      DistanceTile<R, 1>(a, bt, a2, b2, out, i, j, k, m);
+      break;
+    default:
+      break;
+  }
+  j += (m - j) / kV4Width * kV4Width;
+  for (; j < m; ++j) {
+    for (size_t r = 0; r < R; ++r) {
+      const double* __restrict arow = a + (i + r) * k;
+      double s = 0.0;
+      for (size_t p = 0; p < k; ++p) s += arow[p] * bt[p * m + j];
+      out[(i + r) * m + j] = ClampDistance(a2[i + r], b2[j], s);
+    }
+  }
+}
+
 }  // namespace
 
 SCIS_KERNEL_CLONES
@@ -164,47 +253,16 @@ void MatMulTransBRows(const double* __restrict a, const double* __restrict b,
 }
 
 SCIS_KERNEL_CLONES
-void GramUpperRows(const double* __restrict a, double* __restrict out,
-                   size_t i0, size_t i1, size_t k, size_t n) {
+void SquaredDistanceRows(const double* __restrict a,
+                         const double* __restrict bt,
+                         const double* __restrict a2,
+                         const double* __restrict b2, double* __restrict out,
+                         size_t i0, size_t i1, size_t k, size_t m) {
   size_t i = i0;
   for (; i + kRowTile <= i1; i += kRowTile) {
-    const double* __restrict arows = a + i * k;
-    size_t j = i;
-    for (; j + kColTile <= n; j += kColTile) {
-      const double* __restrict brows = a + j * k;
-      double acc[kRowTile][kColTile] = {};
-      for (size_t p = 0; p < k; ++p) {
-        for (size_t r = 0; r < kRowTile; ++r) {
-          const double av = arows[r * k + p];
-          for (size_t c = 0; c < kColTile; ++c) {
-            acc[r][c] += av * brows[c * k + p];
-          }
-        }
-      }
-      for (size_t r = 0; r < kRowTile; ++r) {
-        double* __restrict orow = out + (i + r) * n + j;
-        for (size_t c = 0; c < kColTile; ++c) orow[c] = acc[r][c];
-      }
-    }
-    for (; j < n; ++j) {  // leftover columns: plain dots
-      const double* __restrict brow = a + j * k;
-      for (size_t r = 0; r < kRowTile; ++r) {
-        const double* __restrict arow = arows + r * k;
-        double s = 0.0;
-        for (size_t p = 0; p < k; ++p) s += arow[p] * brow[p];
-        out[(i + r) * n + j] = s;
-      }
-    }
+    DistanceRowTile<kRowTile>(a, bt, a2, b2, out, i, k, m);
   }
-  for (; i < i1; ++i) {  // leftover rows
-    const double* __restrict arow = a + i * k;
-    for (size_t j = i; j < n; ++j) {
-      const double* __restrict brow = a + j * k;
-      double s = 0.0;
-      for (size_t p = 0; p < k; ++p) s += arow[p] * brow[p];
-      out[i * n + j] = s;
-    }
-  }
+  for (; i < i1; ++i) DistanceRowTile<1>(a, bt, a2, b2, out, i, k, m);
 }
 
 SCIS_KERNEL_CLONES

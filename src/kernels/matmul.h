@@ -68,14 +68,26 @@ void MatMulTransARowsPacked(const double* a, size_t ma, const double* bp,
 void MatMulTransBRows(const double* a, const double* b, double* out, size_t i0,
                       size_t i1, size_t k, size_t n);
 
-// The a·aᵀ Gram product restricted to its upper triangle: out(i, j) for
-// rows [i0, i1) and columns j from the row's tile start on (the diagonal
-// tiles also fill a few entries below the diagonal). Each element is the
-// same sequential dot as MatMulTransBRows(a, a, ...), and dot(a_i, a_j) ==
-// dot(a_j, a_i) bit for bit, so mirroring the triangle reproduces the full
-// product exactly. i0 must be a kRowTile multiple.
-void GramUpperRows(const double* a, double* out, size_t i0, size_t i1,
-                   size_t k, size_t n);
+// Column tile of SquaredDistanceRows: 16 doubles, four 4-wide vectors.
+inline constexpr size_t kDistColTile = 16;
+
+// The squared-distance cost rows [i0, i1) between the rows of a (n × k,
+// row-major) and the m rows of b, with b read coordinate-major (bt = bᵀ,
+// k × m) and a2, b2 their squared row norms:
+//
+//   out(i, j) = max(a2[i] + b2[j] − 2·Σ_p a(i,p)·bt(p,j), 0),
+//
+// where max keeps std::max(v, 0.0) semantics (v < 0 ? 0 : v, so NaN and
+// −0.0 pass through). A register tile of kRowTile rows × kDistColTile
+// columns broadcasts one a value per coordinate against contiguous bt
+// rows, so every load vectorizes at any k. Each dot is still one chain over
+// p in ascending order, starting from +0.0 — the association of
+// MatMulTransBRows — and the epilogue is the same expression, so the result
+// equals MatMulTransBRows followed by that epilogue bit for bit, in any
+// row split.
+void SquaredDistanceRows(const double* a, const double* bt, const double* a2,
+                         const double* b2, double* out, size_t i0, size_t i1,
+                         size_t k, size_t m);
 
 // dst(j, i) = s · src(i, j) for source rows [r0, r1), cache-blocked. Chunks
 // write disjoint dst columns, so the source-row range parallelizes.

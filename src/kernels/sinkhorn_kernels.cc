@@ -124,6 +124,16 @@ __attribute__((always_inline)) inline void MaskedGradRowsOf(
   for (; i < r1; ++i) MaskedGradTile<V, 1>(plan, rs, cs, mb, b, m, d, i, grad);
 }
 
+// krow[j] = ExpD(fi + gs[j] − inv_lam·crow[j]) for j in [j0, j1): the one
+// expression every Gibbs kernel entry is built from.
+__attribute__((always_inline)) inline void GibbsRow(
+    const double* __restrict crow, double fi, const double* __restrict gs,
+    double inv_lam, size_t j0, size_t j1, double* __restrict krow) {
+  for (size_t j = j0; j < j1; ++j) {
+    krow[j] = ExpD(fi + gs[j] - inv_lam * crow[j]);
+  }
+}
+
 }  // namespace
 
 SCIS_KERNEL_CLONES
@@ -132,12 +142,25 @@ void GibbsKernelRows(const double* __restrict cost, double inv_lam,
                      size_t r0, size_t r1, size_t cols,
                      double* __restrict kernel) {
   for (size_t i = r0; i < r1; ++i) {
-    const double* __restrict crow = cost + i * cols;
-    double* __restrict krow = kernel + i * cols;
-    const double fi = fs[i];
-    for (size_t j = 0; j < cols; ++j) {
-      krow[j] = ExpD(fi + gs[j] - inv_lam * crow[j]);
-    }
+    GibbsRow(cost + i * cols, fs[i], gs, inv_lam, 0, cols,
+             kernel + i * cols);
+  }
+}
+
+SCIS_KERNEL_CLONES
+void GibbsKernelUpperRows(const double* __restrict cost, double inv_lam,
+                          const double* __restrict fs,
+                          const double* __restrict gs, size_t r0, size_t r1,
+                          size_t n, double* __restrict kernel) {
+  for (size_t i = r0; i < r1; ++i) {
+    GibbsRow(cost + i * n, fs[i], gs, inv_lam, i, n, kernel + i * n);
+  }
+}
+
+void MirrorUpperRows(double* kernel, size_t r0, size_t r1, size_t n) {
+  for (size_t i = r0; i < r1; ++i) {
+    double* krow = kernel + i * n;
+    for (size_t j = 0; j < i; ++j) krow[j] = kernel[j * n + i];
   }
 }
 

@@ -34,6 +34,18 @@ void GibbsKernelRows(const double* cost, double inv_lam, const double* fs,
                      const double* gs, size_t r0, size_t r1, size_t cols,
                      double* kernel);
 
+// GibbsKernelRows restricted to the upper triangle of a square n×n kernel:
+// kernel(i,j) for j ≥ i, rows [r0, r1), with the same expression. When
+// fs = gs and the cost is symmetric bit for bit, MirrorUpperRows then
+// completes the kernel GibbsKernelRows would build, bit for bit.
+void GibbsKernelUpperRows(const double* cost, double inv_lam,
+                          const double* fs, const double* gs, size_t r0,
+                          size_t r1, size_t n, double* kernel);
+
+// kernel(i,j) = kernel(j,i) for j < i, rows [r0, r1) of a square n×n
+// matrix whose upper triangle is complete.
+void MirrorUpperRows(double* kernel, size_t r0, size_t r1, size_t n);
+
 // out[j] = Σ_i w[i]·kernel(i,j) over all `rows`, for columns [c0, c1): the
 // Kᵀw product, accumulated in row order per column.
 void KernelColumnSums(const double* kernel, const double* w, size_t rows,

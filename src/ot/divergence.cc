@@ -10,22 +10,17 @@ namespace scis {
 namespace {
 
 // OT_λ^m solves over pre-projected rows (am = a⊙ma), so each projection is
-// formed once per call. A self term builds one triangle of its symmetric
-// cost (SelfSquaredDistances), bit-identical to MaskedCostMatrix(a, ma, a,
-// ma). Each cost build is one `ot.masked_cost` span.
+// formed once per call. Every cost is PairwiseSquaredDistances of the
+// projected rows (one coordinate-major kernel); a self term goes through
+// SolveSinkhornSelf, whose cost is symmetric by construction, so its
+// first Gibbs kernel is built from one triangle. Both are bit-identical to
+// solving MaskedCostMatrix(a, ma, b, mb). Each cost build is one
+// `ot.masked_cost` span.
 SinkhornSolution SolveCross(const Matrix& am, const Matrix& bm,
                             const SinkhornOptions& opts) {
   const Matrix cost = [&] {
     SCIS_TRACE_SPAN("ot.masked_cost");
     return PairwiseSquaredDistances(am, bm);
-  }();
-  return SolveSinkhorn(cost, opts);
-}
-
-SinkhornSolution SolveSelf(const Matrix& am, const SinkhornOptions& opts) {
-  const Matrix cost = [&] {
-    SCIS_TRACE_SPAN("ot.masked_cost");
-    return SelfSquaredDistances(am);
   }();
   return SolveSinkhorn(cost, opts);
 }
@@ -73,8 +68,8 @@ DivergenceResult FullDivergence(const Matrix& a, const Matrix& ma,
   const Matrix am = Mul(a, ma);
   const Matrix bm = Mul(b, mb);
   const SinkhornSolution ab = SolveCross(am, bm, opts);
-  const SinkhornSolution aa = SolveSelf(am, opts);
-  const SinkhornSolution bb = SolveSelf(bm, opts);
+  const SinkhornSolution aa = SolveSinkhornSelf(am, opts);
+  const SinkhornSolution bb = SolveSinkhornSelf(bm, opts);
   DivergenceResult out = CrossMinusSelf(ab, aa, a, ma, b, mb, grad_a);
   out.value -= bb.reg_value;
   if (grad_b) {
@@ -109,7 +104,7 @@ DivergenceResult MsDivergenceForTraining(const Matrix& xbar, const Matrix& x,
   SCIS_CHECK(xbar.SameShape(m));
   const Matrix xbar_m = Mul(xbar, m);
   const SinkhornSolution ab = SolveCross(xbar_m, Mul(x, m), opts);
-  const SinkhornSolution aa = SolveSelf(xbar_m, opts);
+  const SinkhornSolution aa = SolveSinkhornSelf(xbar_m, opts);
   return CrossMinusSelf(ab, aa, xbar, m, x, m, /*with_grad=*/true);
 }
 

@@ -13,6 +13,7 @@
 #include "obs/trace.h"
 #include "ot/masked_cost.h"
 #include "runtime/parallel_for.h"
+#include "tensor/matrix_ops.h"
 
 namespace scis {
 
@@ -80,7 +81,10 @@ bool InRange(const std::vector<double>& scaling) {
 // and `kern` always holds the stabilized Gibbs kernel
 // K_ij = exp(fs_i + gs_j − C_ij/λ), so P = diag(a⊙u)·K·diag(b⊙v). At the
 // DIM weight λ = 130 nothing is ever absorbed: fs = gs = 0, K is built by
-// one exp pass, and every iteration is two matrix–vector passes.
+// one exp pass, and every iteration is two matrix–vector passes. A solve
+// whose cost is symmetric by construction (SolveSinkhornSelf) builds that
+// first K from its upper triangle and mirrors it: with fs = gs = 0 each
+// K_ji is the same ExpD of the same double as K_ij.
 //
 // Absorption folds the scalings into fs/gs and rebuilds K. It runs when a
 // scaling leaves [1/kScalingBound, kScalingBound] after an iteration, and
@@ -99,7 +103,7 @@ bool InRange(const std::vector<double>& scaling) {
 class KernelSolve {
  public:
   KernelSolve(const Matrix& cost, const std::vector<double>& a,
-              const std::vector<double>& b, double lam)
+              const std::vector<double>& b, double lam, bool symmetric_cost)
       : cost_(cost),
         a_(a),
         b_(b),
@@ -107,6 +111,7 @@ class KernelSolve {
         m_(cost.cols()),
         lam_(lam),
         inv_lam_(1.0 / lam),
+        symmetric_cost_(symmetric_cost),
         row_grain_(runtime::GrainForWork(n_, m_)),
         col_grain_(runtime::GrainForWork(m_, n_)),
         fs_(n_, 0.0),
@@ -124,7 +129,11 @@ class KernelSolve {
   // is reached. Returns the iterations run.
   int Iterate(int max_iters, double tol, bool* converged) {
     SCIS_TRACE_SPAN("sinkhorn.iterate");
-    BuildKernel();
+    if (symmetric_cost_) {
+      BuildKernelFromUpperTriangle();
+    } else {
+      BuildKernel();
+    }
     // |Δ log u_i| < tol  ⟺  exp(−tol) < u_new/u_old < exp(tol); the
     // comparisons are false for NaN, so a NaN never converges.
     const double ratio_lo = std::exp(-tol), ratio_hi = std::exp(tol);
@@ -239,6 +248,17 @@ class KernelSolve {
     });
   }
 
+  // The first kernel of a symmetric-cost solve, before any absorption.
+  void BuildKernelFromUpperTriangle() {
+    runtime::ParallelFor(0, n_, row_grain_, [&](size_t ib, size_t ie) {
+      kernels::GibbsKernelUpperRows(cost_.data(), inv_lam_, fs_.data(),
+                                    gs_.data(), ib, ie, n_, kern_.data());
+    });
+    runtime::ParallelFor(0, n_, row_grain_, [&](size_t ib, size_t ie) {
+      kernels::MirrorUpperRows(kern_.data(), ib, ie, n_);
+    });
+  }
+
   void ColumnSums() {  // col_sums_ = Kᵀ(a⊙u)
     runtime::ParallelFor(0, m_, col_grain_, [&](size_t jb, size_t je) {
       kernels::KernelColumnSums(kern_.data(), au_.data(), n_, m_, jb, je,
@@ -295,6 +315,7 @@ class KernelSolve {
   const std::vector<double>& b_;
   const size_t n_, m_;
   const double lam_, inv_lam_;
+  const bool symmetric_cost_;  // cost(i,j) == cost(j,i) bit for bit
   const size_t row_grain_, col_grain_;
   std::vector<double> fs_, gs_;   // absorbed log potentials, divided by λ
   std::vector<double> u_, v_;     // scalings
@@ -311,7 +332,8 @@ class KernelSolve {
 SinkhornSolution SolveSinkhornWeightedImpl(const Matrix& cost,
                                            const std::vector<double>& a,
                                            const std::vector<double>& b,
-                                           const SinkhornOptions& opts) {
+                                           const SinkhornOptions& opts,
+                                           bool symmetric_cost) {
   SCIS_TRACE_SPAN("sinkhorn.solve");
   const SinkhornMetrics& metrics = SinkhornMetrics::Get();
   const size_t n = cost.rows(), m = cost.cols();
@@ -323,7 +345,7 @@ SinkhornSolution SolveSinkhornWeightedImpl(const Matrix& cost,
   for (const double w : a) SCIS_CHECK_GT(w, 0.0);
   for (const double w : b) SCIS_CHECK_GT(w, 0.0);
 
-  KernelSolve solve(cost, a, b, opts.lambda);
+  KernelSolve solve(cost, a, b, opts.lambda, symmetric_cost);
   SinkhornSolution sol;
   sol.iters = solve.Iterate(opts.max_iters, opts.tol, &sol.converged);
   metrics.solves->Add(1);
@@ -346,7 +368,18 @@ SinkhornSolution SolveSinkhorn(const Matrix& cost,
   const size_t n = cost.rows(), m = cost.cols();
   std::vector<double> a(n, 1.0 / static_cast<double>(n));
   std::vector<double> b(m, 1.0 / static_cast<double>(m));
-  return SolveSinkhornWeightedImpl(cost, a, b, opts);
+  return SolveSinkhornWeightedImpl(cost, a, b, opts, /*symmetric_cost=*/false);
+}
+
+SinkhornSolution SolveSinkhornSelf(const Matrix& points,
+                                   const SinkhornOptions& opts) {
+  const Matrix cost = [&] {
+    SCIS_TRACE_SPAN("ot.masked_cost");
+    return PairwiseSquaredDistances(points, points);
+  }();
+  const std::vector<double> a(points.rows(),
+                              1.0 / static_cast<double>(points.rows()));
+  return SolveSinkhornWeightedImpl(cost, a, a, opts, /*symmetric_cost=*/true);
 }
 
 Result<SinkhornSolution> SolveSinkhornWeighted(const Matrix& cost,
@@ -381,7 +414,7 @@ Result<SinkhornSolution> SolveSinkhornWeighted(const Matrix& cost,
         "Sinkhorn marginals must sum to 1 (got Σa = " + std::to_string(sum_a) +
         ", Σb = " + std::to_string(sum_b) + ")");
   }
-  return SolveSinkhornWeightedImpl(cost, a, b, opts);
+  return SolveSinkhornWeightedImpl(cost, a, b, opts, /*symmetric_cost=*/false);
 }
 
 SinkhornSolution SolveSinkhornMasked(const Matrix& a, const Matrix& ma,

@@ -61,6 +61,15 @@ Result<SinkhornSolution> SolveSinkhornWeighted(const Matrix& cost,
                                                const std::vector<double>& b,
                                                const SinkhornOptions& opts);
 
+// Self solve: OT_λ(points, points) with uniform marginals — exactly
+// SolveSinkhorn(PairwiseSquaredDistances(points, points), opts), bit for
+// bit. The cost is symmetric by construction (see tensor/matrix_ops.h) and
+// nothing is absorbed before the first kernel build, so that build
+// computes one triangle of K and mirrors it; a rebuild after an absorption
+// builds the full kernel. The cost build is one `ot.masked_cost` span.
+SinkhornSolution SolveSinkhornSelf(const Matrix& points,
+                                   const SinkhornOptions& opts);
+
 // Masked OT entry point: solves OT_λ over the Def.-2 masking cost between
 // (a, ma) and (b, mb) with uniform marginals — exactly
 // SolveSinkhorn(MaskedCostMatrix(a, ma, b, mb), opts).

@@ -373,48 +373,20 @@ std::vector<double> RowSquaredNorms(const Matrix& a) {
 
 Matrix PairwiseSquaredDistances(const Matrix& a, const Matrix& b) {
   SCIS_CHECK_EQ(a.cols(), b.cols());
-  const size_t n = a.rows(), m = b.rows();
+  const size_t n = a.rows(), m = b.rows(), d = a.cols();
+  const bool self = &a == &b;
   const std::vector<double> a2 = RowSquaredNorms(a);
-  const std::vector<double> b2 = RowSquaredNorms(b);
-  Matrix out = MatMulTransB(a, b);
-  runtime::ParallelFor(0, n, runtime::GrainForWork(n, m),
-                       [&](size_t ib, size_t ie) {
-    for (size_t i = ib; i < ie; ++i) {
-      double* p = out.row_data(i);
-      for (size_t j = 0; j < m; ++j) {
-        p[j] = std::max(a2[i] + b2[j] - 2.0 * p[j], 0.0);
-      }
-    }
-  });
-  return out;
-}
-
-Matrix SelfSquaredDistances(const Matrix& a) {
-  const size_t n = a.rows(), d = a.cols();
-  const std::vector<double> a2 = RowSquaredNorms(a);
-  Matrix out(n, n);
+  const std::vector<double> b2 =
+      self ? std::vector<double>() : RowSquaredNorms(b);
+  const double* b2p = self ? a2.data() : b2.data();
+  const Matrix bt = Transpose(b);
+  Matrix out(n, m);
   runtime::ParallelFor(
-      0, n, kernels::RowAlignedGrain(runtime::GrainForWork(n, d * n)),
+      0, n, kernels::RowAlignedGrain(runtime::GrainForWork(n, d * m)),
       [&](size_t i0, size_t i1) {
-        kernels::GramUpperRows(a.data(), out.data(), i0, i1, d, n);
+        kernels::SquaredDistanceRows(a.data(), bt.data(), a2.data(), b2p,
+                                     out.data(), i0, i1, d, m);
       });
-  // Upper triangle in place, then each row copies its lower part from the
-  // finished upper triangle (disjoint writes per row in both passes).
-  const size_t grain = runtime::GrainForWork(n, n);
-  runtime::ParallelFor(0, n, grain, [&](size_t ib, size_t ie) {
-    for (size_t i = ib; i < ie; ++i) {
-      double* p = out.row_data(i);
-      for (size_t j = i; j < n; ++j) {
-        p[j] = std::max(a2[i] + a2[j] - 2.0 * p[j], 0.0);
-      }
-    }
-  });
-  runtime::ParallelFor(0, n, grain, [&](size_t ib, size_t ie) {
-    for (size_t i = ib; i < ie; ++i) {
-      double* p = out.row_data(i);
-      for (size_t j = 0; j < i; ++j) p[j] = out(j, i);
-    }
-  });
   return out;
 }
 

@@ -69,14 +69,12 @@ Matrix ConcatCols(const Matrix& a, const Matrix& b);
 Matrix ConcatRows(const Matrix& a, const Matrix& b);
 
 // Pairwise squared Euclidean distances between rows of a (n,d) and b (m,d),
-// returned as (n,m). This is the Sinkhorn ground-cost kernel; it uses the
-// |x|² + |y|² − 2x·y expansion with a clamp at zero for numerical safety.
+// returned as (n,m): max(|a_i|² + |b_j|² − 2·a_i·b_j, 0), the Sinkhorn
+// ground cost. One coordinate-major kernel (kernels::SquaredDistanceRows)
+// builds every entry from the squared row norms and an ascending-p dot, so
+// the self cost PairwiseSquaredDistances(a, a) is symmetric by
+// construction, bit for bit; it also reuses a's norms for b.
 Matrix PairwiseSquaredDistances(const Matrix& a, const Matrix& b);
-
-// PairwiseSquaredDistances(a, a), bit for bit, from one triangle: every
-// entry is a symmetric expression of its two rows (commutative adds and a
-// sequential dot), so the upper triangle is computed and mirrored.
-Matrix SelfSquaredDistances(const Matrix& a);
 
 }  // namespace scis
 

@@ -275,6 +275,71 @@ TEST(KernelsVsOracle, MaskedGradMatchesPerEntryLoop) {
   }
 }
 
+// The squared-distance cost as a plain per-entry loop: kernels::SquaredNorm
+// norms, an ascending-p dot from +0.0, then std::max(·, 0.0).
+Matrix PerEntryCost(const Matrix& a, const Matrix& b) {
+  const size_t d = a.cols();
+  Matrix out(a.rows(), b.rows());
+  for (size_t i = 0; i < a.rows(); ++i) {
+    const double a2 = kernels::SquaredNorm(a.row_data(i), d);
+    for (size_t j = 0; j < b.rows(); ++j) {
+      const double b2 = kernels::SquaredNorm(b.row_data(j), d);
+      double dot = 0.0;
+      for (size_t p = 0; p < d; ++p) dot += a(i, p) * b(j, p);
+      out(i, j) = std::max(a2 + b2 - 2.0 * dot, 0.0);
+    }
+  }
+  return out;
+}
+
+// PairwiseSquaredDistances against the per-entry loop, byte for byte, over
+// row and column tails of the 4×16 tile (n, m ∈ {1, 3, 5, 17, 128, 131}),
+// d ∈ {1, 3, 4, 9, 64, 65}, cross and self (a is b) costs, duplicate rows
+// (exact zeros) and rows holding ±inf and NaN, at 1/2/4 threads.
+TEST(KernelsCostOracle, PairwiseSquaredDistancesMatchPerEntryLoop) {
+  const int saved_threads = runtime::NumThreads();
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double specials[] = {kInf, -kInf, kNaN};
+  const size_t sizes[] = {1, 3, 5, 17, 128, 131};
+  Rng rng(29);
+  for (const size_t d : {1, 3, 4, 9, 64, 65}) {
+    for (const size_t n : sizes) {
+      for (const size_t m : sizes) {
+        for (const bool special : {false, true}) {
+          SCOPED_TRACE(testing::Message() << n << "x" << m << " d=" << d
+                                          << " special=" << special);
+          Matrix a = rng.UniformMatrix(n, d, -2.0, 2.0);
+          Matrix b = rng.UniformMatrix(m, d, -2.0, 2.0);
+          // Duplicate rows: every third row of b copies a row of a, and
+          // a's last row copies its first.
+          for (size_t j = 0; j < m; j += 3) {
+            for (size_t p = 0; p < d; ++p) b(j, p) = a(j % n, p);
+          }
+          for (size_t p = 0; p < d; ++p) a(n - 1, p) = a(0, p);
+          if (special) {
+            for (size_t i = 1; i < n; i += 4) a(i, i % d) = specials[i % 3];
+            for (size_t j = 2; j < m; j += 5) {
+              b(j, (j + 1) % d) = specials[(j + 1) % 3];
+            }
+          }
+          const Matrix cross_ref = PerEntryCost(a, b);
+          const Matrix self_ref = n == m ? PerEntryCost(a, a) : Matrix();
+          for (const int threads : {1, 2, 4}) {
+            runtime::SetNumThreads(threads);
+            EXPECT_TRUE(SameBytes(PairwiseSquaredDistances(a, b), cross_ref))
+                << threads << " threads";
+            if (n == m) {
+              EXPECT_TRUE(SameBytes(PairwiseSquaredDistances(a, a), self_ref))
+                  << "self at " << threads << " threads";
+            }
+          }
+        }
+      }
+    }
+  }
+  runtime::SetNumThreads(saved_threads);
+}
+
 // ColumnSums is Sum over a column copy.
 TEST(KernelsVsOracle, ColumnSumsMatchSumOverColumnCopies) {
   Rng rng(31);

@@ -198,31 +198,6 @@ TEST(MaskedCostTest, MaskedCoordinatesIgnored) {
   EXPECT_NEAR(c1(0, 0), c2(0, 0), 1e-12);
 }
 
-// The self cost of a training step is built from one triangle and
-// mirrored; it must equal the full MaskedCostMatrix byte for byte, at the
-// DIM shapes, at shapes with leftover tile rows, and at 1/2/4 threads.
-TEST(MaskedCostTest, SelfCostTriangleMatchesFullMatrixBitExact) {
-  const int saved_threads = runtime::NumThreads();
-  Rng rng(12);
-  for (const auto& [n, d] : std::vector<std::pair<size_t, size_t>>{
-           {128, 9}, {128, 64}, {7, 3}, {130, 5}, {1, 4}}) {
-    const Matrix x = rng.UniformMatrix(n, d, -2.0, 2.0);
-    const Matrix m = rng.BernoulliMatrix(n, d, 0.7);
-    runtime::SetNumThreads(1);
-    const Matrix full = MaskedCostMatrix(x, m, x, m);
-    for (const int threads : {1, 2, 4}) {
-      runtime::SetNumThreads(threads);
-      const Matrix self = SelfSquaredDistances(Mul(x, m));
-      ASSERT_TRUE(self.SameShape(full));
-      EXPECT_EQ(std::memcmp(self.data(), full.data(),
-                            full.size() * sizeof(double)),
-                0)
-          << n << "x" << d << " at " << threads << " threads";
-    }
-  }
-  runtime::SetNumThreads(saved_threads);
-}
-
 uint64_t Absorptions() {
   return obs::Registry::Global().Snapshot().CounterOr("sinkhorn.absorptions");
 }
@@ -324,6 +299,64 @@ TEST(SinkhornAbsorptionTest, FiresAtRrsiLambdaAndKeepsMarginals) {
   const Matrix cost = PairwiseSquaredDistances(a, b);
   EXPECT_LT(MaxValue(AddScalar(cost, 40.0)), 64.0);
   ExpectShiftInvariantWithAbsorption(cost, 40.0, Opts(0.05, 2000));
+}
+
+bool SameBytes(const std::vector<double>& x, const std::vector<double>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+}
+
+bool SameBytes(double x, double y) {
+  return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
+// SolveSinkhornSelf builds its first Gibbs kernel from one triangle of the
+// cost; it must equal SolveSinkhorn on the same cost byte for byte, at the
+// DIM weight and at a λ where absorptions rebuild the full kernel, at
+// 1/2/4 threads. With a zero diagonal the scalings of a uniform self solve
+// stay within [1/n, n] and never absorb. The small-λ points are a cluster
+// of width 6 around 1e8 in every coordinate: there the norm kernel and the
+// ascending dot round differently, so some diagonal costs are a few ulps
+// of the norms (multiples of 16) and the off-diagonal costs are of the
+// same size. Over λ = 1e-2 such a column of the Gibbs kernel underflows,
+// which forces an absorption, and the rebuilt kernel holds off-diagonal
+// entries that differ across the diagonal (fs ≠ gs), so building it from
+// one triangle would change the plan.
+TEST(SinkhornSelfSolve, MatchesSolveSinkhornOnSameCostBitExact) {
+  const int saved_threads = runtime::NumThreads();
+  Rng rng(30);
+  for (const size_t n : {1u, 7u, 131u}) {
+    for (const double lambda : {130.0, 1e-2}) {
+      SCOPED_TRACE(testing::Message() << n << "x" << n << " lambda="
+                                      << lambda);
+      const Matrix x = lambda < 1.0
+                           ? AddScalar(rng.UniformMatrix(n, 9, -3.0, 3.0), 1e8)
+                           : rng.UniformMatrix(n, 9, -2.0, 2.0);
+      const SinkhornOptions opts = Opts(lambda, 300);
+      for (const int threads : {1, 2, 4}) {
+        runtime::SetNumThreads(threads);
+        const SinkhornSolution full =
+            SolveSinkhorn(PairwiseSquaredDistances(x, x), opts);
+        const uint64_t before = Absorptions();
+        const SinkhornSolution self = SolveSinkhornSelf(x, opts);
+        if (lambda < 1.0 && n > 1) {
+          EXPECT_GT(Absorptions() - before, 0u) << threads << " threads";
+        }
+        ASSERT_TRUE(self.plan.SameShape(full.plan));
+        EXPECT_EQ(std::memcmp(self.plan.data(), full.plan.data(),
+                              full.plan.size() * sizeof(double)),
+                  0)
+            << threads << " threads";
+        EXPECT_TRUE(SameBytes(self.f, full.f)) << threads << " threads";
+        EXPECT_TRUE(SameBytes(self.g, full.g)) << threads << " threads";
+        EXPECT_TRUE(SameBytes(self.reg_value, full.reg_value));
+        EXPECT_TRUE(SameBytes(self.transport_cost, full.transport_cost));
+        EXPECT_EQ(self.iters, full.iters);
+        EXPECT_EQ(self.converged, full.converged);
+      }
+    }
+  }
+  runtime::SetNumThreads(saved_threads);
 }
 
 // Occurrences of a span name in a Chrome trace written by obs::WriteTrace.
