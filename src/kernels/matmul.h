@@ -1,4 +1,5 @@
-// Cache-blocked, register-tiled matmul kernels.
+// Cache-blocked, register-tiled matmul kernels, and the squared-distance
+// cost kernel that shares their association (SquaredDistanceRows, below).
 //
 // Layout: the right-hand matrix is packed once per multiply into
 // column-panel order — panel t holds columns [t·kColTile, (t+1)·kColTile)
