@@ -42,9 +42,17 @@ case "$MODE" in
         "(see above)" >&2
       exit 1
     fi
+    # Lint: test-only helpers live in src/testkit; no library, example or
+    # bench code may include them.
+    if grep -rn '#include "testkit/' src examples bench perfbench \
+        | grep -v '^src/testkit/'; then
+      echo "testkit include outside src/testkit and tests (see above)" >&2
+      exit 1
+    fi
     echo "lint: OK (no const_cast and no local Tape in src/models," \
       "no activation in src/kernels/linear.cc, no masked-distance scan" \
-      "outside src/index)"
+      "outside src/index, no testkit include outside src/testkit and" \
+      "tests)"
 
     cmake --preset default >/dev/null
     cmake --build --preset default -j "$JOBS"

@@ -130,20 +130,6 @@ void SinkMatMulTransA(Tape& t, Var dst, const Matrix& a, const Matrix& g) {
   t.AccumulateGrad(dst, std::move(out));
 }
 
-// out = log(1+e^a), overflow-safe; the one softplus forward the tape op
-// and FusedLinearForward share. out may alias a.
-void SoftplusInto(const Matrix& a, Matrix* out) {
-  const double* pa = a.data();
-  double* po = out->data();
-  runtime::ParallelFor(0, a.size(), MapGrain(a.size()),
-                       [&](size_t kb, size_t ke) {
-                         for (size_t k = kb; k < ke; ++k) {
-                           const double v = pa[k];
-                           po[k] = v > 30 ? v : std::log1p(std::exp(v));
-                         }
-                       });
-}
-
 kernels::Act ToKernelAct(Activation act) {
   switch (act) {
     case Activation::kNone:
@@ -154,10 +140,8 @@ kernels::Act ToKernelAct(Activation act) {
       return kernels::Act::kRelu;
     case Activation::kTanh:
       return kernels::Act::kTanh;
-    case Activation::kSoftplus:
-      break;
   }
-  SCIS_CHECK_MSG(false, "softplus has no fused kernel form");
+  SCIS_CHECK_MSG(false, "unknown activation");
   return kernels::Act::kIdentity;
 }
 
@@ -566,30 +550,6 @@ Var Log(Var a) {
                  });
 }
 
-Var Softplus(Var a) {
-  Tape* t = a.tape();
-  const Matrix& av = a.value();
-  Matrix out = t->Temp(av.rows(), av.cols());
-  SoftplusInto(av, &out);
-  // d/dx softplus = sigmoid(x); recomputed in backward from the input (the
-  // historic code precomputed the same SigmoidArray values at node build).
-  return t->Node(std::move(out), {a},
-                 [a](Tape& tape, Var, const Matrix& g) {
-                   const Matrix& x = a.value();
-                   Matrix ga = tape.Temp(x.rows(), x.cols());
-                   const double* px = x.data();
-                   const double* pg = g.data();
-                   double* po2 = ga.data();
-                   runtime::ParallelFor(
-                       0, x.size(), MapGrain(x.size()),
-                       [&](size_t kb, size_t ke) {
-                         kernels::SigmoidArray(px + kb, po2 + kb, ke - kb);
-                         for (size_t k = kb; k < ke; ++k) po2[k] *= pg[k];
-                       });
-                   tape.AccumulateGrad(a, std::move(ga));
-                 });
-}
-
 Var Square(Var a) {
   Tape* t = a.tape();
   const Matrix& av = a.value();
@@ -645,23 +605,6 @@ Var ConcatCols(Var a, Var b) {
                  });
 }
 
-Var ColRange(Var a, size_t c0, size_t c1) {
-  Tape* t = a.tape();
-  const Matrix& av = a.value();
-  const size_t cols = av.cols();
-  Matrix out = t->Temp(av.rows(), c1 - c0);
-  for (size_t i = 0; i < av.rows(); ++i)
-    std::copy(av.row_data(i) + c0, av.row_data(i) + c1, out.row_data(i));
-  return t->Node(std::move(out), {a},
-                 [a, c0, c1, cols](Tape& tape, Var, const Matrix& g) {
-                   Matrix full = tape.TempZeroed(g.rows(), cols);
-                   for (size_t i = 0; i < g.rows(); ++i)
-                     for (size_t j = c0; j < c1; ++j)
-                       full(i, j) = g(i, j - c0);
-                   tape.AccumulateGrad(a, std::move(full));
-                 });
-}
-
 Var Sum(Var a) {
   Tape* t = a.tape();
   const Matrix& av = a.value();
@@ -714,47 +657,6 @@ Var RowSum(Var a) {
                  });
 }
 
-Var MulColBroadcast(Var a, Var col) {
-  Tape* t = a.tape();
-  const Matrix& av = a.value();
-  const Matrix& cv = col.value();
-  SCIS_CHECK(cv.cols() == 1 && cv.rows() == av.rows());
-  Matrix out = t->Temp(av.rows(), av.cols());
-  for (size_t i = 0; i < out.rows(); ++i) {
-    const double ci = cv(i, 0);
-    const double* pa = av.row_data(i);
-    double* po = out.row_data(i);
-    for (size_t j = 0; j < out.cols(); ++j) po[j] = pa[j] * ci;
-  }
-  return t->Node(
-      std::move(out), {a, col}, [a, col](Tape& tape, Var, const Matrix& g) {
-        if (tape.requires_grad(a)) {
-          const Matrix& c2 = col.value();
-          Matrix ga = PoolCopy(tape, g);
-          for (size_t i = 0; i < ga.rows(); ++i) {
-            kernels::ScaleInPlace(ga.row_data(i), c2(i, 0), ga.cols());
-          }
-          tape.AccumulateGrad(a, std::move(ga));
-        }
-        if (tape.requires_grad(col)) {
-          // RowSum(Mul(g, a)) with pooled temporaries.
-          const Matrix& av2 = a.value();
-          Matrix prod = BinaryIntoPooled(
-              tape, g, av2, [](double x, double y) { return x * y; });
-          Matrix rs = tape.Temp(g.rows(), 1);
-          runtime::ParallelFor(
-              0, g.rows(), runtime::GrainForWork(g.rows(), g.cols()),
-              [&](size_t ib, size_t ie) {
-                for (size_t i = ib; i < ie; ++i) {
-                  rs(i, 0) = kernels::Sum(prod.row_data(i), prod.cols());
-                }
-              });
-          tape.Recycle(std::move(prod));
-          tape.AccumulateGrad(col, std::move(rs));
-        }
-      });
-}
-
 Var RowLogSumExp(Var a) {
   Tape* t = a.tape();
   const Matrix& av = a.value();
@@ -784,11 +686,7 @@ void FusedLinearForward(const Matrix& x, const double* w, const double* b,
                         Activation act, Matrix* out) {
   const size_t m = x.rows(), k = x.cols(), n = out->cols();
   SCIS_CHECK(out->rows() == m);
-  // Softplus has no fused form (see kernels/act.h): an identity pass,
-  // then the Softplus op's own map, as the tape composes it.
-  const bool softplus = act == Activation::kSoftplus;
-  const kernels::Act ka =
-      softplus ? kernels::Act::kIdentity : ToKernelAct(act);
+  const kernels::Act ka = ToKernelAct(act);
   double* y = out->data();
   const size_t grain =
       kernels::RowAlignedGrain(runtime::GrainForWork(m, k * n));
@@ -817,15 +715,9 @@ void FusedLinearForward(const Matrix& x, const double* w, const double* b,
       act_rows(i0, i1);
     });
   }
-  if (softplus) SoftplusInto(*out, out);
 }
 
 Var FusedLinear(Var x, Var w, Var b, Activation act) {
-  if (act == Activation::kSoftplus) {
-    // The identity-fused node keeps the pre-activation bit-identical to the
-    // unfused composition, for the Softplus node's backward.
-    return Softplus(FusedLinear(x, w, b, Activation::kNone));
-  }
   Tape* t = x.tape();
   const Matrix& xv = x.value();
   const Matrix& wv = w.value();

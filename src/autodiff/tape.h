@@ -40,7 +40,7 @@ class Tape;
 
 // Layer activation; lives here (not nn/layers.h) so the fused linear tape op
 // and the nn layer wrappers share one vocabulary.
-enum class Activation { kNone, kSigmoid, kRelu, kTanh, kSoftplus };
+enum class Activation { kNone, kSigmoid, kRelu, kTanh };
 
 // Handle to a node on a Tape. Valid until Tape::Clear()/destruction.
 class Var {
@@ -257,15 +257,11 @@ Var Relu(Var a);
 Var Tanh(Var a);
 Var Exp(Var a);
 Var Log(Var a);                  // inputs clamped away from 0
-Var Softplus(Var a);
 Var Square(Var a);
 Var ConcatCols(Var a, Var b);
-Var ColRange(Var a, size_t c0, size_t c1);
 Var Sum(Var a);                  // -> (1,1)
 Var Mean(Var a);                 // -> (1,1)
 Var RowSum(Var a);               // (n,d) -> (n,1)
-// Hadamard with a per-row scalar: a (n,d) ⊙ col (n,1) broadcast.
-Var MulColBroadcast(Var a, Var col);
 // Per-row log-sum-exp: (n,k) -> (n,1); backward is the row softmax. The
 // reduction behind importance-weighted (IWAE/MIWAE) bounds.
 Var RowLogSumExp(Var a);
@@ -277,15 +273,13 @@ Var RowLogSumExp(Var a);
 // same chunk of output rows; backward produces dX, dW, db in one sweep from
 // the saved output. Bit-identical to the unfused
 // act(AddRowBroadcast(MatMul(x, w), b)) composition.
-// kSoftplus falls back to an unfused activation (its derivative needs the
-// pre-activation, which the fused node does not keep).
 Var FusedLinear(Var x, Var w, Var b, Activation act);
 
 // The forward half of FusedLinear, without a tape: out = act(x·w + b), w a
 // borrowed row-major x.cols() × out->cols() buffer, b its bias row; out
-// (x.rows() rows) is overwritten. FusedLinear runs exactly this (softplus:
-// the Softplus op's map over an identity pass), so a tape-free forward on
-// it equals the tape forward bit for bit, at any thread count.
+// (x.rows() rows) is overwritten. FusedLinear runs exactly this, so a
+// tape-free forward on it equals the tape forward bit for bit, at any
+// thread count.
 void FusedLinearForward(const Matrix& x, const double* w, const double* b,
                         Activation act, Matrix* out);
 

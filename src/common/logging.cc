@@ -1,20 +1,16 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <mutex>
 
 namespace scis {
 
 namespace {
-std::atomic<LogLevel> g_level{LogLevel::kInfo};
 // Serializes emission only; formatting happens before the lock is taken.
 std::mutex g_emit_mu;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
     case LogLevel::kInfo:
       return "INFO";
     case LogLevel::kWarning:
@@ -26,31 +22,20 @@ const char* LevelName(LogLevel level) {
 }
 }  // namespace
 
-void SetLogLevel(LogLevel level) {
-  g_level.store(level, std::memory_order_relaxed);
-}
-LogLevel GetLogLevel() { return g_level.load(std::memory_order_relaxed); }
-
 namespace internal {
 
-LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : enabled_(level >= g_level.load(std::memory_order_relaxed)),
-      level_(level) {
-  if (enabled_) {
-    const char* base = file;
-    for (const char* p = file; *p; ++p)
-      if (*p == '/') base = p + 1;
-    stream_ << "[" << LevelName(level_) << " " << base << ":" << line << "] ";
-  }
+LogMessage::LogMessage(LogLevel level, const char* file, int line) {
+  const char* base = file;
+  for (const char* p = file; *p; ++p)
+    if (*p == '/') base = p + 1;
+  stream_ << "[" << LevelName(level) << " " << base << ":" << line << "] ";
 }
 
 LogMessage::~LogMessage() {
-  if (enabled_) {
-    std::string line = stream_.str();
-    line.push_back('\n');
-    std::lock_guard<std::mutex> lock(g_emit_mu);
-    std::fwrite(line.data(), 1, line.size(), stderr);
-  }
+  std::string line = stream_.str();
+  line.push_back('\n');
+  std::lock_guard<std::mutex> lock(g_emit_mu);
+  std::fwrite(line.data(), 1, line.size(), stderr);
 }
 
 }  // namespace internal

@@ -1,7 +1,7 @@
 // Minimal leveled logger writing to stderr. Thread-safe: each message is
 // formatted off-lock into its own buffer, then emitted as a single
 // mutex-guarded fwrite, so lines from the runtime's worker threads never
-// interleave. The level threshold is an atomic read.
+// interleave. Every message is emitted; there is no level threshold.
 #ifndef SCIS_COMMON_LOGGING_H_
 #define SCIS_COMMON_LOGGING_H_
 
@@ -10,11 +10,7 @@
 
 namespace scis {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
-
-// Global log threshold; messages below it are dropped. Default kInfo.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
+enum class LogLevel { kInfo, kWarning, kError };
 
 namespace internal {
 
@@ -25,13 +21,11 @@ class LogMessage {
 
   template <typename T>
   LogMessage& operator<<(const T& v) {
-    if (enabled_) stream_ << v;
+    stream_ << v;
     return *this;
   }
 
  private:
-  bool enabled_;
-  LogLevel level_;
   std::ostringstream stream_;
 };
 

@@ -8,9 +8,8 @@
 
 namespace scis {
 
-namespace {
-double MaskedError(const Matrix& imputed, const Matrix& truth,
-                   const Matrix& eval_mask, bool squared) {
+double MaskedRmse(const Matrix& imputed, const Matrix& truth,
+                  const Matrix& eval_mask) {
   SCIS_CHECK(imputed.SameShape(truth));
   SCIS_CHECK(imputed.SameShape(eval_mask));
   double acc = 0.0;
@@ -18,24 +17,12 @@ double MaskedError(const Matrix& imputed, const Matrix& truth,
   for (size_t k = 0; k < imputed.size(); ++k) {
     if (eval_mask.data()[k] == 1.0) {
       const double e = imputed.data()[k] - truth.data()[k];
-      acc += squared ? e * e : std::abs(e);
+      acc += e * e;
       ++cnt;
     }
   }
   if (cnt == 0) return 0.0;
-  acc /= static_cast<double>(cnt);
-  return squared ? std::sqrt(acc) : acc;
-}
-}  // namespace
-
-double MaskedRmse(const Matrix& imputed, const Matrix& truth,
-                  const Matrix& eval_mask) {
-  return MaskedError(imputed, truth, eval_mask, /*squared=*/true);
-}
-
-double MaskedMae(const Matrix& imputed, const Matrix& truth,
-                 const Matrix& eval_mask) {
-  return MaskedError(imputed, truth, eval_mask, /*squared=*/false);
+  return std::sqrt(acc / static_cast<double>(cnt));
 }
 
 double Mae(const std::vector<double>& pred,

@@ -1,4 +1,4 @@
-// Evaluation metrics (§VI): RMSE over held-out cells, MAE, and AUC.
+// Evaluation metrics (§VI): RMSE over held-out cells, vector MAE, and AUC.
 #ifndef SCIS_EVAL_METRICS_H_
 #define SCIS_EVAL_METRICS_H_
 
@@ -12,10 +12,6 @@ namespace scis {
 // eval_mask == 1 (the 20%-of-observed hold-out protocol).
 double MaskedRmse(const Matrix& imputed, const Matrix& truth,
                   const Matrix& eval_mask);
-
-// MAE on the same masked protocol.
-double MaskedMae(const Matrix& imputed, const Matrix& truth,
-                 const Matrix& eval_mask);
 
 // Mean absolute error between prediction and target vectors.
 double Mae(const std::vector<double>& pred, const std::vector<double>& truth);

@@ -16,9 +16,8 @@
 
 namespace scis::kernels {
 
-// Activation of a fused linear layer. Softplus is absent by design: its
-// derivative needs the pre-activation, which a fused node does not keep
-// (the tape falls back to an unfused softplus on top of kIdentity).
+// Activation of a fused linear layer. Each derivative is a function of the
+// output alone, so the fused node's backward needs only its saved output.
 enum class Act { kIdentity, kSigmoid, kRelu, kTanh };
 
 // Sign-split sigmoid, selected branch-free: e = exp(-|x|), then 1/(1+e) for

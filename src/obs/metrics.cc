@@ -73,12 +73,6 @@ uint64_t MetricsSnapshot::CounterOr(const std::string& name,
   return it == counters.end() ? fallback : it->second;
 }
 
-double MetricsSnapshot::GaugeOr(const std::string& name,
-                                double fallback) const {
-  auto it = gauges.find(name);
-  return it == gauges.end() ? fallback : it->second;
-}
-
 std::string MetricsSnapshot::ToJson() const {
   JsonWriter w;
   w.BeginObject();

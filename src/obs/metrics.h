@@ -83,10 +83,9 @@ struct MetricsSnapshot {
   std::map<std::string, double> gauges;
   std::map<std::string, HistogramData> histograms;
 
-  // Counter/gauge lookups with a default for absent names (tests, report
+  // Counter lookup with a default for absent names (tests, report
   // consumers probing optional instrumentation).
   uint64_t CounterOr(const std::string& name, uint64_t fallback = 0) const;
-  double GaugeOr(const std::string& name, double fallback = 0.0) const;
 
   // {"counters":{...},"gauges":{...},"histograms":{...}} — the object
   // embedded in run reports.

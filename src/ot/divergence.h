@@ -32,8 +32,12 @@ DivergenceResult MsDivergence(const Matrix& xbar, const Matrix& x,
                               const Matrix& m, const SinkhornOptions& opts,
                               bool with_grad);
 
-// Generalized form with separate masks for the two sides (used by tests and
-// by the DIM critic which transports feature-space embeddings).
+// Generalized form with separate masks and row counts for the two sides;
+// MsDivergence is this with both masks M. No production path calls it
+// directly (the DIM critic transports unmasked embeddings through
+// SinkhornLossBoth → SinkhornDivergence). It stays public because the
+// symmetry and row-permutation properties in tests/ot_property_test.cc need
+// independent masks and row counts, which MsDivergence cannot express.
 DivergenceResult MsDivergenceMasked(const Matrix& a, const Matrix& ma,
                                     const Matrix& b, const Matrix& mb,
                                     const SinkhornOptions& opts,

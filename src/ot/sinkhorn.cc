@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -325,25 +324,20 @@ class KernelSolve {
   uint64_t absorptions_ = 0;
 };
 
-// The weighted solve, with marginal validation hoisted to the public
-// wrapper: SolveSinkhorn's internally-built uniform marginals need not
-// re-run the sum check (n·(1/n) is not exactly 1.0 in floating point
-// anyway; positivity is by construction).
-SinkhornSolution SolveSinkhornWeightedImpl(const Matrix& cost,
-                                           const std::vector<double>& a,
-                                           const std::vector<double>& b,
-                                           const SinkhornOptions& opts,
-                                           bool symmetric_cost) {
+// The one solve behind every public entry point: uniform marginals
+// a_i = 1/n, b_j = 1/m, the only measures DIM, its critic and RRSI use.
+// symmetric_cost is set by SolveSinkhornSelf, whose cost is symmetric bit
+// for bit, so the first Gibbs kernel is built from one triangle.
+SinkhornSolution SolveUniform(const Matrix& cost, const SinkhornOptions& opts,
+                              bool symmetric_cost) {
   SCIS_TRACE_SPAN("sinkhorn.solve");
   const SinkhornMetrics& metrics = SinkhornMetrics::Get();
   const size_t n = cost.rows(), m = cost.cols();
   SCIS_CHECK_GT(n, 0u);
   SCIS_CHECK_GT(m, 0u);
-  SCIS_CHECK_EQ(a.size(), n);
-  SCIS_CHECK_EQ(b.size(), m);
   SCIS_CHECK_MSG(opts.lambda > 0, "Sinkhorn requires lambda > 0");
-  for (const double w : a) SCIS_CHECK_GT(w, 0.0);
-  for (const double w : b) SCIS_CHECK_GT(w, 0.0);
+  const std::vector<double> a(n, 1.0 / static_cast<double>(n));
+  const std::vector<double> b(m, 1.0 / static_cast<double>(m));
 
   KernelSolve solve(cost, a, b, opts.lambda, symmetric_cost);
   SinkhornSolution sol;
@@ -365,10 +359,7 @@ SinkhornSolution SolveSinkhornWeightedImpl(const Matrix& cost,
 
 SinkhornSolution SolveSinkhorn(const Matrix& cost,
                                const SinkhornOptions& opts) {
-  const size_t n = cost.rows(), m = cost.cols();
-  std::vector<double> a(n, 1.0 / static_cast<double>(n));
-  std::vector<double> b(m, 1.0 / static_cast<double>(m));
-  return SolveSinkhornWeightedImpl(cost, a, b, opts, /*symmetric_cost=*/false);
+  return SolveUniform(cost, opts, /*symmetric_cost=*/false);
 }
 
 SinkhornSolution SolveSinkhornSelf(const Matrix& points,
@@ -377,44 +368,7 @@ SinkhornSolution SolveSinkhornSelf(const Matrix& points,
     SCIS_TRACE_SPAN("ot.masked_cost");
     return PairwiseSquaredDistances(points, points);
   }();
-  const std::vector<double> a(points.rows(),
-                              1.0 / static_cast<double>(points.rows()));
-  return SolveSinkhornWeightedImpl(cost, a, a, opts, /*symmetric_cost=*/true);
-}
-
-Result<SinkhornSolution> SolveSinkhornWeighted(const Matrix& cost,
-                                               const std::vector<double>& a,
-                                               const std::vector<double>& b,
-                                               const SinkhornOptions& opts) {
-  if (a.size() != cost.rows() || b.size() != cost.cols()) {
-    return Status::InvalidArgument(
-        "Sinkhorn marginals must match the cost shape: |a| = " +
-        std::to_string(a.size()) + " vs rows = " +
-        std::to_string(cost.rows()) + ", |b| = " + std::to_string(b.size()) +
-        " vs cols = " + std::to_string(cost.cols()));
-  }
-  double sum_a = 0.0, sum_b = 0.0;
-  for (const double w : a) {
-    if (!(w > 0.0) || !std::isfinite(w)) {
-      return Status::InvalidArgument(
-          "Sinkhorn row marginal entries must be positive and finite");
-    }
-    sum_a += w;
-  }
-  for (const double w : b) {
-    if (!(w > 0.0) || !std::isfinite(w)) {
-      return Status::InvalidArgument(
-          "Sinkhorn column marginal entries must be positive and finite");
-    }
-    sum_b += w;
-  }
-  constexpr double kSumTol = 1e-6;
-  if (std::abs(sum_a - 1.0) > kSumTol || std::abs(sum_b - 1.0) > kSumTol) {
-    return Status::InvalidArgument(
-        "Sinkhorn marginals must sum to 1 (got Σa = " + std::to_string(sum_a) +
-        ", Σb = " + std::to_string(sum_b) + ")");
-  }
-  return SolveSinkhornWeightedImpl(cost, a, b, opts, /*symmetric_cost=*/false);
+  return SolveUniform(cost, opts, /*symmetric_cost=*/true);
 }
 
 SinkhornSolution SolveSinkhornMasked(const Matrix& a, const Matrix& ma,

@@ -23,7 +23,6 @@
 
 #include <vector>
 
-#include "common/status.h"
 #include "tensor/matrix.h"
 
 namespace scis {
@@ -51,15 +50,6 @@ struct SinkhornSolution {
 // Uniform-marginal solve: a_i = 1/n, b_j = 1/m.
 SinkhornSolution SolveSinkhorn(const Matrix& cost,
                                const SinkhornOptions& opts);
-
-// General marginals. `a` has cost.rows() entries, `b` cost.cols(); both
-// must be strictly positive, finite, and sum to 1 (within 1e-6 relative) —
-// violations return InvalidArgument instead of silently iterating on a
-// non-measure.
-Result<SinkhornSolution> SolveSinkhornWeighted(const Matrix& cost,
-                                               const std::vector<double>& a,
-                                               const std::vector<double>& b,
-                                               const SinkhornOptions& opts);
 
 // Self solve: OT_λ(points, points) with uniform marginals — exactly
 // SolveSinkhorn(PairwiseSquaredDistances(points, points), opts), bit for

@@ -29,51 +29,15 @@ Matrix Matrix::FromFlat(size_t rows, size_t cols, std::vector<double> flat) {
   return m;
 }
 
-Matrix Matrix::RowVector(const std::vector<double>& v) {
-  return FromFlat(1, v.size(), v);
-}
-
-Matrix Matrix::ColVector(const std::vector<double>& v) {
-  return FromFlat(v.size(), 1, v);
-}
-
 std::vector<double> Matrix::Row(size_t i) const {
   SCIS_CHECK_LT(i, rows_);
   return std::vector<double>(row_data(i), row_data(i) + cols_);
-}
-
-std::vector<double> Matrix::Col(size_t j) const {
-  SCIS_CHECK_LT(j, cols_);
-  std::vector<double> out(rows_);
-  for (size_t i = 0; i < rows_; ++i) out[i] = (*this)(i, j);
-  return out;
-}
-
-void Matrix::SetRow(size_t i, const std::vector<double>& v) {
-  SCIS_CHECK_LT(i, rows_);
-  SCIS_CHECK_EQ(v.size(), cols_);
-  std::copy(v.begin(), v.end(), row_data(i));
-}
-
-void Matrix::SetCol(size_t j, const std::vector<double>& v) {
-  SCIS_CHECK_LT(j, cols_);
-  SCIS_CHECK_EQ(v.size(), rows_);
-  for (size_t i = 0; i < rows_; ++i) (*this)(i, j) = v[i];
 }
 
 Matrix Matrix::RowRange(size_t r0, size_t r1) const {
   SCIS_CHECK(r0 <= r1 && r1 <= rows_);
   Matrix out(r1 - r0, cols_);
   std::copy(row_data(r0), row_data(r0) + (r1 - r0) * cols_, out.data());
-  return out;
-}
-
-Matrix Matrix::ColRange(size_t c0, size_t c1) const {
-  SCIS_CHECK(c0 <= c1 && c1 <= cols_);
-  Matrix out(rows_, c1 - c0);
-  for (size_t i = 0; i < rows_; ++i) {
-    std::copy(row_data(i) + c0, row_data(i) + c1, out.row_data(i));
-  }
   return out;
 }
 
@@ -84,12 +48,6 @@ Matrix Matrix::GatherRows(const std::vector<size_t>& idx) const {
     std::copy(row_data(idx[i]), row_data(idx[i]) + cols_, out.row_data(i));
   }
   return out;
-}
-
-void Matrix::Reshape(size_t rows, size_t cols) {
-  SCIS_CHECK_EQ(rows * cols, data_.size());
-  rows_ = rows;
-  cols_ = cols;
 }
 
 bool Matrix::AllClose(const Matrix& other, double atol) const {

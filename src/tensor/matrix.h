@@ -33,9 +33,6 @@ class Matrix {
   static Matrix Identity(size_t n);
   // Wraps an existing flat row-major buffer (copied).
   static Matrix FromFlat(size_t rows, size_t cols, std::vector<double> flat);
-  // Single-row / single-column constructors from a vector.
-  static Matrix RowVector(const std::vector<double>& v);
-  static Matrix ColVector(const std::vector<double>& v);
 
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
@@ -67,22 +64,15 @@ class Matrix {
   double* row_data(size_t i) { return data_.data() + i * cols_; }
   const double* row_data(size_t i) const { return data_.data() + i * cols_; }
 
-  // Copies of a row / column as plain vectors.
+  // Copy of a row as a plain vector.
   std::vector<double> Row(size_t i) const;
-  std::vector<double> Col(size_t j) const;
-  void SetRow(size_t i, const std::vector<double>& v);
-  void SetCol(size_t j, const std::vector<double>& v);
 
   // Returns rows [r0, r1) as a new matrix.
   Matrix RowRange(size_t r0, size_t r1) const;
-  // Returns columns [c0, c1) as a new matrix.
-  Matrix ColRange(size_t c0, size_t c1) const;
   // Gathers the given rows (indices may repeat) into a new matrix.
   Matrix GatherRows(const std::vector<size_t>& idx) const;
 
   void Fill(double v) { data_.assign(data_.size(), v); }
-  // Reshapes in place; total size must be preserved.
-  void Reshape(size_t rows, size_t cols);
 
   bool SameShape(const Matrix& other) const {
     return rows_ == other.rows_ && cols_ == other.cols_;

@@ -112,9 +112,6 @@ Matrix Sub(const Matrix& a, const Matrix& b) {
 Matrix Mul(const Matrix& a, const Matrix& b) {
   return BinaryOp(a, b, [](double x, double y) { return x * y; });
 }
-Matrix Div(const Matrix& a, const Matrix& b) {
-  return BinaryOp(a, b, [](double x, double y) { return x / y; });
-}
 
 void AddInPlace(Matrix& a, const Matrix& b) {
   SCIS_CHECK(a.SameShape(b));
@@ -189,34 +186,6 @@ Matrix AddRowBroadcast(const Matrix& a, const Matrix& row) {
   return out;
 }
 
-Matrix MulRowBroadcast(const Matrix& a, const Matrix& row) {
-  SCIS_CHECK(row.rows() == 1 && row.cols() == a.cols());
-  Matrix out = a;
-  runtime::ParallelFor(0, a.rows(), runtime::GrainForWork(a.rows(), a.cols()),
-                       [&](size_t ib, size_t ie) {
-    for (size_t i = ib; i < ie; ++i) {
-      double* p = out.row_data(i);
-      const double* r = row.data();
-      for (size_t j = 0; j < a.cols(); ++j) p[j] *= r[j];
-    }
-  });
-  return out;
-}
-
-Matrix AddColBroadcast(const Matrix& a, const Matrix& col) {
-  SCIS_CHECK(col.cols() == 1 && col.rows() == a.rows());
-  Matrix out = a;
-  runtime::ParallelFor(0, a.rows(), runtime::GrainForWork(a.rows(), a.cols()),
-                       [&](size_t ib, size_t ie) {
-    for (size_t i = ib; i < ie; ++i) {
-      double* p = out.row_data(i);
-      const double c = col(i, 0);
-      for (size_t j = 0; j < a.cols(); ++j) p[j] += c;
-    }
-  });
-  return out;
-}
-
 namespace {
 // Inlined-callable Map: cheap per-element lambdas (relu, square, clamp)
 // compile to straight loops here instead of paying a std::function call per
@@ -269,14 +238,8 @@ Matrix Exp(const Matrix& a) {
 Matrix Log(const Matrix& a) {
   return UnaryOp(a, [](double x) { return std::log(std::max(x, kLogFloor)); });
 }
-Matrix Sqrt(const Matrix& a) {
-  return UnaryOp(a, [](double x) { return std::sqrt(x); });
-}
 Matrix Square(const Matrix& a) {
   return UnaryOp(a, [](double x) { return x * x; });
-}
-Matrix Abs(const Matrix& a) {
-  return UnaryOp(a, [](double x) { return std::abs(x); });
 }
 Matrix Clamp(const Matrix& a, double lo, double hi) {
   return UnaryOp(a, [lo, hi](double x) { return std::clamp(x, lo, hi); });
@@ -322,19 +285,6 @@ Matrix ColSum(const Matrix& a) {
   }
   return out;
 }
-Matrix RowMean(const Matrix& a) {
-  SCIS_CHECK_GT(a.cols(), 0u);
-  Matrix out = RowSum(a);
-  MulScalarInPlace(out, 1.0 / static_cast<double>(a.cols()));
-  return out;
-}
-Matrix ColMean(const Matrix& a) {
-  SCIS_CHECK_GT(a.rows(), 0u);
-  Matrix out = ColSum(a);
-  MulScalarInPlace(out, 1.0 / static_cast<double>(a.rows()));
-  return out;
-}
-
 Matrix ConcatCols(const Matrix& a, const Matrix& b) {
   SCIS_CHECK_EQ(a.rows(), b.rows());
   Matrix out(a.rows(), a.cols() + b.cols());
@@ -343,14 +293,6 @@ Matrix ConcatCols(const Matrix& a, const Matrix& b) {
     std::copy(b.row_data(i), b.row_data(i) + b.cols(),
               out.row_data(i) + a.cols());
   }
-  return out;
-}
-
-Matrix ConcatRows(const Matrix& a, const Matrix& b) {
-  SCIS_CHECK_EQ(a.cols(), b.cols());
-  Matrix out(a.rows() + b.rows(), a.cols());
-  std::copy(a.data(), a.data() + a.size(), out.data());
-  std::copy(b.data(), b.data() + b.size(), out.data() + a.size());
   return out;
 }
 

@@ -20,7 +20,6 @@ Matrix Transpose(const Matrix& a);
 Matrix Add(const Matrix& a, const Matrix& b);
 Matrix Sub(const Matrix& a, const Matrix& b);
 Matrix Mul(const Matrix& a, const Matrix& b);  // Hadamard
-Matrix Div(const Matrix& a, const Matrix& b);
 void AddInPlace(Matrix& a, const Matrix& b);
 void SubInPlace(Matrix& a, const Matrix& b);
 void MulInPlace(Matrix& a, const Matrix& b);
@@ -32,10 +31,8 @@ Matrix AddScalar(const Matrix& a, double s);
 Matrix MulScalar(const Matrix& a, double s);
 void MulScalarInPlace(Matrix& a, double s);
 
-// ---- broadcast: b is 1 x a.cols() (row) or a.rows() x 1 (col) ----
+// ---- broadcast: row is 1 x a.cols() ----
 Matrix AddRowBroadcast(const Matrix& a, const Matrix& row);
-Matrix MulRowBroadcast(const Matrix& a, const Matrix& row);
-Matrix AddColBroadcast(const Matrix& a, const Matrix& col);
 
 // ---- maps ----
 Matrix Map(const Matrix& a, const std::function<double(double)>& f);
@@ -44,9 +41,7 @@ Matrix Relu(const Matrix& a);
 Matrix Tanh(const Matrix& a);
 Matrix Exp(const Matrix& a);
 Matrix Log(const Matrix& a);      // log(max(x, tiny)) to stay finite
-Matrix Sqrt(const Matrix& a);
 Matrix Square(const Matrix& a);
-Matrix Abs(const Matrix& a);
 Matrix Clamp(const Matrix& a, double lo, double hi);
 
 // ---- reductions ----
@@ -59,14 +54,10 @@ double FrobeniusNorm(const Matrix& a);
 double Dot(const Matrix& a, const Matrix& b);
 Matrix RowSum(const Matrix& a);   // (rows,1)
 Matrix ColSum(const Matrix& a);   // (1,cols)
-Matrix RowMean(const Matrix& a);  // (rows,1)
-Matrix ColMean(const Matrix& a);  // (1,cols)
 
 // ---- assembly ----
 // Concatenates matrices left-to-right (same row count).
 Matrix ConcatCols(const Matrix& a, const Matrix& b);
-// Concatenates top-to-bottom (same column count).
-Matrix ConcatRows(const Matrix& a, const Matrix& b);
 
 // Pairwise squared Euclidean distances between rows of a (n,d) and b (m,d),
 // returned as (n,m): max(|a_i|² + |b_j|² − 2·a_i·b_j, 0), the Sinkhorn

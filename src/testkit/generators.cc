@@ -85,9 +85,8 @@ MlpConfig GenMlpConfig(Rng& rng, size_t in_dim, size_t out_dim) {
   config.dims.push_back(out_dim);
   // Smooth activations only, so finite-difference oracles stay reliable
   // (relu kinks break central differences).
-  const Activation smooth[] = {Activation::kSigmoid, Activation::kTanh,
-                               Activation::kSoftplus};
-  config.hidden_act = smooth[rng.UniformIndex(3)];
+  const Activation smooth[] = {Activation::kSigmoid, Activation::kTanh};
+  config.hidden_act = smooth[rng.UniformIndex(2)];
   config.out_act =
       rng.Bernoulli(0.5) ? Activation::kSigmoid : Activation::kNone;
   config.init_seed = rng.NextU64();

@@ -102,7 +102,6 @@ TEST(GradCheckTest, Activations) {
   Matrix x0 = rng.NormalMatrix(3, 3);
   CheckGradient(x0, [](Tape&, Var x) { return Sum(Sigmoid(x)); });
   CheckGradient(x0, [](Tape&, Var x) { return Sum(Tanh(x)); });
-  CheckGradient(x0, [](Tape&, Var x) { return Sum(Softplus(x)); });
   CheckGradient(x0, [](Tape&, Var x) { return Sum(Exp(x)); });
   Matrix pos = rng.UniformMatrix(3, 3, 0.5, 2.0);
   CheckGradient(pos, [](Tape&, Var x) { return Sum(Log(x)); });
@@ -128,9 +127,6 @@ TEST(GradCheckTest, BroadcastAndConcat) {
   });
   CheckGradient(b0, [&](Tape& t, Var b) {
     return Sum(Square(ConcatCols(t.Constant(x0), b)));
-  });
-  CheckGradient(b0, [](Tape&, Var b) {
-    return Sum(Square(ColRange(b, 1, 3)));
   });
 }
 

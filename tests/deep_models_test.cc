@@ -144,6 +144,33 @@ TEST(MidaeImputerTest, MultipleImputationAveragesPasses) {
   EXPECT_LT(rmse, 1.1 * MeanRmse(b));  // sanity: not catastrophically bad
 }
 
+TEST(MidaeImputerTest, SeedVariesMissingCellsOnly) {
+  Rng rng(4);
+  Matrix x = rng.UniformMatrix(100, 3, 0, 1);
+  Matrix mask = rng.BernoulliMatrix(100, 3, 0.7);
+  Dataset data("mi", Mul(x, mask), mask, {});
+  auto impute = [&](uint64_t seed) {
+    MidaeImputerOptions o;
+    o.deep.epochs = 3;
+    o.deep.seed = seed;
+    MidaeImputer imp(o);
+    EXPECT_TRUE(imp.Fit(data).ok());
+    return imp.Impute(data);
+  };
+  const Matrix a = impute(1), b = impute(7920);
+  size_t differing = 0;
+  for (size_t k = 0; k < mask.size(); ++k) {
+    if (mask.data()[k] == 1.0) {
+      // Observed cells are copied through, whatever the seed.
+      EXPECT_EQ(a.data()[k], b.data()[k]);
+    } else if (a.data()[k] != b.data()[k]) {
+      ++differing;
+    }
+  }
+  // Missing cells follow the seed: the completions are stochastic.
+  EXPECT_GT(differing, 0u);
+}
+
 TEST(VaeiImputerTest, TrainsAndReconstructs) {
   Bench b = MakeBench(200);
   VaeImputerOptions o;

@@ -16,7 +16,6 @@ TEST(MetricsTest, MaskedRmseKnownValue) {
   Matrix mask{{1.0, 0.0}, {1.0, 1.0}};
   // Errors at masked cells: (1-2)=1, (3-3)=0, (5-1)=4 -> sqrt(17/3).
   EXPECT_NEAR(MaskedRmse(imp, truth, mask), std::sqrt(17.0 / 3.0), 1e-12);
-  EXPECT_NEAR(MaskedMae(imp, truth, mask), 5.0 / 3.0, 1e-12);
 }
 
 TEST(MetricsTest, EmptyMaskGivesZero) {

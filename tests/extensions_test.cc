@@ -1,5 +1,5 @@
 // Tests for the library extensions: the row-wise autodiff ops behind the
-// exact IWAE bound, one-hot encoding, and Rubin-rules pooling.
+// exact IWAE bound, and one-hot encoding.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,9 +7,7 @@
 #include "autodiff/grad_check.h"
 #include "autodiff/tape.h"
 #include "data/encoding.h"
-#include "eval/pooling.h"
 #include "models/mean_imputer.h"
-#include "models/midae_imputer.h"
 #include "models/vae_imputers.h"
 #include "tensor/rng.h"
 
@@ -39,24 +37,6 @@ TEST(RowOpsTest, RowSumValueAndGradient) {
   Var rs = RowSum(x);
   EXPECT_TRUE(rs.value().AllClose(Matrix{{6}, {15}}));
   CheckGradient(x0, [](Tape&, Var v) { return Sum(Square(RowSum(v))); });
-}
-
-TEST(RowOpsTest, MulColBroadcast) {
-  Matrix a0{{1, 2}, {3, 4}};
-  Matrix c0{{10}, {100}};
-  Tape tape;
-  Var a = tape.Leaf(a0);
-  Var c = tape.Constant(c0);
-  EXPECT_TRUE(MulColBroadcast(a, c).value().AllClose(
-      Matrix{{10, 20}, {300, 400}}));
-  // Large column magnitudes inflate finite-difference error; loosen tol.
-  CheckGradient(a0, [&](Tape& t, Var v) {
-    return Sum(Square(MulColBroadcast(v, t.Constant(c0))));
-  }, 1e-4);
-  // Gradient into the column too.
-  CheckGradient(c0, [&](Tape& t, Var v) {
-    return Sum(Square(MulColBroadcast(t.Constant(a0), v)));
-  }, 1e-4);
 }
 
 TEST(RowOpsTest, RowLogSumExpValue) {
@@ -176,51 +156,6 @@ TEST(OneHotTest, RejectsBadCodes) {
   Dataset d2("t", Matrix{{0.0}}, Matrix{{1.0}}, cols);
   OneHotEncoder enc2;
   EXPECT_FALSE(enc2.Fit(d2).ok());
-}
-
-TEST(PoolingTest, RubinRulesKnownValues) {
-  std::vector<Matrix> imps = {Matrix{{1.0}}, Matrix{{3.0}}};
-  Result<PooledImputation> p = PoolImputations(imps);
-  ASSERT_TRUE(p.ok());
-  EXPECT_DOUBLE_EQ(p->mean(0, 0), 2.0);
-  EXPECT_DOUBLE_EQ(p->between_var(0, 0), 2.0);  // ((1-2)²+(3-2)²)/(2-1)
-  EXPECT_DOUBLE_EQ(p->total_var(0, 0), 3.0);    // (1 + 1/2)·2
-}
-
-TEST(PoolingTest, RejectsDegenerateInput) {
-  EXPECT_FALSE(PoolImputations({Matrix{{1.0}}}).ok());
-  EXPECT_FALSE(
-      PoolImputations({Matrix{{1.0}}, Matrix{{1.0, 2.0}}}).ok());
-}
-
-TEST(PoolingTest, MultipleImputeWithStochasticImputer) {
-  Rng rng(4);
-  Matrix x = rng.UniformMatrix(100, 3, 0, 1);
-  Matrix mask = rng.BernoulliMatrix(100, 3, 0.7);
-  Matrix vals = Mul(x, mask);
-  Dataset data("mi", vals, mask, {});
-  Result<PooledImputation> p = MultipleImpute(
-      [](uint64_t seed) -> std::unique_ptr<Imputer> {
-        MidaeImputerOptions o;
-        o.deep.epochs = 3;
-        o.deep.seed = seed;
-        return std::make_unique<MidaeImputer>(o);
-      },
-      data, 3);
-  ASSERT_TRUE(p.ok());
-  EXPECT_EQ(p->num_imputations, 3);
-  // Observed cells agree across imputations: zero between-variance there.
-  for (size_t k = 0; k < mask.size(); ++k) {
-    if (mask.data()[k] == 1.0) {
-      EXPECT_NEAR(p->between_var.data()[k], 0.0, 1e-20);
-    }
-  }
-  // Missing cells carry genuine uncertainty.
-  double var_sum = 0;
-  for (size_t k = 0; k < mask.size(); ++k) {
-    if (mask.data()[k] == 0.0) var_sum += p->between_var.data()[k];
-  }
-  EXPECT_GT(var_sum, 0.0);
 }
 
 }  // namespace

@@ -37,11 +37,6 @@ TEST(MatrixTest, Identity) {
 TEST(MatrixTest, RowColAccessors) {
   Matrix m{{1, 2, 3}, {4, 5, 6}};
   EXPECT_EQ(m.Row(1), (std::vector<double>{4, 5, 6}));
-  EXPECT_EQ(m.Col(2), (std::vector<double>{3, 6}));
-  m.SetRow(0, {7, 8, 9});
-  EXPECT_DOUBLE_EQ(m(0, 2), 9);
-  m.SetCol(0, {0, 1});
-  EXPECT_DOUBLE_EQ(m(1, 0), 1);
 }
 
 TEST(MatrixTest, RangesAndGather) {
@@ -49,21 +44,11 @@ TEST(MatrixTest, RangesAndGather) {
   Matrix rr = m.RowRange(1, 3);
   EXPECT_EQ(rr.rows(), 2u);
   EXPECT_DOUBLE_EQ(rr(0, 0), 4);
-  Matrix cr = m.ColRange(1, 2);
-  EXPECT_EQ(cr.cols(), 1u);
-  EXPECT_DOUBLE_EQ(cr(2, 0), 8);
   Matrix g = m.GatherRows({2, 0, 2});
   EXPECT_EQ(g.rows(), 3u);
   EXPECT_DOUBLE_EQ(g(0, 0), 7);
   EXPECT_DOUBLE_EQ(g(1, 0), 1);
   EXPECT_DOUBLE_EQ(g(2, 2), 9);
-}
-
-TEST(MatrixTest, ReshapePreservesData) {
-  Matrix m{{1, 2, 3}, {4, 5, 6}};
-  m.Reshape(3, 2);
-  EXPECT_EQ(m.rows(), 3u);
-  EXPECT_DOUBLE_EQ(m(2, 1), 6);
 }
 
 TEST(MatrixTest, AllClose) {
@@ -96,7 +81,6 @@ TEST(MatrixOpsTest, ElementwiseBasics) {
   EXPECT_TRUE(Add(a, b).AllClose(Matrix{{3, 4}, {5, 6}}));
   EXPECT_TRUE(Sub(a, b).AllClose(Matrix{{-1, 0}, {1, 2}}));
   EXPECT_TRUE(Mul(a, b).AllClose(Matrix{{2, 4}, {6, 8}}));
-  EXPECT_TRUE(Div(a, b).AllClose(Matrix{{0.5, 1}, {1.5, 2}}));
 }
 
 TEST(MatrixOpsTest, InPlaceVariantsMatch) {
@@ -113,15 +97,11 @@ TEST(MatrixOpsTest, Broadcasts) {
   Matrix a{{1, 2}, {3, 4}};
   Matrix row{{10, 20}};
   EXPECT_TRUE(AddRowBroadcast(a, row).AllClose(Matrix{{11, 22}, {13, 24}}));
-  EXPECT_TRUE(MulRowBroadcast(a, row).AllClose(Matrix{{10, 40}, {30, 80}}));
-  Matrix col{{100}, {200}};
-  EXPECT_TRUE(AddColBroadcast(a, col).AllClose(Matrix{{101, 102}, {203, 204}}));
 }
 
 TEST(MatrixOpsTest, MapsAndClamp) {
   Matrix a{{-1, 0, 2}};
   EXPECT_TRUE(Relu(a).AllClose(Matrix{{0, 0, 2}}));
-  EXPECT_TRUE(Abs(a).AllClose(Matrix{{1, 0, 2}}));
   EXPECT_TRUE(Clamp(a, -0.5, 1.0).AllClose(Matrix{{-0.5, 0, 1}}));
   Matrix s = Sigmoid(Matrix{{0.0}});
   EXPECT_DOUBLE_EQ(s(0, 0), 0.5);
@@ -145,17 +125,12 @@ TEST(MatrixOpsTest, Reductions) {
   EXPECT_DOUBLE_EQ(Dot(a, a), 30.0);
   EXPECT_TRUE(RowSum(a).AllClose(Matrix{{3}, {7}}));
   EXPECT_TRUE(ColSum(a).AllClose(Matrix{{4, 6}}));
-  EXPECT_TRUE(RowMean(a).AllClose(Matrix{{1.5}, {3.5}}));
-  EXPECT_TRUE(ColMean(a).AllClose(Matrix{{2, 3}}));
 }
 
 TEST(MatrixOpsTest, Concat) {
   Matrix a{{1, 2}}, b{{3}};
   Matrix c = ConcatCols(a, b);
   EXPECT_TRUE(c.AllClose(Matrix{{1, 2, 3}}));
-  Matrix d = ConcatRows(Matrix{{1, 2}}, Matrix{{3, 4}, {5, 6}});
-  EXPECT_EQ(d.rows(), 3u);
-  EXPECT_DOUBLE_EQ(d(2, 1), 6);
 }
 
 class PairwiseDistTest : public ::testing::TestWithParam<int> {};

@@ -4,13 +4,11 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/status.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "ot/divergence.h"
@@ -72,49 +70,6 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(8, 8, 1.0), std::make_tuple(16, 4, 5.0),
                       std::make_tuple(32, 32, 130.0),
                       std::make_tuple(3, 17, 0.05)));
-
-TEST(SinkhornTest, WeightedMarginals) {
-  Matrix c{{0.0, 1.0}, {1.0, 0.0}};
-  std::vector<double> a{0.7, 0.3}, b{0.4, 0.6};
-  Result<SinkhornSolution> res = SolveSinkhornWeighted(c, a, b, Opts(0.2));
-  ASSERT_TRUE(res.ok());
-  const SinkhornSolution& s = *res;
-  double r0 = s.plan(0, 0) + s.plan(0, 1);
-  double c1 = s.plan(0, 1) + s.plan(1, 1);
-  EXPECT_NEAR(r0, 0.7, 1e-8);
-  EXPECT_NEAR(c1, 0.6, 1e-8);
-}
-
-TEST(SinkhornTest, WeightedRejectsInvalidMarginals) {
-  Matrix c{{0.0, 1.0}, {1.0, 0.0}};
-  SinkhornOptions opts;
-  opts.lambda = 0.5;
-
-  auto expect_invalid = [&](const std::vector<double>& a,
-                            const std::vector<double>& b, const char* what) {
-    const Result<SinkhornSolution> res = SolveSinkhornWeighted(c, a, b, opts);
-    ASSERT_FALSE(res.ok()) << what;
-    EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument) << what;
-  };
-
-  expect_invalid({0.7, 0.3, 0.1}, {0.5, 0.5}, "wrong row-marginal size");
-  expect_invalid({0.7, 0.3}, {0.5}, "wrong col-marginal size");
-  expect_invalid({-0.2, 1.2}, {0.5, 0.5}, "negative entry");
-  expect_invalid({0.0, 1.0}, {0.5, 0.5}, "zero entry");
-  expect_invalid({std::nan(""), 0.5}, {0.5, 0.5}, "NaN entry");
-  expect_invalid({0.5, 0.5},
-                 {std::numeric_limits<double>::infinity(), 0.5}, "inf entry");
-  expect_invalid({0.6, 0.3}, {0.5, 0.5}, "rows do not sum to 1");
-  expect_invalid({0.5, 0.5}, {0.8, 0.8}, "cols do not sum to 1");
-
-  // Regression guard: valid marginals still solve (and keep solving after
-  // the Result<> migration).
-  const Result<SinkhornSolution> ok =
-      SolveSinkhornWeighted(c, {0.7, 0.3}, {0.4, 0.6}, opts);
-  ASSERT_TRUE(ok.ok());
-  EXPECT_TRUE(ok->converged);
-  EXPECT_NEAR(ok->plan(0, 0) + ok->plan(0, 1), 0.7, 1e-8);
-}
 
 TEST(SinkhornTest, LargeLambdaApproachesIndependentPlan) {
   // As λ→∞ the entropic optimum is the product of marginals.

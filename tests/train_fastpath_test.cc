@@ -56,8 +56,6 @@ Var ApplyAct(Activation act, Var v) {
       return Relu(v);
     case Activation::kTanh:
       return Tanh(v);
-    case Activation::kSoftplus:
-      return Softplus(v);
   }
   return v;
 }
@@ -222,8 +220,7 @@ TEST(FusedLinearTest, MatchesUnfusedCompositionBitwise) {
                              {1000, 18, 9}, {64, 128, 64}, {37, 64, 65},
                              {5, 3, 70}};
   const Activation acts[] = {Activation::kNone, Activation::kSigmoid,
-                             Activation::kRelu, Activation::kTanh,
-                             Activation::kSoftplus};
+                             Activation::kRelu, Activation::kTanh};
   // The row chunks (and so the activation passes) are shape-derived; the
   // thread count only changes which thread runs each chunk.
   for (const int threads : {1, 2, 4}) {
