@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Alternating A/B runs of the repository benchmark (perfbench/run.py)
-# between two commits.
+# between two commits, with a code-placement control.
 #
 #   scripts/perf_ab.sh BASE HEAD [workload...]
 #
@@ -9,32 +9,37 @@
 # ones BENCHMARK.json lists.
 #
 # Each commit is exported with `git archive` into its own directory under
-# $AB_DIR and built there by one `perfbench/run.py --self-test`. Then, per
-# workload and per seed SEED0 .. SEED0+9 (ten pairs), it runs
-# `perfbench/run.py --workload W --seed S --seconds T` once on each tree,
-# with T the `run_seconds` of BENCHMARK.json. The order alternates from
-# pair to pair (base first on even pairs, head first on odd ones), so drift
-# in host speed hits both sides alike. Every run's output is kept in
+# $AB_DIR and built there by one `perfbench/run.py --self-test`. A third
+# side, "pad", is BASE exported again with PAD_BYTES bytes of cold code
+# (never called) appended to src/common/status.cc in that copy only: the
+# same program with every later function moved. Then, per workload and per
+# seed SEED0 .. SEED0+9 (ten pairs), it runs
+# `perfbench/run.py --workload W --seed S --seconds T` once on each side,
+# with T the `run_seconds` of BENCHMARK.json. Head runs second; base runs
+# first on even pairs and last on odd ones, and pad takes the other end, so
+# drift in host speed hits every side alike. Every run's output is kept in
 # $AB_DIR/logs.
 #
 # It prints, per workload and metric, the median [q1, q3] of each side,
 # the median change, and "head lower in k/N" pairs. Raw CPU per op
 # (before the reference-loop normalisation) is printed next to
-# norm_cpu_ms_per_op, with each side's median raw/normalised ratio. The
-# normalisation divides by the time of perfbench's fixed reference loop,
-# whose speed can depend on where the linker placed it, so the address of
-# `(anonymous namespace)::ReferenceMs()` in each side's binary (`nm -C`) is
-# printed too: a ratio that moves with the address is placement, not code.
-# Exits 1 if `rmse` differs between the two sides on any seed, if any run
-# has a nonzero fail_ratio, or if a run fails.
+# norm_cpu_ms_per_op, with each side's median raw/normalised ratio. For
+# both, it prints the placement shift (pad against base: code that did not
+# change, moved) beside the claim: a head change counts only when its
+# median gap is larger than both the base quartile spread and that shift.
+# The normalisation divides by the time of perfbench's fixed reference
+# loop, whose speed can depend on where the linker placed it, so the
+# address of `(anonymous namespace)::ReferenceMs()` in each side's binary
+# (`nm -C`) is printed too. Exits 1 if `rmse` differs between any two
+# sides on a seed, if any run has a nonzero fail_ratio, or if a run fails.
 #
 # Environment: SEED0 (1; pick seeds the change was not tuned on) and
 # AB_DIR (${TMPDIR:-/tmp}/perf_ab). A run of both workloads takes about
-# 30 minutes.
+# 45 minutes.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-  sed -n '2,33p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,38p' "$0" | sed 's/^# \{0,1\}//'
   exit 2
 fi
 cd "$(dirname "$0")/.."
@@ -50,20 +55,28 @@ fi
 RUN_SECONDS=$(python3 -c \
   "import json; print(json.load(open('BENCHMARK.json'))['run_seconds'])")
 PAIRS=10
+PAD_BYTES=1040  # cold code in the pad side; not a multiple of a cache line
 SEED0="${SEED0:-1}"
 AB_DIR="${AB_DIR:-${TMPDIR:-/tmp}/perf_ab}"
 LOGS="$AB_DIR/logs"
 mkdir -p "$LOGS"
 
 # Exports a commit into $AB_DIR/<side> (kept across invocations while the
-# commit is unchanged, so its .bench_build is reused) and builds it.
+# commit and pad are unchanged, so its .bench_build is reused) and builds
+# it. A nonzero third argument appends that many bytes of cold code to the
+# exported src/common/status.cc.
 prepare() {
-  local side=$1 rev=$2 dir="$AB_DIR/$1"
-  if [ "$(cat "$dir/.rev" 2>/dev/null)" != "$rev" ]; then
+  local side=$1 rev=$2 pad=${3:-0} dir="$AB_DIR/$1"
+  if [ "$(cat "$dir/.rev" 2>/dev/null)" != "$rev pad $pad" ]; then
     rm -rf "$dir"
     mkdir -p "$dir"
     git archive "$rev" | tar -x -C "$dir"
-    echo "$rev" > "$dir/.rev"
+    if ((pad > 0)); then
+      printf '%s\n' \
+        'extern "C" __attribute__((cold, used, noinline)) void ScisPerfAbPad() {' \
+        "  asm volatile(\".skip $pad, 0x90\");" '}' >> "$dir/src/common/status.cc"
+    fi
+    echo "$rev pad $pad" > "$dir/.rev"
   fi
   echo "building $side (${rev:0:12}) in $dir"
   (cd "$dir" && python3 perfbench/run.py --self-test > "$LOGS/build-$side.txt" 2>&1) || {
@@ -74,6 +87,7 @@ prepare() {
 }
 prepare base "$BASE_REV"
 prepare head "$HEAD_REV"
+prepare pad "$BASE_REV" "$PAD_BYTES"
 
 # Where the linker placed the reference loop in each side's perfbench.
 reference_placement() {
@@ -84,7 +98,8 @@ reference_placement() {
                   sub(/^0+/, "", $1); print "0x" $1; exit}')
   echo "$side ReferenceMs() at ${addr:-unknown (nm found no symbol)}"
 }
-PLACEMENT="$(reference_placement base; reference_placement head)"
+PLACEMENT="$(reference_placement base; reference_placement head
+             reference_placement pad)"
 echo "$PLACEMENT"
 
 status=0
@@ -102,15 +117,18 @@ for w in "${WORKLOADS[@]}"; do
     echo "$w: pair $((i + 1))/$PAIRS (seed $seed)"
     if ((i % 2 == 0)); then
       run_one base "$w" "$seed"; run_one head "$w" "$seed"
+      run_one pad "$w" "$seed"
     else
-      run_one head "$w" "$seed"; run_one base "$w" "$seed"
+      run_one pad "$w" "$seed"; run_one head "$w" "$seed"
+      run_one base "$w" "$seed"
     fi
   done
 done
 
 echo
-echo "perf_ab: base ${BASE_REV:0:12}, head ${HEAD_REV:0:12}," \
-  "$PAIRS pairs of $RUN_SECONDS s, seeds $SEED0..$((SEED0 + PAIRS - 1))"
+echo "perf_ab: base ${BASE_REV:0:12}, head ${HEAD_REV:0:12}, pad = base +" \
+  "$PAD_BYTES cold bytes, $PAIRS pairs of $RUN_SECONDS s," \
+  "seeds $SEED0..$((SEED0 + PAIRS - 1))"
 echo "$PLACEMENT"
 python3 - "$LOGS" "$PAIRS" "$SEED0" "${WORKLOADS[@]}" <<'EOF' || status=1
 import json, re, statistics, sys
@@ -148,16 +166,16 @@ ok = True
 for w in workloads:
     runs = []
     for s in range(seed0, seed0 + pairs):
-        b, h = load("base", w, s), load("head", w, s)
-        if b is None or h is None:
+        b, h, p = load("base", w, s), load("head", w, s), load("pad", w, s)
+        if b is None or h is None or p is None:
             print("  %s seed %d: missing result" % (w, s))
             ok = False
             continue
-        runs.append((s, b, h))
+        runs.append((s, b, h, p))
     print("\nworkload %s: %d complete pairs" % (w, len(runs)))
     if not runs:
         continue
-    names = [k for k in runs[0][1][0] if k in runs[0][2][0]]
+    names = [k for k in runs[0][1][0] if k in runs[0][2][0] and k in runs[0][3][0]]
     order = ["norm_cpu_ms_per_op", "raw_cpu_ms_per_op"]
     names = [n for n in order if n in names] + sorted(n for n in names if n not in order)
     print("  %-22s %-30s %-30s %9s %12s" % ("metric", "base median [q1, q3]",
@@ -173,20 +191,27 @@ for w in workloads:
             n, "%.4g [%.4g, %.4g]" % (bm, bq1, bq3),
             "%.4g [%.4g, %.4g]" % (hm, hq1, hq3), change,
             "%d/%d" % (lower, len(runs))))
-        if n == "norm_cpu_ms_per_op":
-            gap, spread = abs(bm - hm), bq3 - bq1
-            print("  %-22s median gap %.4g vs base quartile spread %.4g: %s" % (
-                "", gap, spread, "gap larger" if gap > spread else "within spread"))
+        if n in order:
+            pm = quartiles([r[3][0][n] for r in runs])[0]
+            gap, spread, shift = abs(bm - hm), bq3 - bq1, abs(pm - bm)
+            print("  %-22s placement shift (pad vs base) %+.1f%%" % (
+                "", 100.0 * (pm - bm) / bm if bm else 0.0))
+            print("  %-22s median gap %.4g vs base quartile spread %.4g and "
+                  "placement shift %.4g: %s" % (
+                      "", gap, spread, shift,
+                      "gap larger than both" if gap > max(spread, shift)
+                      else "not larger than both"))
         if n == "raw_cpu_ms_per_op" and "norm_cpu_ms_per_op" in names:
             ratio = lambda side: statistics.median(
                 r[side][0][n] / r[side][0]["norm_cpu_ms_per_op"] for r in runs)
-            print("  %-22s median raw/normalised: base %.4g, head %.4g" % (
-                "", ratio(1), ratio(2)))
-    diff = [r[0] for r in runs if r[1][0].get("rmse") != r[2][0].get("rmse")]
+            print("  %-22s median raw/normalised: base %.4g, head %.4g, pad %.4g" % (
+                "", ratio(1), ratio(2), ratio(3)))
+    diff = [r[0] for r in runs
+            if not r[1][0].get("rmse") == r[2][0].get("rmse") == r[3][0].get("rmse")]
     print("  rmse bit-identical per seed: %s" % (
         "yes" if not diff else "NO (seeds %s)" % diff))
     bad = ["%s seed %d: fail_ratio %g%s" % (side, r[0], res[1], "" if res[2] else ", check failed")
-           for r in runs for side, res in (("base", r[1]), ("head", r[2]))
+           for r in runs for side, res in (("base", r[1]), ("head", r[2]), ("pad", r[3]))
            if res[1] != 0 or not res[2]]
     print("  fail_ratio 0 and checks passed on every run: %s" % ("yes" if not bad else "NO"))
     for line in bad:

@@ -23,6 +23,13 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+// Side tiles at or below this fill (observed cells over rows × columns) are
+// scanned as coordinate lists, denser ones as dense tiles. Side rows observe
+// at most half the columns, so side tiles are at most half full. At d = 64
+// lists were faster up to about 30% fill and slower from about 40%
+// (EXPERIMENTS.md, "Side-list coordinate lists").
+constexpr double kSideListMaxFill = 1.0 / 3.0;
+
 // splitmix64-style stream splitter: the seed for child `salt` of a node
 // seeded with `s`. Depends only on (s, salt), never on execution order or
 // thread count.
@@ -294,43 +301,81 @@ AnnIndex AnnIndex::Build(const Matrix& values, const Matrix& mask,
       ->Set(static_cast<double>(idx.depth()));
   obs::Registry::Global().GetGauge("index.last_build_side_rows")
       ->Set(static_cast<double>(idx.side_rows_.size()));
+  obs::Registry::Global().GetGauge("index.last_build_list_tiles")
+      ->Set(static_cast<double>(std::count_if(
+          idx.side_tiles_.begin(), idx.side_tiles_.end(),
+          [](const SideTile& t) { return t.lists; })));
   return idx;
 }
 
-// Copies rows into one packed block — the tree rows in leaf order, then the
-// side rows — as tiles: each leaf, and the side list, is cut into pieces of
-// at most kMaskedScanChunk rows, and each piece is stored coordinate-major.
-// A leaf scan then streams one contiguous stretch instead of gathering
-// scattered rows (at large n the scattered gather is the difference between
-// beating the perfectly sequential brute-force loop and losing to it), and
-// a query touches only the runs of the coordinates it observes. Missing
-// cells pack as +0.0 so that every term the scan adds for them is an exact
-// +0.0 (see kernels/masked_distance.h).
+// Copies rows into the scan storage as tiles: each leaf, and the side list,
+// is cut into pieces of at most kMaskedScanChunk rows. Leaf tiles, and side
+// tiles denser than kSideListMaxFill, are stored coordinate-major in one
+// packed block, the tree rows in leaf order first. A leaf scan then streams
+// one contiguous stretch instead of gathering scattered rows (at large n the
+// scattered gather is the difference between beating the perfectly
+// sequential brute-force loop and losing to it), and a query touches only
+// the runs of the coordinates it observes. Missing cells pack as +0.0 so
+// that every term the scan adds for them is an exact +0.0. Sparser side
+// tiles keep only their observed cells, as one list per coordinate, so a
+// scan skips those +0.0 terms instead of adding them (see
+// kernels/masked_distance.h).
 void AnnIndex::PackRows() {
   constexpr size_t kChunk = kernels::kMaskedScanChunk;
-  const size_t n = values_.rows(), d = values_.cols();
-  const size_t tree_rows = row_ids_.size();
-  packed_cols_.assign(n * d, 0.0);
-  packed_weights_.assign(n * d, 0.0);
-  auto pack = [&](size_t begin, size_t end) {  // one leaf, or the side list
-    for (size_t s = begin; s < end; s += kChunk) {
-      const size_t len = std::min(kChunk, end - s);
-      for (size_t p = s; p < s + len; ++p) {
-        const size_t r =
-            p < tree_rows ? row_ids_[p] : side_rows_[p - tree_rows];
-        const size_t at = s * d + (p - s);
-        for (size_t j = 0; j < d; ++j) {
-          if (mask_(r, j) != 1.0) continue;
-          packed_cols_[at + j * len] = values_(r, j);
-          packed_weights_[at + j * len] = 1.0;
-        }
+  static_assert(kChunk <= 256, "list positions are one byte");
+  const size_t d = values_.cols();
+  packed_cols_.clear();
+  packed_weights_.clear();
+  side_tiles_.clear();
+  list_starts_.clear();
+  list_pos_.clear();
+  list_vals_.clear();
+  // Appends rows ids[0, len) as one dense tile; returns its first element.
+  auto pack_dense = [&](const size_t* ids, size_t len) {
+    const size_t at = packed_cols_.size();
+    packed_cols_.resize(at + len * d, 0.0);
+    packed_weights_.resize(at + len * d, 0.0);
+    for (size_t i = 0; i < len; ++i) {
+      for (size_t j = 0; j < d; ++j) {
+        if (mask_(ids[i], j) != 1.0) continue;
+        packed_cols_[at + j * len + i] = values_(ids[i], j);
+        packed_weights_[at + j * len + i] = 1.0;
       }
     }
+    return at;
   };
   for (const Node& node : nodes_) {
-    if (node.children.empty()) pack(node.begin, node.end);
+    if (!node.children.empty()) continue;
+    for (size_t s = node.begin; s < node.end; s += kChunk) {
+      pack_dense(row_ids_.data() + s, std::min(kChunk, node.end - s));
+    }
   }
-  pack(tree_rows, n);
+  for (size_t s = 0; s < side_rows_.size(); s += kChunk) {
+    const size_t* ids = side_rows_.data() + s;
+    SideTile tile;
+    tile.len = std::min(kChunk, side_rows_.size() - s);
+    size_t observed = 0;
+    for (size_t i = 0; i < tile.len; ++i) {
+      for (size_t j = 0; j < d; ++j) observed += mask_(ids[i], j) == 1.0;
+    }
+    tile.lists = static_cast<double>(observed) <=
+                 kSideListMaxFill * static_cast<double>(tile.len * d);
+    if (tile.lists) {
+      tile.at = list_starts_.size();
+      for (size_t j = 0; j < d; ++j) {
+        list_starts_.push_back(list_pos_.size());
+        for (size_t i = 0; i < tile.len; ++i) {
+          if (mask_(ids[i], j) != 1.0) continue;
+          list_pos_.push_back(static_cast<uint8_t>(i));
+          list_vals_.push_back(values_(ids[i], j));
+        }
+      }
+      list_starts_.push_back(list_pos_.size());
+    } else {
+      tile.at = pack_dense(ids, tile.len);
+    }
+    side_tiles_.push_back(tile);
+  }
 }
 
 size_t AnnIndex::num_leaves() const {
@@ -374,51 +419,76 @@ void AnnIndex::SearchInto(const double* query, const double* query_mask,
   }
   if (observed.empty()) return;  // at +inf from every row
 
-  auto worse = [](const Neighbor& a, const Neighbor& b) {
-    return NeighborLess(a, b);  // max-heap: worst candidate on top
-  };
-  std::priority_queue<Neighbor, std::vector<Neighbor>, decltype(worse)> top(
-      worse);
+  // The best (distance, row) candidates seen so far, ascending, at most k.
+  std::vector<Neighbor>& top = *out;
   // Distance of the k-th best candidate held, +inf until k are held: a row
   // farther than it cannot enter, so one well-predicted compare skips it.
   double kth = kInf;
   size_t visited = 0, scanned = 0;
   constexpr size_t kChunk = kernels::kMaskedScanChunk;
-  double acc[kChunk] = {}, cnt[kChunk] = {}, dist[kChunk] = {};
-  // Scans `count` packed rows from packed position `first` — one leaf or
-  // the side list, the runs PackRows tiles; ids[i] is the row id of packed
-  // row first + i. The one scan routine behind leaf, side-list and full
-  // scans: per tile, the kernel accumulates the observed coordinates, then
-  // rows are offered to the top k in packed order.
-  auto scan = [&](const size_t* ids, size_t first, size_t count) {
-    scanned += count;
-    if (exclude != kNoExclude) scanned -= std::count(ids, ids + count, exclude);
-    for (size_t c = 0; c < count; c += kChunk) {
-      const size_t len = std::min(kChunk, count - c), at = (first + c) * d;
-      std::fill_n(acc, len, 0.0);
-      std::fill_n(cnt, len, 0.0);
-      for (const size_t j : observed) {
-        kernels::MaskedDistanceAccumulate(query[j], &packed_cols_[at + j * len],
-                                          &packed_weights_[at + j * len], len,
-                                          acc, cnt);
+  double acc[kChunk], cnt[kChunk], dist[kChunk];
+  // Finishes the distances of one tile's `len` rows from acc/cnt and offers
+  // them to the top k in packed order; ids[i] is the row id of tile row i.
+  auto offer = [&](const size_t* ids, size_t len) {
+    kernels::MaskedDistanceFinish(acc, cnt, len, dist);
+    for (size_t i = 0; i < len; ++i) {
+      if (dist[i] > kth || std::isinf(dist[i]) || ids[i] == exclude) continue;
+      const Neighbor cand{ids[i], dist[i]};
+      if (top.size() == opts.k) {
+        if (!NeighborLess(cand, top.back())) continue;
+        top.pop_back();
       }
-      kernels::MaskedDistanceFinish(acc, cnt, len, dist);
-      for (size_t i = 0; i < len; ++i) {
-        if (dist[i] > kth || std::isinf(dist[i]) || ids[c + i] == exclude) {
-          continue;
-        }
-        const Neighbor cand{ids[c + i], dist[i]};
-        if (top.size() < opts.k) {
-          top.push(cand);
-        } else if (NeighborLess(cand, top.top())) {
-          top.pop();
-          top.push(cand);
-        }
-        if (top.size() == opts.k) kth = top.top().distance;
-      }
+      top.insert(std::upper_bound(top.begin(), top.end(), cand, NeighborLess),
+                 cand);
+      if (top.size() == opts.k) kth = top.back().distance;
     }
   };
-  const size_t tree_rows = row_ids_.size();
+  auto count_scanned = [&](const size_t* ids, size_t count) {
+    scanned += count;
+    if (exclude != kNoExclude) scanned -= std::count(ids, ids + count, exclude);
+  };
+  // One dense tile of `len` rows at element `at` of the packed block: the
+  // kernel accumulates the observed coordinates with the rows in SIMD lanes.
+  auto scan_dense = [&](const size_t* ids, size_t at, size_t len) {
+    std::fill_n(acc, len, 0.0);
+    std::fill_n(cnt, len, 0.0);
+    for (const size_t j : observed) {
+      kernels::MaskedDistanceAccumulate(query[j], &packed_cols_[at + j * len],
+                                        &packed_weights_[at + j * len], len,
+                                        acc, cnt);
+    }
+    offer(ids, len);
+  };
+  auto scan_leaf = [&](const Node& node) {
+    const size_t* ids = row_ids_.data() + node.begin;
+    count_scanned(ids, node.end - node.begin);
+    for (size_t s = node.begin; s < node.end; s += kChunk) {
+      scan_dense(ids + (s - node.begin), s * d, std::min(kChunk, node.end - s));
+    }
+  };
+  // The side list, tile by tile; a list tile scatters each observed
+  // coordinate's entries into the rows that observe it.
+  auto scan_side = [&] {
+    const size_t* ids = side_rows_.data();
+    count_scanned(ids, side_rows_.size());
+    for (const SideTile& tile : side_tiles_) {
+      if (tile.lists) {
+        std::fill_n(acc, tile.len, 0.0);
+        std::fill_n(cnt, tile.len, 0.0);
+        const size_t* starts = list_starts_.data() + tile.at;
+        for (const size_t j : observed) {
+          kernels::MaskedDistanceScatter(
+              query[j], list_pos_.data() + starts[j],
+              list_vals_.data() + starts[j], starts[j + 1] - starts[j], acc,
+              cnt);
+        }
+        offer(ids, tile.len);
+      } else {
+        scan_dense(ids, tile.at, tile.len);
+      }
+      ids += tile.len;
+    }
+  };
 
   if (observed.size() <= sparse_obs_threshold_) {
     // A sparse query's neighbors are ranked by one or two coordinates — they
@@ -427,15 +497,12 @@ void AnnIndex::SearchInto(const double* query, const double* query_mask,
     // strict total order, so the top k do not depend on the scan order.
     sparse_queries->Add(1);
     for (const Node& node : nodes_) {
-      if (node.children.empty()) {
-        scan(row_ids_.data() + node.begin, node.begin, node.end - node.begin);
-      }
+      if (node.children.empty()) scan_leaf(node);
     }
-    scan(side_rows_.data(), tree_rows, side_rows_.size());
+    scan_side();
   } else {
     // Best-bin-first: a min-heap over (centroid distance, node id) decides
-    // which subtree to open next; ties open the lower node id. Candidates
-    // keep the best (distance, row) k seen so far in a max-heap.
+    // which subtree to open next; ties open the lower node id.
     using HeapEntry = std::pair<double, size_t>;
     std::priority_queue<HeapEntry, std::vector<HeapEntry>,
                         std::greater<HeapEntry>>
@@ -448,7 +515,7 @@ void AnnIndex::SearchInto(const double* query, const double* query_mask,
       const Node& node = nodes_[ni];
       if (node.children.empty()) {
         ++visited;
-        scan(row_ids_.data() + node.begin, node.begin, node.end - node.begin);
+        scan_leaf(node);
       } else {
         for (const size_t child : node.children) {
           frontier.push({kernels::MaskedRowToDenseDistance(
@@ -457,16 +524,10 @@ void AnnIndex::SearchInto(const double* query, const double* query_mask,
         }
       }
     }
-    scan(side_rows_.data(), tree_rows, side_rows_.size());
+    scan_side();
   }
   leaf_visits->Add(visited);
   rows_scanned->Add(scanned);
-
-  out->resize(top.size());
-  for (size_t i = top.size(); i-- > 0;) {
-    (*out)[i] = top.top();
-    top.pop();
-  }
 }
 
 std::vector<Neighbor> AnnIndex::Search(const double* query,

@@ -33,20 +33,25 @@
 // row is a side row and nearly every query is sparse, so each search is an
 // exact scan of the whole index.
 //
-// Scans: the tree rows (in leaf order) and the side rows are copied into
-// one packed block of tiles: each leaf, and the side list, is cut into
-// pieces of at most 256 rows. Each tile is stored coordinate-major: for
+// Scans: each leaf, and the side list, is cut into tiles of at most 256
+// rows. Leaf tiles are stored coordinate-major in one packed block: for
 // each coordinate, the values of the tile's rows in one contiguous run
 // (+0.0 where a row misses it) beside a run of their {0,1} weights. A leaf
 // is thus one contiguous stretch of memory, which keeps wide, dense leaf
-// scans on large, memory-resident indexes streaming (EXPERIMENTS.md).
-// Leaf scans, the side-list scan and the sparse-query full scan are one
-// routine over that block. It walks its rows tile by tile; per tile it
-// accumulates only the query's observed coordinates, in ascending order,
-// with the rows in SIMD lanes (kernels/masked_distance.h) — about 12 of 64
-// coordinates on the Search shape — and every distance is the same double
-// the array form of the metric returns, so results do not depend on which
-// form or scan order computed them. The block costs 16·d bytes per row.
+// scans on large, memory-resident indexes streaming (EXPERIMENTS.md), at
+// 16·d bytes per row. A side tile is stored the same way when it is more
+// than a third full; a sparser one keeps only its observed cells, as
+// one list per coordinate of (1-byte tile position, value) pairs, at 9
+// bytes per observed cell. Leaf scans, the side-list scan and the
+// sparse-query full scan walk their rows tile by tile; per tile they take
+// only the query's observed coordinates, in ascending order — about 12 of
+// 64 on the Search shape — with the rows in SIMD lanes for a dense tile,
+// or scattered into the rows that observe each coordinate for a list tile
+// (kernels/masked_distance.h). A side row of the Search shape observes
+// about 19% of the coordinates, so a list tile skips about 81% of a dense
+// tile's row-coordinate terms, each an exact +0.0. Every distance is the
+// same double the array form of the metric returns, so results do not
+// depend on which form or scan order computed them.
 //
 // Exactness: with SearchOptions::max_leaf_visits == 0 every leaf is scanned
 // and the result equals the brute-force oracle exactly (the mask-aware
@@ -55,6 +60,7 @@
 #ifndef SCIS_INDEX_ANN_INDEX_H_
 #define SCIS_INDEX_ANN_INDEX_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -179,19 +185,37 @@ class AnnIndex {
   // side_rows_ this partitions 0..n-1.
   std::vector<size_t> row_ids_;
   std::vector<size_t> side_rows_;  // sparse rows, scanned on every search
-  // The packed block every scan streams: packed row p < row_ids_.size() is
-  // row row_ids_[p] (leaf order), and the side rows follow in side_rows_
-  // order. Each leaf, and the side list, is cut into tiles of at most
-  // kernels::kMaskedScanChunk rows; within a tile of L rows starting at
-  // packed row s, coordinate j of packed row p sits at s * d + j * L +
-  // (p - s): packed_cols_ holds the value (+0.0 where missing),
-  // packed_weights_ the {0,1} mask. Derived from the members above —
-  // rebuilt on Load, not serialized.
+  // The scan storage, derived from the members above — rebuilt on Load,
+  // not serialized. Each leaf, and the side list, is cut into tiles of at
+  // most kernels::kMaskedScanChunk rows.
+  //
+  // Dense tiles: the packed block holds every leaf tile, in leaf order, then
+  // the dense side tiles, in side_rows_ order. A dense tile of L rows starts
+  // at element `at`; coordinate j of its row i sits at at + j * L + i:
+  // packed_cols_ holds the value (+0.0 where missing), packed_weights_ the
+  // {0,1} mask. Leaf row p (row row_ids_[p]) is in the tile starting at
+  // element s * d, s the tile's first leaf row.
   std::vector<double> packed_cols_;
   std::vector<double> packed_weights_;
+  // The side list's tiles, in side_rows_ order. A tile whose fill (observed
+  // cells over L · d) is at most kSideListMaxFill (1/3, ann_index.cc) is
+  // stored as coordinate lists: the rows that observe coordinate j are
+  // list_pos_[e] (their position in the tile) with values list_vals_[e],
+  // for e in [list_starts_[at + j], list_starts_[at + j + 1]). Other side
+  // tiles are dense, at element `at` of the packed block.
+  struct SideTile {
+    size_t len = 0;
+    bool lists = false;
+    size_t at = 0;
+  };
+  std::vector<SideTile> side_tiles_;
+  std::vector<size_t> list_starts_;
+  std::vector<uint8_t> list_pos_;
+  std::vector<double> list_vals_;
 
-  void PackRows();  // fills the two members above
+  void PackRows();  // fills the scan storage above
 };
+
 
 // Row counts at or below this are indexed as a single leaf by BuildKnnIndex.
 inline constexpr size_t kExactKnnMaxRows = 2048;

@@ -44,6 +44,16 @@ void MaskedDistanceFinish(const double* __restrict acc,
   }
 }
 
+void MaskedDistanceScatter(double q, const uint8_t* __restrict pos,
+                           const double* __restrict x, size_t n,
+                           double* __restrict acc, double* __restrict cnt) {
+  for (size_t e = 0; e < n; ++e) {
+    const double diff = q - x[e];
+    acc[pos[e]] += diff * diff;
+    cnt[pos[e]] += 1.0;
+  }
+}
+
 double MaskedRowToDenseDistance(const double* xa, const double* ma,
                                 const double* c, size_t d) {
   double acc = 0.0;

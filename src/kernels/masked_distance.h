@@ -8,7 +8,7 @@
 // Array form (MaskedRowDistance): one row pair, a single sequential pass
 // over the coordinates with a branch-free {0,1}-mask product. It is
 // bit-identical to the branched `if (ma && mb)` loop it replaced (adding a
-// +0.0 contribution is exact) and is the reference the other form matches.
+// +0.0 contribution is exact) and is the reference the other forms match.
 // BruteForceSearch, the reference the index is tested against, uses it.
 //
 // Coordinate-major form (MaskedDistanceAccumulate + MaskedDistanceFinish):
@@ -30,15 +30,32 @@
 //     again an exact +0.0, as in the array form;
 //   - so each row's accumulator takes the same nonzero terms in the same
 //     ascending order, and the count is the same exact sum of 1.0 weights.
+//
+// List form (MaskedDistanceScatter + MaskedDistanceFinish): the same pass
+// over a tile that keeps only its observed cells — for each coordinate j,
+// the tile positions and values of the rows that observe j. The caller
+// zeroes acc and cnt, scatters the query's observed coordinates in
+// ascending j, then finishes. It is bit-identical to the coordinate-major
+// form, row by row, under the same finiteness condition:
+//   - a row that misses j gets no term at j; the coordinate-major form adds
+//     w · diff · diff = +0.0 there, which leaves its non-negative
+//     accumulator unchanged, and adds w = 0 to its count;
+//   - a row that observes j gets diff · diff and 1.0, where the
+//     coordinate-major form adds w · diff · diff = (1 · diff) · diff, the
+//     same double, and w = 1.0;
+//   - scattering in ascending j, each row still takes its co-observed
+//     terms in ascending order, so its accumulator and count are the same.
 // This holds at the default ISA and in the AVX2 clone, where no FMA
 // contraction happens (kernels/dispatch.h). Under SCIS_NATIVE
-// (-march=native) the compiler may contract acc + w·diff·diff into an FMA;
-// the forms then stay identical only while both keep the same
-// `w * diff * diff` expression, so change them together.
+// (-march=native) the compiler may contract acc + w·diff·diff into an FMA.
+// The forms then stay identical only while all three keep the same
+// product-then-add expression (the list form's fma(diff, diff, acc) equals
+// fma(1 · diff, diff, acc)), so change them together.
 #ifndef SCIS_KERNELS_MASKED_DISTANCE_H_
 #define SCIS_KERNELS_MASKED_DISTANCE_H_
 
 #include <cstddef>
+#include <cstdint>
 
 namespace scis::kernels {
 
@@ -48,8 +65,9 @@ double MaskedRowDistance(const double* xa, const double* ma, const double* xb,
                          const double* mb, size_t d);
 
 // Most rows per accumulate/finish pass in the index scan (its tiles hold
-// one leaf or at most this many rows): acc, cnt and the distances of one
-// pass stay in L1 while the query's coordinates stream through them.
+// one leaf or at most this many rows, so a list tile's row positions fit in
+// one byte): acc, cnt and the distances of one pass stay in L1 while the
+// query's coordinates stream through them.
 // Single-thread SearchBatch times on an Intel Xeon (AVX2 clone) at 64 to
 // 1,024 rows were within about 7% of each other; 256 was fastest on the
 // 1,000 x 64, 81%-missing serving shape (EXPERIMENTS.md).
@@ -60,6 +78,13 @@ inline constexpr size_t kMaskedScanChunk = 256;
 //   acc[i] += w[i] · (q − x[i])²,  cnt[i] += w[i].
 void MaskedDistanceAccumulate(double q, const double* x, const double* w,
                               size_t n, double* acc, double* cnt);
+
+// List form of the same step: one observed query coordinate q against the
+// n rows of a tile that observe it, given as their tile positions pos
+// (distinct, below kMaskedScanChunk) and values x:
+//   acc[pos[e]] += (q − x[e])²,  cnt[pos[e]] += 1.
+void MaskedDistanceScatter(double q, const uint8_t* pos, const double* x,
+                           size_t n, double* acc, double* cnt);
 
 // dist[i] = +inf when cnt[i] == 0, else acc[i] / cnt[i].
 void MaskedDistanceFinish(const double* acc, const double* cnt, size_t n,

@@ -78,7 +78,8 @@ bool InRange(const std::vector<double>& scaling) {
 //   f_i = λ·(fs_i + log u_i),   g_j = λ·(gs_j + log v_j),
 //
 // and `kern` always holds the stabilized Gibbs kernel
-// K_ij = exp(fs_i + gs_j − C_ij/λ), so P = diag(a⊙u)·K·diag(b⊙v). At the
+// K_ij = exp(fs_i + gs_j − C_ij/λ), so P = diag(a⊙u)·K·diag(b⊙v), with the
+// uniform marginals a_i = 1/n and b_j = 1/m carried as two scalars. At the
 // DIM weight λ = 130 nothing is ever absorbed: fs = gs = 0, K is built by
 // one exp pass, and every iteration is two matrix–vector passes. A solve
 // whose cost is symmetric by construction (SolveSinkhornSelf) builds that
@@ -92,8 +93,9 @@ bool InRange(const std::vector<double>& scaling) {
 // column (or row) maximum is exactly exp(0): the other side's scaling is
 // absorbed and this side's log potential is set to the c-transform
 // gs_j = min_i (C_ij/λ − fs_i), after which every sum is at least the
-// smallest marginal weight. That is the log-domain dual update, computed
-// once, so small λ degrades toward the log-domain cost instead of failing.
+// marginal weight 1/n (or 1/m). That is the log-domain dual update,
+// computed once, so small λ degrades toward the log-domain cost instead of
+// failing.
 //
 // Thread-count invariance: rows and columns are split by shape-derived
 // grains, every kernel output is independent of the split (see
@@ -101,13 +103,12 @@ bool InRange(const std::vector<double>& scaling) {
 // outputs.
 class KernelSolve {
  public:
-  KernelSolve(const Matrix& cost, const std::vector<double>& a,
-              const std::vector<double>& b, double lam, bool symmetric_cost)
+  KernelSolve(const Matrix& cost, double lam, bool symmetric_cost)
       : cost_(cost),
-        a_(a),
-        b_(b),
         n_(cost.rows()),
         m_(cost.cols()),
+        a_(1.0 / static_cast<double>(n_)),
+        b_(1.0 / static_cast<double>(m_)),
         lam_(lam),
         inv_lam_(1.0 / lam),
         symmetric_cost_(symmetric_cost),
@@ -117,7 +118,7 @@ class KernelSolve {
         gs_(m_, 0.0),
         u_(n_, 1.0),
         v_(m_, 1.0),
-        au_(a),
+        au_(n_, a_),
         bv_(m_),
         row_sums_(n_),
         col_sums_(m_),
@@ -140,20 +141,20 @@ class KernelSolve {
     int it = 0;
     for (; it < max_iters; ++it) {
       // v-update: v = 1 / Kᵀ(a⊙u).
-      for (size_t i = 0; i < n_; ++i) au_[i] = a_[i] * u_[i];
+      for (size_t i = 0; i < n_; ++i) au_[i] = a_ * u_[i];
       ColumnSums();
       if (!AllUsable(col_sums_)) {
         ++absorptions_;
         AbsorbRows();
         ShiftColumns();
         BuildKernel();
-        au_ = a_;
+        std::fill(au_.begin(), au_.end(), a_);
         ColumnSums();
       }
       for (size_t j = 0; j < m_; ++j) v_[j] = 1.0 / col_sums_[j];
 
       // u-update: u = 1 / K(b⊙v), tracking the movement of log u.
-      for (size_t j = 0; j < m_; ++j) bv_[j] = b_[j] * v_[j];
+      for (size_t j = 0; j < m_; ++j) bv_[j] = b_ * v_[j];
       RowSums();
       bool moving = false;
       if (AllUsable(row_sums_)) {
@@ -171,7 +172,7 @@ class KernelSolve {
         AbsorbColumns();
         ShiftRows();
         BuildKernel();
-        bv_ = b_;
+        std::fill(bv_.begin(), bv_.end(), b_);
         RowSums();
         for (size_t i = 0; i < n_; ++i) {
           u_[i] = 1.0 / row_sums_[i];
@@ -200,19 +201,20 @@ class KernelSolve {
     // alpha_i = log(a_i u_i) + fs_i = log a_i + f_i/λ (likewise beta), so
     // log P_ij = alpha_i + beta_j − C_ij/λ.
     std::vector<double> alpha(n_), beta(m_);
+    const double log_a = std::log(a_), log_b = std::log(b_);
     sol->f.resize(n_);
     sol->g.resize(m_);
     for (size_t i = 0; i < n_; ++i) {
       const double f_over_lam = fs_[i] + std::log(u_[i]);
       sol->f[i] = lam_ * f_over_lam;
-      alpha[i] = std::log(a_[i]) + f_over_lam;
-      au_[i] = a_[i] * u_[i];
+      alpha[i] = log_a + f_over_lam;
+      au_[i] = a_ * u_[i];
     }
     for (size_t j = 0; j < m_; ++j) {
       const double g_over_lam = gs_[j] + std::log(v_[j]);
       sol->g[j] = lam_ * g_over_lam;
-      beta[j] = std::log(b_[j]) + g_over_lam;
-      bv_[j] = b_[j] * v_[j];
+      beta[j] = log_b + g_over_lam;
+      bv_[j] = b_ * v_[j];
     }
     struct PlanPartial {
       double cost = 0.0;
@@ -310,9 +312,8 @@ class KernelSolve {
   }
 
   const Matrix& cost_;
-  const std::vector<double>& a_;
-  const std::vector<double>& b_;
   const size_t n_, m_;
+  const double a_, b_;  // the uniform marginal weights 1/n and 1/m
   const double lam_, inv_lam_;
   const bool symmetric_cost_;  // cost(i,j) == cost(j,i) bit for bit
   const size_t row_grain_, col_grain_;
@@ -336,10 +337,7 @@ SinkhornSolution SolveUniform(const Matrix& cost, const SinkhornOptions& opts,
   SCIS_CHECK_GT(n, 0u);
   SCIS_CHECK_GT(m, 0u);
   SCIS_CHECK_MSG(opts.lambda > 0, "Sinkhorn requires lambda > 0");
-  const std::vector<double> a(n, 1.0 / static_cast<double>(n));
-  const std::vector<double> b(m, 1.0 / static_cast<double>(m));
-
-  KernelSolve solve(cost, a, b, opts.lambda, symmetric_cost);
+  KernelSolve solve(cost, opts.lambda, symmetric_cost);
   SinkhornSolution sol;
   sol.iters = solve.Iterate(opts.max_iters, opts.tol, &sol.converged);
   metrics.solves->Add(1);

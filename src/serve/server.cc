@@ -360,7 +360,7 @@ void ImputationServer::HandleConnEvent(uint64_t id, uint32_t events) {
     bool eof = false;
     const Status read = ReadAvailable(conn->fd, &conn->scratch, &eof);
     if (!conn->scratch.empty()) {
-      conn->reader.Append(conn->scratch.data(), conn->scratch.size());
+      conn->reader.Append(&conn->scratch);
       if (!ProcessFrames(id, conn)) {
         conn->closing = true;
         conn->read_closed = true;

@@ -18,17 +18,36 @@ uint32_t GetU32(const uint8_t* p) {
          static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
-void PutF64(double v, std::vector<uint8_t>* out) {
-  const uint64_t bits = std::bit_cast<uint64_t>(v);
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(bits >> (8 * i)));
+// The cells travel as little-endian f64 bit patterns, which is the host's
+// own layout on a little-endian host: one memcpy each way. A big-endian host
+// swaps byte by byte; the branch is chosen at compile time.
+constexpr bool kHostIsWireOrder = std::endian::native == std::endian::little;
+
+void PutF64s(const double* v, size_t n, uint8_t* out) {
+  if constexpr (kHostIsWireOrder) {
+    if (n > 0) std::memcpy(out, v, n * 8);
+  } else {
+    for (size_t k = 0; k < n; ++k) {
+      const uint64_t bits = std::bit_cast<uint64_t>(v[k]);
+      for (int i = 0; i < 8; ++i) {
+        *out++ = static_cast<uint8_t>(bits >> (8 * i));
+      }
+    }
   }
 }
 
-double GetF64(const uint8_t* p) {
-  uint64_t bits = 0;
-  for (int i = 0; i < 8; ++i) bits |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return std::bit_cast<double>(bits);
+void GetF64s(const uint8_t* p, size_t n, double* out) {
+  if constexpr (kHostIsWireOrder) {
+    if (n > 0) std::memcpy(out, p, n * 8);
+  } else {
+    for (size_t k = 0; k < n; ++k, p += 8) {
+      uint64_t bits = 0;
+      for (int i = 0; i < 8; ++i) {
+        bits |= static_cast<uint64_t>(p[i]) << (8 * i);
+      }
+      out[k] = std::bit_cast<double>(bits);
+    }
+  }
 }
 
 }  // namespace
@@ -53,6 +72,18 @@ void FrameReader::Append(const uint8_t* data, size_t n) {
     pos_ = 0;
   }
   buf_.insert(buf_.end(), data, data + n);
+}
+
+void FrameReader::Append(std::vector<uint8_t>* bytes) {
+  if (pos_ == buf_.size()) {
+    // Nothing is held back: adopt the bytes instead of copying them, and
+    // hand the old buffer (cleared, capacity kept) back for the next read.
+    buf_.swap(*bytes);
+    pos_ = 0;
+  } else {
+    Append(bytes->data(), bytes->size());
+  }
+  bytes->clear();
 }
 
 Result<std::optional<Frame>> FrameReader::Next() {
@@ -98,7 +129,8 @@ std::vector<uint8_t> EncodeMatrixPayload(const Matrix& m) {
   out.reserve(8 + m.size() * 8);
   PutU32(static_cast<uint32_t>(m.rows()), &out);
   PutU32(static_cast<uint32_t>(m.cols()), &out);
-  for (size_t k = 0; k < m.size(); ++k) PutF64(m[k], &out);
+  out.resize(8 + m.size() * 8);
+  PutF64s(m.data(), m.size(), out.data() + 8);
   return out;
 }
 
@@ -124,8 +156,7 @@ Result<Matrix> DecodeMatrixPayload(const std::vector<uint8_t>& payload) {
         std::to_string(rows) + "x" + std::to_string(cols));
   }
   Matrix m(rows, cols);
-  const uint8_t* p = payload.data() + 8;
-  for (size_t k = 0; k < m.size(); ++k, p += 8) m[k] = GetF64(p);
+  GetF64s(payload.data() + 8, m.size(), m.data());
   return m;
 }
 

@@ -62,6 +62,10 @@ void AppendFrame(const Frame& frame, std::vector<uint8_t>* out);
 class FrameReader {
  public:
   void Append(const uint8_t* data, size_t n);
+  // Same, for a whole buffer: when no partial frame is held, the reader
+  // takes the bytes without copying them. Leaves *bytes empty (its storage
+  // may be the reader's old buffer, ready to be refilled).
+  void Append(std::vector<uint8_t>* bytes);
 
   Result<std::optional<Frame>> Next();
 

@@ -8,6 +8,7 @@
 #include <csignal>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -17,6 +18,7 @@
 #include "index/ann_index.h"
 #include "index/knn_graph.h"
 #include "kernels/masked_distance.h"
+#include "obs/metrics.h"
 #include "runtime/runtime.h"
 #include "tensor/rng.h"
 #include "testkit/generators.h"
@@ -253,6 +255,105 @@ TEST(IndexTest, ChunkedScanMatchesBruteForceAtChunkEdges) {
       }
     }
   }
+}
+
+// The side list, stored as coordinate lists or as dense tiles by fill, is
+// bit-identical to BruteForceSearch. Each index holds `side` sparse rows
+// (observing at most d/2 coordinates: a random draw at `missing`, cut to
+// d/2) and 40 fully observed tree rows. Side lists of chunk - 1, chunk and
+// chunk + 1 rows put a 1-row tile at the edge; missing 0.3 and 0.5 give
+// side tiles denser than kSideListMaxFill, 0.7 and above sparser ones, and
+// the test checks that both forms were built. Some rows and queries observe
+// nothing. Values are continuous, so summing a row's terms in any other
+// order than ascending coordinate changes low bits; rows and distances are
+// compared with memcmp, for Search, SelfNeighbors (which passes `exclude`)
+// and SearchBatch at 1, 2 and 4 threads.
+TEST(IndexTest, SideListTilesMatchBruteForceBitForBit) {
+  ThreadsGuard guard;
+  constexpr size_t kChunk = kernels::kMaskedScanChunk;
+  constexpr size_t kTreeRows = 40;
+  SearchOptions sopts;
+  sopts.max_leaf_visits = 0;
+  auto same_bytes = [](const std::vector<Neighbor>& a,
+                       const std::vector<Neighbor>& b) {
+    return a.size() == b.size() &&
+           (a.empty() || std::memcmp(a.data(), b.data(),
+                                     a.size() * sizeof(Neighbor)) == 0);
+  };
+  obs::Gauge* list_tiles =
+      obs::Registry::Global().GetGauge("index.last_build_list_tiles");
+  bool saw_lists = false, saw_dense = false;
+  for (const size_t d : {1, 6, 9, 64, 65}) {
+    for (const double missing : {0.3, 0.5, 0.7, 0.81, 0.95}) {
+      for (const size_t side : {kChunk - 1, kChunk, kChunk + 1}) {
+        const size_t n = side + kTreeRows;
+        const uint64_t seed = 1000 * d + side + static_cast<uint64_t>(
+                                                    100 * missing);
+        TestData data = MakeData(seed, n, d, missing);
+        TestData queries = MakeData(seed + 1, 24, d, missing);
+        Rng rng(seed + 2);
+        for (size_t i = 0; i < n; ++i) {
+          double* m = data.mask.row_data(i);
+          if (i < side && i % 37 != 5) {
+            // Keep at most d/2 observed cells, from a random start.
+            const size_t start = rng.UniformIndex(d);
+            size_t kept = 0;
+            for (size_t t = 0; t < d; ++t) {
+              double& cell = m[(start + t) % d];
+              if (cell == 1.0 && ++kept > d / 2) cell = 0.0;
+            }
+          } else {
+            std::fill(m, m + d, i < side ? 0.0 : 1.0);  // empty, or dense
+          }
+        }
+        std::fill_n(queries.mask.row_data(3), d, 0.0);
+        const AnnIndex idx = AnnIndex::Build(data.values, data.mask);
+        ASSERT_EQ(idx.num_side_rows(), side);
+        const double tiles = list_tiles->value();
+        saw_lists |= tiles > 0;
+        saw_dense |= tiles < static_cast<double>((side + kChunk - 1) / kChunk);
+        const std::string where = "d=" + std::to_string(d) +
+                                  " missing=" + std::to_string(missing) +
+                                  " side=" + std::to_string(side);
+        runtime::SetNumThreads(1);
+        for (size_t q = 0; q < queries.values.rows(); ++q) {
+          const double* qv = queries.values.row_data(q);
+          const double* qm = queries.mask.row_data(q);
+          EXPECT_TRUE(same_bytes(
+              idx.Search(qv, qm, sopts),
+              index::BruteForceSearch(data.values, data.mask, qv, qm,
+                                      sopts.k)))
+              << where << " query " << q;
+        }
+        const auto self = idx.SelfNeighbors(sopts);
+        const auto batch = idx.SearchBatch(queries.values, queries.mask, sopts);
+        for (size_t i = 0; i < n; ++i) {
+          EXPECT_TRUE(same_bytes(
+              self[i], index::BruteForceSearch(data.values, data.mask,
+                                               data.values.row_data(i),
+                                               data.mask.row_data(i), sopts.k,
+                                               i)))
+              << where << " self row " << i;
+        }
+        for (int threads : {2, 4}) {
+          runtime::SetNumThreads(threads);
+          const auto self_t = idx.SelfNeighbors(sopts);
+          const auto batch_t =
+              idx.SearchBatch(queries.values, queries.mask, sopts);
+          for (size_t i = 0; i < n; ++i) {
+            EXPECT_TRUE(same_bytes(self_t[i], self[i]))
+                << where << " self row " << i << " at " << threads;
+          }
+          for (size_t q = 0; q < batch.size(); ++q) {
+            EXPECT_TRUE(same_bytes(batch_t[q], batch[q]))
+                << where << " query " << q << " at " << threads;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(saw_lists);
+  EXPECT_TRUE(saw_dense);
 }
 
 // At n=8192 the tree has ~500 leaves, so a 64-leaf budget already opens

@@ -254,6 +254,60 @@ TEST(ServeWireTest, MatrixPayloadRoundTripsBitExact) {
   });
 }
 
+// Pins the matrix payload's bytes, so a codec rewrite cannot change the
+// wire format unnoticed: u32 rows, u32 cols, then each cell's f64 bit
+// pattern, little-endian, row-major.
+TEST(ServeWireTest, MatrixPayloadMatchesGoldenBytes) {
+  Matrix m(2, 3);
+  m(0, 0) = -0.0;
+  m(0, 1) = std::numeric_limits<double>::infinity();
+  m(0, 2) = -std::numeric_limits<double>::infinity();
+  m(1, 0) = std::numeric_limits<double>::denorm_min();
+  m(1, 1) = std::bit_cast<double>(uint64_t{0x7FF800000000BEEF});  // NaN
+  m(1, 2) = 1.5;
+  const std::vector<uint8_t> golden = {
+      0x02, 0x00, 0x00, 0x00,                          // rows
+      0x03, 0x00, 0x00, 0x00,                          // cols
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80,  // -0.0
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x7F,  // +inf
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0xFF,  // -inf
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // smallest subnormal
+      0xEF, 0xBE, 0x00, 0x00, 0x00, 0x00, 0xF8, 0x7F,  // NaN, payload 0xBEEF
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF8, 0x3F,  // 1.5
+  };
+  EXPECT_EQ(EncodeMatrixPayload(m), golden);
+  Result<Matrix> back = DecodeMatrixPayload(golden);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_TRUE(BitIdentical(m, back.value()));
+}
+
+// A reader holding no partial frame adopts a staged buffer whole; one that
+// holds a partial frame appends to it. Both yield the same frames.
+TEST(ServeWireTest, FrameReaderAdoptsOrAppendsStagedBytes) {
+  std::vector<uint8_t> stream;
+  AppendFrame(Frame{FrameType::kPing, {}}, &stream);
+  AppendFrame(Frame{FrameType::kImputeRequest, {1, 2, 3}}, &stream);
+  FrameReader reader;
+  std::vector<uint8_t> staged(stream.begin(), stream.begin() + 7);
+  reader.Append(&staged);  // nothing held: adopted
+  EXPECT_TRUE(staged.empty());
+  Result<std::optional<Frame>> ping = reader.Next();
+  ASSERT_TRUE(ping.ok() && ping.value().has_value());
+  EXPECT_EQ(ping.value()->type, FrameType::kPing);
+  Result<std::optional<Frame>> none = reader.Next();
+  ASSERT_TRUE(none.ok());
+  EXPECT_FALSE(none.value().has_value());  // 2 of 8 request bytes held
+  staged.assign(stream.begin() + 7, stream.end());
+  reader.Append(&staged);  // partial frame held: appended
+  EXPECT_TRUE(staged.empty());
+  Result<std::optional<Frame>> req = reader.Next();
+  ASSERT_TRUE(req.ok() && req.value().has_value());
+  EXPECT_EQ(req.value()->type, FrameType::kImputeRequest);
+  EXPECT_EQ(req.value()->payload, (std::vector<uint8_t>{1, 2, 3}));
+  EXPECT_EQ(reader.buffered(), 0u);
+  EXPECT_TRUE(reader.AtEof().ok());
+}
+
 TEST(ServeWireTest, MatrixPayloadRejectsMalformed) {
   EXPECT_FALSE(DecodeMatrixPayload({1, 2, 3}).ok());  // shorter than header
   // Zero rows / cols.
